@@ -2,14 +2,16 @@
 
 Subcommands: derive-table, density, gf, fn, simulate, perturb, compare.
 Exit codes: 0 success, 1 comparison failure, 2 usage/config error, 3 runtime
-model error.  Every output is written atomically (temp file + rename) and
-accompanied by a run manifest with the resolved configuration, seed, tool
-version, wall-clock time and output digests.
+model error.  With --out, every output is written atomically (temp file +
+rename) and accompanied by a run manifest with the resolved configuration,
+seed, tool version, wall-clock time and output digests; without it, the
+output goes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -94,17 +96,26 @@ def _read_json_file(path: str, label: str) -> str:
     return text
 
 
-def _load_spec(path: str) -> models.ModelSpec:
+def _load_model(path: str) -> tuple[str, models.ModelSpec]:
+    """The model file's text and the spec parsed from it."""
     text = _read_json_file(path, "model config")
     try:
-        return models.ModelSpec.from_json(text)
+        return text, models.ModelSpec.from_json(text)
     except (models.ModelError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"invalid model config {path}: {e}")
 
 
-def _apply_threads(args) -> None:
-    if getattr(args, "threads", None) is not None:
-        os.environ["RD_THREADS"] = str(args.threads)
+def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
+    """Write outputs ({path suffix: text}) next to --out, atomically, plus the
+    run manifest; without --out, print the first output instead."""
+    if not args.out:
+        sys.stdout.write(next(iter(outputs.values())))
+        return
+    paths = []
+    for suffix, text in outputs.items():
+        atomic_write(args.out + suffix, text)
+        paths.append(args.out + suffix)
+    write_manifest(args.out, command, config, seed, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +137,9 @@ def _parse_family(name: str) -> algebra.NoiseFamily:
 def cmd_derive_table(args) -> int:
     fams = [_parse_family(n) for n in args.families]
     table = algebra.derive_table(fams)
-    outputs = []
-    if args.out:
-        atomic_write(args.out + ".txt", table.render_text())
-        atomic_write(args.out + ".json", table.render_json())
-        outputs = [args.out + ".txt", args.out + ".json"]
-        write_manifest(
-            args.out,
-            "derive-table",
-            {"families": list(args.families), "allow_unrecognized": args.allow_unrecognized},
-            None,
-            outputs,
-        )
-    else:
-        sys.stdout.write(table.render_text())
+    _emit(args, "derive-table",
+          {"families": list(args.families), "allow_unrecognized": args.allow_unrecognized},
+          {".txt": table.render_text(), ".json": table.render_json()})
     if not table.all_recognized() and not args.allow_unrecognized:
         print("error: table contains unrecognized products", file=sys.stderr)
         return EXIT_COMPARE
@@ -158,59 +158,51 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
     given analytically, not as a table) and block-averaged back down; this is
     the quantity a histogram estimator converges to.
     """
+    if refine < 1:
+        raise UsageError(f"--refine must be >= 1, got {refine}")
     obj = json.loads(model_text)
     if "shape" not in obj or not isinstance(obj.get("v"), dict) or "table" in obj["v"]:
         raise UsageError("--cell-average needs a grid model with an analytic v field")
     obj["shape"] = [int(n) * refine for n in obj["shape"]]
     fine = models.ModelSpec.from_json(json.dumps(obj))
     coarse = spec.grid()
-    lines = [f"# model,{spec.kind},cell-averaged,t={','.join(repr(float(t)) for t in times)}"]
-    lines.append("t," + ",".join(f"x{i}" for i in range(spec.d)) + ",value")
-    axes = coarse.axes()
-    for t in times:
+
+    def cell_average(fg):
+        vals = fg.values
+        for ax, n in enumerate(coarse.shape):
+            # composite trapezoid over each cell (periodic wrap)
+            vals = 0.5 * (vals + np.roll(vals, -1, axis=ax))
+            vals = vals.reshape(
+                vals.shape[:ax] + (n, refine) + vals.shape[ax + 1:]
+            ).mean(axis=ax + 1)
+        return coarse.with_values(vals)
+
+    def evaluate(t):
         res = models.density(fine, t)
-        for fg in (res if isinstance(res, tuple) else (res,)):
-            vals = fg.values
-            for ax, n in enumerate(coarse.shape):
-                # composite trapezoid over each cell (periodic wrap)
-                vals = 0.5 * (vals + np.roll(vals, -1, axis=ax))
-                vals = vals.reshape(
-                    vals.shape[:ax] + (n, refine) + vals.shape[ax + 1:]
-                ).mean(axis=ax + 1)
-            for idx in np.ndindex(coarse.shape):
-                coords = ",".join(repr(float(axes[a][i])) for a, i in enumerate(idx))
-                lines.append(f"{float(t)!r},{coords},{float(vals[idx])!r}")
-    return "\n".join(lines) + "\n"
+        return tuple(cell_average(fg) for fg in (res if isinstance(res, tuple) else (res,)))
+
+    return models.density_table(spec, times, evaluate, "cell-averaged")
 
 
 def cmd_density(args) -> int:
-    spec = _load_spec(args.model)
+    model_text, spec = _load_model(args.model)
     try:
         if args.cell_average:
-            text = _cell_averaged_csv(
-                _read_json_file(args.model, "model config"), spec, args.t, args.refine
-            )
+            text = _cell_averaged_csv(model_text, spec, args.t, args.refine)
         else:
             text = models.density_csv(spec, args.t)
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
-    if args.out:
-        atomic_write(args.out, text)
-        write_manifest(
-            args.out,
-            "density",
-            {"model": json.loads(_read_json_file(args.model, "model config")), "t": args.t},
-            None,
-            [args.out],
-        )
-    else:
-        sys.stdout.write(text)
+    _emit(args, "density", {"model": json.loads(model_text), "t": args.t}, {"": text})
     return EXIT_OK
 
 
 def _test_function(spec: models.ModelSpec, text: str | None):
     if spec.kind == "DiscreteDeath":
-        return float(text) if text is not None else 1.0
+        try:
+            return float(text) if text is not None else 1.0
+        except ValueError:
+            raise UsageError(f"--u for DiscreteDeath must be a number, got {text!r}")
     g = spec.grid()
     if text is None:
         return g.with_values(np.ones(g.shape))
@@ -225,7 +217,7 @@ def _test_function(spec: models.ModelSpec, text: str | None):
 
 
 def cmd_gf(args) -> int:
-    spec = _load_spec(args.model)
+    _, spec = _load_model(args.model)
     u = _test_function(spec, args.u)
     lines = ["t,log_gf"]
     try:
@@ -243,26 +235,32 @@ def cmd_gf(args) -> int:
             lines.append(f"{float(t)!r},{float(val)!r}")
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-        write_manifest(args.out, "gf", {"model": args.model, "t": args.t, "u": args.u},
-                       None, [args.out])
-    else:
-        sys.stdout.write(text)
+    _emit(args, "gf", {"model": args.model, "t": args.t, "u": args.u},
+          {"": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 
+def _parse_points(text: str, d: int) -> list[list[float]]:
+    points = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            p = [float(x) for x in chunk.split(",")]
+        except ValueError:
+            raise UsageError(f"--points: {chunk!r} is not a comma-separated list of numbers")
+        if len(p) != d:
+            raise UsageError(f"--points: {chunk!r} has {len(p)} coordinates, the model has {d}")
+        points.append(p)
+    return points
+
+
 def cmd_fn(args) -> int:
-    spec = _load_spec(args.model)
+    _, spec = _load_model(args.model)
     if spec.kind != "DeathDiffusion":
         raise UsageError(f"n-point density is implemented for DeathDiffusion, not {spec.kind}")
-    points = []
-    if args.points:
-        for chunk in args.points.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                points.append([float(x) for x in chunk.split(",")])
+    points = _parse_points(args.points, spec.d)
     lines = ["t,value"]
     try:
         for t in args.t:
@@ -270,13 +268,8 @@ def cmd_fn(args) -> int:
             lines.append(f"{float(t)!r},{float(val)!r}")
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-        write_manifest(args.out, "fn", {"model": args.model, "t": args.t,
-                                        "points": args.points}, None, [args.out])
-    else:
-        sys.stdout.write(text)
+    _emit(args, "fn", {"model": args.model, "t": args.t, "points": args.points},
+          {"": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 
@@ -286,43 +279,32 @@ def cmd_fn(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args.model)
+    model_text, spec = _load_model(args.model)
     sim_text = _read_json_file(args.sim, "simulation config")
     try:
         sim = simulate.SimConfig.from_json(sim_text)
     except (simulate.SimError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"invalid simulation config {args.sim}: {e}")
     if args.seed is not None:
-        sim = simulate.SimConfig(
-            dt=sim.dt, replicas=sim.replicas, seed=args.seed,
-            shape=sim.shape, kernel=sim.kernel, chunk=sim.chunk,
-        )
+        sim = dataclasses.replace(sim, seed=args.seed)
     u = _test_function(spec, args.u) if args.u else None
     try:
-        report = simulate.run(spec, sim, args.t_end, u=u)
+        report = simulate.run(spec, sim, args.t_end, u=u, threads=args.threads)
     except simulate.SimError as e:
         raise RuntimeModelError(str(e))
-    grid_path = args.out + "_grid.csv"
-    scalars_path = args.out + "_scalars.json"
-    atomic_write(grid_path, report.grid_csv())
-    atomic_write(scalars_path, report.scalars_json() + "\n")
-    write_manifest(
-        args.out,
+    _emit(
+        args,
         "simulate",
-        {
-            "model": json.loads(_read_json_file(args.model, "model config")),
-            "sim": json.loads(sim_text),
-            "t_end": args.t_end,
-            "u": args.u,
-        },
+        {"model": json.loads(model_text), "sim": json.loads(sim_text),
+         "t_end": args.t_end, "u": args.u},
+        {"_grid.csv": report.grid_csv(), "_scalars.json": report.scalars_json() + "\n"},
         sim.seed,
-        [grid_path, scalars_path],
     )
     return EXIT_OK
 
 
 def cmd_perturb(args) -> int:
-    spec = _load_spec(args.model)
+    _, spec = _load_model(args.model)
     if spec.kind != "Annihilation":
         raise UsageError(f"perturb needs an Annihilation model, got {spec.kind}")
     try:
@@ -334,19 +316,10 @@ def cmd_perturb(args) -> int:
             series = perturb.mean_field_pde(spec, args.t_end, args.steps)
     except perturb.PerturbError as e:
         raise RuntimeModelError(str(e))
-    text = series.csv()
-    if args.out:
-        atomic_write(args.out, text)
-        write_manifest(
-            args.out,
-            "perturb",
-            {"model": args.model, "t_end": args.t_end, "steps": args.steps,
-             "method": args.method},
-            None,
-            [args.out],
-        )
-    else:
-        sys.stdout.write(text)
+    _emit(args, "perturb",
+          {"model": args.model, "t_end": args.t_end, "steps": args.steps,
+           "method": args.method},
+          {"": series.csv()})
     return EXIT_OK
 
 
@@ -416,19 +389,10 @@ def cmd_compare(args) -> int:
         "max_abs_z": float(np.max(np.abs(z))) if n else 0.0,
         "pass": bool(ok),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-        write_manifest(
-            args.out,
-            "compare",
-            {"analytic": args.analytic, "mc": args.mc, "sigma": args.sigma,
-             "se_scale": args.se_scale},
-            None,
-            [args.out],
-        )
-    else:
-        sys.stdout.write(text)
+    _emit(args, "compare",
+          {"analytic": args.analytic, "mc": args.mc, "sigma": args.sigma,
+           "se_scale": args.se_scale},
+          {"": json.dumps(summary, indent=2, sort_keys=True) + "\n"})
     return EXIT_OK if ok else EXIT_COMPARE
 
 
@@ -441,8 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the rng seed from the config")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (sets RD_THREADS)")
     common.add_argument("--out", default=None, help="output path or prefix")
 
     p = argparse.ArgumentParser(prog="rdito", description=__doc__)
@@ -489,6 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("sim", help="simulation config JSON file")
     si.add_argument("--t-end", type=float, required=True)
     si.add_argument("--u", default=None, help="test function for the GF estimator")
+    si.add_argument("--threads", type=int, default=1,
+                    help="worker threads for the replica chunks")
     si.set_defaults(fn=cmd_simulate)
 
     pe = sub.add_parser("perturb", parents=[common],
@@ -514,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args)
     if getattr(args, "fn", None) is cmd_simulate and args.out is None:
         print("error: simulate requires --out", file=sys.stderr)
         return EXIT_USAGE

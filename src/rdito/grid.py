@@ -11,7 +11,7 @@ carries the 1/(2 pi)^d in its measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +99,22 @@ class FieldGrid:
 
     def with_values(self, values: np.ndarray) -> "FieldGrid":
         return FieldGrid(self.box, values, self.rep)
+
+
+def point_labels(axes, sep: str = ",") -> list[str]:
+    """Label of every point of the grid spanned by `axes`, in C order: the
+    point's coordinates, each formatted with repr, joined by `sep`."""
+    cols = [m.ravel().tolist() for m in np.meshgrid(*axes, indexing="ij")]
+    return [sep.join(map(repr, p)) for p in zip(*cols)]
+
+
+def table_rows(lead: str, labels: list[str], values: np.ndarray) -> list[str]:
+    """CSV rows `lead,label,value` for values in C order, one per label.
+
+    Values are written with repr, so float(cell) gives back each value exactly.
+    """
+    values = np.ravel(values).tolist()
+    return [f"{lead},{lab},{v!r}" for lab, v in zip(labels, values, strict=True)]
 
 
 def position_grid(box, values) -> FieldGrid:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
-from .grid import FieldGrid, MOMENTUM, POSITION, position_grid
+from .grid import FieldGrid, MOMENTUM, POSITION, point_labels, table_rows
 
 
 class ModelError(Exception):
@@ -144,6 +144,8 @@ def _field_from_json(obj, box, shape) -> FieldGrid:
     g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
     if isinstance(obj, (int, float)):
         return g.with_values(np.full(g.shape, float(obj)))
+    if not isinstance(obj, dict):
+        raise ModelError(f"cannot interpret field spec {obj!r}")
     if "table" in obj:
         vals = np.asarray(obj["table"], float)
         if vals.shape != g.shape:
@@ -384,9 +386,7 @@ def _e1_symbol(h: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, -t, out)
 
 
-def brownian_tree_log_gf(
-    spec: ModelSpec, q: GFQuery, kmax: int = 500, steps: int | None = None
-) -> float:
+def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) -> float:
     """Normalized log GF for A -> A+A with diffusion.
 
     The GF is Poisson-superposable, log GF = int v (w - 1) dp with w(x,t)
@@ -569,20 +569,31 @@ def density(spec: ModelSpec, t: float):
     raise ModelError(f"no closed-form density for kind {spec.kind}")
 
 
-def density_csv(spec: ModelSpec, times: Sequence[float]) -> str:
-    """CSV text: `# model,kind,t,...` header then `coordinate...,value` rows."""
-    lines = [f"# model,{spec.kind},t={','.join(repr(float(t)) for t in times)}"]
+def density_table(
+    spec: ModelSpec, times: Sequence[float], evaluate: Callable, tag: str = ""
+) -> str:
+    """CSV text: `# model,kind[,tag],t=...` header, then `t,coordinate...,value`.
+
+    evaluate(t) gives what is written at time t: a grid, a tuple of grids on
+    the same grid (ConvertAB), or a scalar (DiscreteDeath, coordinate 0).
+    """
+    tag = f"{tag}," if tag else ""
+    lines = [f"# model,{spec.kind},{tag}t={','.join(repr(float(t)) for t in times)}"]
     coord_names = ",".join(f"x{i}" for i in range(max(spec.d, 1)))
     lines.append(f"t,{coord_names},value")
+    labels = None
     for t in times:
-        res = density(spec, t)
-        fields = res if isinstance(res, tuple) else (res,)
-        for fg in fields:
+        res = evaluate(t)
+        for fg in res if isinstance(res, tuple) else (res,):
             if not isinstance(fg, FieldGrid):
                 lines.append(f"{float(t)!r},0,{float(fg)!r}")
                 continue
-            axes = fg.axes()
-            for idx in np.ndindex(fg.shape):
-                coords = ",".join(repr(float(axes[a][i])) for a, i in enumerate(idx))
-                lines.append(f"{float(t)!r},{coords},{float(fg.values[idx])!r}")
+            if labels is None:
+                labels = point_labels(fg.axes())
+            lines += table_rows(repr(float(t)), labels, fg.values)
     return "\n".join(lines) + "\n"
+
+
+def density_csv(spec: ModelSpec, times: Sequence[float]) -> str:
+    """Closed-form densities at `times` as a density_table."""
+    return density_table(spec, times, lambda t: density(spec, t))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MOMENTUM, POSITION, FieldGrid
+from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
 
 # Equal-time propagator value theta(0); isolated here as a convention.
 THETA0 = 1.0
@@ -300,13 +300,12 @@ class TimeSeries:
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
         g = self.fields[0]
-        axes = g.axes() if g.rep == POSITION else g.kaxes()
-        cols = ",".join(f"x{i}" if g.rep == POSITION else f"k{i}" for i in range(g.dim))
+        pos = g.rep == POSITION
+        cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
+        labels = point_labels(g.axes() if pos else g.kaxes())
         lines = [f"t,{cols},value"]
         for t, f in zip(self.times, self.fields):
-            for idx in np.ndindex(g.shape):
-                coords = ",".join(repr(float(axes[a][idx[a]])) for a in range(g.dim))
-                lines.append(f"{float(t)!r},{coords},{float(np.real(f.values[idx]))!r}")
+            lines += table_rows(repr(float(t)), labels, np.real(f.values))
         return "\n".join(lines) + "\n"
 
 

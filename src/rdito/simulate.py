@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldGrid, POSITION
+from .grid import FieldGrid, POSITION, point_labels, table_rows
 from .models import ModelSpec, Rate
 
 MAX_EVENT_PROB = 0.1
@@ -67,7 +66,6 @@ class SimConfig:
     dt: float
     replicas: int
     seed: int
-    shape: tuple[int, ...] | None = None  # estimator grid (default: model grid)
     kernel: RadialKernel | None = None
     chunk: int = 256
 
@@ -90,7 +88,6 @@ class SimConfig:
             dt=float(obj["dt"]),
             replicas=int(obj["replicas"]),
             seed=int(obj["seed"]),
-            shape=tuple(obj["shape"]) if "shape" in obj else None,
             kernel=kern,
             chunk=int(obj.get("chunk", 256)),
         )
@@ -147,9 +144,8 @@ class EstimatorReport:
         lines = ["name,index,value"]
         for name in sorted(self.fields):
             fg = self.fields[name]
-            for idx in np.ndindex(fg.shape):
-                sidx = ":".join(str(i) for i in idx)
-                lines.append(f"{name},{sidx},{float(fg.values[idx])!r}")
+            labels = point_labels([np.arange(n) for n in fg.shape], ":")
+            lines += table_rows(name, labels, fg.values)
         return "\n".join(lines) + "\n"
 
 
@@ -400,14 +396,17 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
     return stats
 
 
-def run(spec: ModelSpec, sim: SimConfig, t_end: float, u: FieldGrid | None = None) -> EstimatorReport:
-    """Replica-averaged estimators; deterministic for fixed (seed, config)."""
+def run(
+    spec: ModelSpec, sim: SimConfig, t_end: float, u: FieldGrid | None = None,
+    threads: int = 1,
+) -> EstimatorReport:
+    """Replica-averaged estimators; deterministic for fixed (seed, config),
+    whatever the number of worker threads running the chunks."""
     g = spec.grid()
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
     sizes = [
         min(sim.chunk, sim.replicas - i * sim.chunk) for i in range(nchunks)
     ]
-    threads = int(os.environ.get("RD_THREADS", "1") or "1")
     if threads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(

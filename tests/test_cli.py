@@ -30,6 +30,13 @@ def write_json(path, obj):
     return str(path)
 
 
+def one_line_error(capsys):
+    """The captured stderr, checked to be a single `error: ...` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def read_rows(path):
     rows = []
     for line in path.read_text().strip().split("\n"):
@@ -101,6 +108,19 @@ class TestDensity:
             main(["density", model])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("v", [[1, 2], "gaussian"])
+    def test_non_object_field_spec_usage_exit(self, tmp_path, capsys, v):
+        model = write_json(tmp_path / "m.json", model_obj(v=v))
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert one_line_error(capsys)
+
+    @pytest.mark.parametrize("refine", ["0", "-2"])
+    def test_bad_refine_usage_exit(self, tmp_path, capsys, refine):
+        model = write_json(tmp_path / "m.json", model_obj())
+        assert main(["density", model, "--t", "0.1", "--cell-average",
+                     "--refine", refine]) == 2
+        assert "--refine" in one_line_error(capsys)
+
 
 class TestGfFn:
     def test_gf_conservation_at_unit_u(self, tmp_path, capsys):
@@ -126,6 +146,21 @@ class TestGfFn:
     def test_gf_unsupported_kind(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", model_obj("SpontBirth"))
         assert main(["gf", model, "--t", "0.5"]) == 2
+
+    @pytest.mark.parametrize("kind, u", [("DeathDiffusion", "[1, 2]"),
+                                         ("DiscreteDeath", "abc")])
+    def test_gf_bad_u_usage_exit(self, tmp_path, capsys, kind, u):
+        obj = model_obj() if kind == "DeathDiffusion" else {
+            "kind": kind, "rates": {"mu": 2.0}, "v": 3.0}
+        model = write_json(tmp_path / "m.json", obj)
+        assert main(["gf", model, "--t", "0.5", "--u", u]) == 2
+        assert "--u" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("points", ["a,b", "1,2", "1;2,3"])
+    def test_fn_bad_points_usage_exit(self, tmp_path, capsys, points):
+        model = write_json(tmp_path / "m.json", model_obj())
+        assert main(["fn", model, "--t", "0.4", "--points", points]) == 2
+        assert "--points" in one_line_error(capsys)
 
 
 class TestSimulate:

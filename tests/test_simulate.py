@@ -1,7 +1,6 @@
 """Tests for the particle Monte Carlo against exact statistical oracles."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -172,17 +171,8 @@ class TestRun:
     def test_thread_count_does_not_change_results(self):
         spec = gauss_spec(mass=5.0)
         sim = SimConfig(dt=0.05, replicas=300, seed=123, chunk=64)
-        old = os.environ.get("RD_THREADS")
-        try:
-            os.environ["RD_THREADS"] = "1"
-            r1 = run(spec, sim, 0.3)
-            os.environ["RD_THREADS"] = "4"
-            r4 = run(spec, sim, 0.3)
-        finally:
-            if old is None:
-                os.environ.pop("RD_THREADS", None)
-            else:
-                os.environ["RD_THREADS"] = old
+        r1 = run(spec, sim, 0.3, threads=1)
+        r4 = run(spec, sim, 0.3, threads=4)
         assert np.array_equal(r1.mean_field.values, r4.mean_field.values)
         assert r1.scalars == r4.scalars
 
