@@ -217,7 +217,7 @@ def _test_function(spec: models.ModelSpec, text: str | None):
 
 
 def cmd_gf(args) -> int:
-    _, spec = _load_model(args.model)
+    model_text, spec = _load_model(args.model)
     u = _test_function(spec, args.u)
     lines = ["t,log_gf"]
     try:
@@ -235,7 +235,7 @@ def cmd_gf(args) -> int:
             lines.append(f"{float(t)!r},{float(val)!r}")
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
-    _emit(args, "gf", {"model": args.model, "t": args.t, "u": args.u},
+    _emit(args, "gf", {"model": json.loads(model_text), "t": args.t, "u": args.u},
           {"": "\n".join(lines) + "\n"})
     return EXIT_OK
 
@@ -257,7 +257,7 @@ def _parse_points(text: str, d: int) -> list[list[float]]:
 
 
 def cmd_fn(args) -> int:
-    _, spec = _load_model(args.model)
+    model_text, spec = _load_model(args.model)
     if spec.kind != "DeathDiffusion":
         raise UsageError(f"n-point density is implemented for DeathDiffusion, not {spec.kind}")
     points = _parse_points(args.points, spec.d)
@@ -268,7 +268,7 @@ def cmd_fn(args) -> int:
             lines.append(f"{float(t)!r},{float(val)!r}")
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
-    _emit(args, "fn", {"model": args.model, "t": args.t, "points": args.points},
+    _emit(args, "fn", {"model": json.loads(model_text), "t": args.t, "points": args.points},
           {"": "\n".join(lines) + "\n"})
     return EXIT_OK
 
@@ -304,7 +304,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    _, spec = _load_model(args.model)
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        raise UsageError(f"--t-end must be finite and > 0, got {args.t_end}")
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    model_text, spec = _load_model(args.model)
     if spec.kind != "Annihilation":
         raise UsageError(f"perturb needs an Annihilation model, got {spec.kind}")
     try:
@@ -317,7 +321,7 @@ def cmd_perturb(args) -> int:
     except perturb.PerturbError as e:
         raise RuntimeModelError(str(e))
     _emit(args, "perturb",
-          {"model": args.model, "t_end": args.t_end, "steps": args.steps,
+          {"model": json.loads(model_text), "t_end": args.t_end, "steps": args.steps,
            "method": args.method},
           {"": series.csv()})
     return EXIT_OK
@@ -390,7 +394,7 @@ def cmd_compare(args) -> int:
         "pass": bool(ok),
     }
     _emit(args, "compare",
-          {"analytic": args.analytic, "mc": args.mc, "sigma": args.sigma,
+          {"analytic": _digest(args.analytic), "mc": _digest(args.mc), "sigma": args.sigma,
            "se_scale": args.se_scale},
           {"": json.dumps(summary, indent=2, sort_keys=True) + "\n"})
     return EXIT_OK if ok else EXIT_COMPARE

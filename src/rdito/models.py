@@ -89,8 +89,10 @@ class Rate:
 
     @classmethod
     def from_json(cls, obj) -> "Rate":
-        if isinstance(obj, (int, float)):
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             return cls(const=float(obj))
+        if not isinstance(obj, dict):
+            raise ModelError(f"a rate must be a number or an object, got {obj!r}")
         kwargs = {}
         if "const" in obj:
             kwargs["const"] = float(obj["const"])

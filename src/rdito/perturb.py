@@ -15,9 +15,7 @@ external momentum k,
                int dm Rhat_m X(m;s) X(k-m;s),
 
 which differentiates exactly to the local mean-field equation above; the sign
-is the decaying branch.  A literal memory-kernel variant (heat kernels between
-the interaction times and the observation time) is provided for early-time
-spot checks.
+is the decaying branch.
 """
 
 from __future__ import annotations
@@ -323,6 +321,9 @@ def dyson_tree_density(
 
     Trapezoid rule in the interaction time, FFT circular convolution over the
     momentum grid, and a fixed-point solve for the implicit endpoint term.
+    The propagator factorizes as e^{-D(t-s)k^2} = e^{-D dt k^2} e^{-D(t-dt-s)k^2},
+    so the trapezoid history sum is carried forward one step at a time: the
+    cost is O(steps) in time and O(grid) in history memory.
     """
     if steps < 1:
         raise PerturbError("steps must be >= 1")
@@ -331,20 +332,17 @@ def dyson_tree_density(
     rhat = np.real(grid.Rhat.values)
     dV = grid.Rhat.cell_volume
     vhat = np.asarray(grid.vhat.values, complex)
+    step_prop = np.exp(-grid.D * dt * k2)
 
-    times = [0.0]
     xs = [vhat]
-    colls = np.empty((steps + 1,) + grid.shape, complex)
-    colls[0] = _collision_hat(vhat, rhat, dV)
+    coll = _collision_hat(vhat, rhat, dV)
+    hist = np.zeros_like(vhat)
     for i in range(1, steps + 1):
-        t = i * dt
-        free = np.exp(-grid.D * t * k2) * vhat
-        ages = (t - dt * np.arange(i)).reshape((i,) + (1,) * grid.d)
-        weights = np.ones((i,) + (1,) * grid.d)
-        weights[0] = 0.5
-        hist = np.sum(weights * np.exp(-grid.D * ages * k2) * colls[:i], axis=0)
-        base = free - dt * hist
-        x = np.exp(-grid.D * dt * k2) * xs[-1]
+        # trapezoid weight 1/2 on the s = 0 end of the history
+        hist = step_prop * (hist + (0.5 if i == 1 else 1.0) * coll)
+        base = np.exp(-grid.D * (i * dt) * k2) * vhat - dt * hist
+        # first-order guess for the implicit endpoint term
+        x = base - 0.5 * dt * step_prop * coll
         for _ in range(sweeps):
             xn = base - 0.5 * dt * _collision_hat(x, rhat, dV)
             corr = float(np.max(np.abs(xn - x)))
@@ -355,11 +353,11 @@ def dyson_tree_density(
             raise NonConvergence(
                 f"fixed point stalled at correction {corr:.3e} (step {i})"
             )
-        colls[i] = _collision_hat(x, rhat, dV)
-        times.append(t)
+        coll = _collision_hat(x, rhat, dV)
         xs.append(x)
+    times = tuple(i * dt for i in range(steps + 1))
     fields = tuple(FieldGrid(grid.box, x, MOMENTUM) for x in xs)
-    return TimeSeries(tuple(times), fields)
+    return TimeSeries(times, fields)
 
 
 def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
@@ -395,48 +393,4 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
         x = np.real(np.fft.ifftn(half * np.fft.fftn(x)))
         times.append(i * dt)
         fields.append(g.with_values(x))
-    return TimeSeries(tuple(times), tuple(fields))
-
-
-def memory_form_density(spec, t_end: float, steps: int) -> TimeSeries:
-    """Density under the literal memory-kernel collision term.
-
-    The collision rate at time t is the history integral
-    int_0^t ds (e^{(t-s) D lap} X_s) (R * e^{(t-s) D lap} X_s),
-    i.e. both factors are carried to the observation time by heat kernels.
-    Used only for early-time spot checks against the local reduction in
-    mean_field_pde.
-    """
-    if steps < 1:
-        raise PerturbError("steps must be >= 1")
-    g = spec.grid()
-    rhat = np.fft.fftn(kernel_field(spec).values) * g.cell_volume
-    k2 = g.ksquared()
-    dt = t_end / steps
-
-    def heat(xh, tau):
-        return np.exp(-spec.D * k2 * tau) * xh
-
-    def conv_pos(xh):
-        return np.real(np.fft.ifftn(rhat * xh))
-
-    x = np.asarray(g.values, float)
-    hats = [np.fft.fftn(x)]
-    times = [0.0]
-    fields = [g]
-    for i in range(1, steps + 1):
-        t = i * dt
-        # history integral at the left endpoint, trapezoid over stored states
-        coll = np.zeros(g.shape)
-        for j in range(i):
-            w = 0.5 if j in (0, i - 1) else 1.0
-            ph = heat(hats[j], (i - 1 - j) * dt)
-            coll += w * np.real(np.fft.ifftn(ph)) * conv_pos(ph)
-        coll *= dt
-        xh = heat(hats[-1], dt) - dt * np.fft.fftn(
-            np.real(np.fft.ifftn(heat(np.fft.fftn(coll), dt)))
-        )
-        hats.append(xh)
-        times.append(t)
-        fields.append(g.with_values(np.real(np.fft.ifftn(xh))))
     return TimeSeries(tuple(times), tuple(fields))

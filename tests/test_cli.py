@@ -114,6 +114,12 @@ class TestDensity:
         assert main(["density", model, "--t", "0.1"]) == 2
         assert one_line_error(capsys)
 
+    @pytest.mark.parametrize("mu", ["fast", [2.0]])
+    def test_non_numeric_rate_usage_exit(self, tmp_path, capsys, mu):
+        model = write_json(tmp_path / "m.json", model_obj(rates={"mu": mu}))
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert "rate" in one_line_error(capsys)
+
     @pytest.mark.parametrize("refine", ["0", "-2"])
     def test_bad_refine_usage_exit(self, tmp_path, capsys, refine):
         model = write_json(tmp_path / "m.json", model_obj())
@@ -243,6 +249,35 @@ class TestPerturb:
     def test_wrong_kind_usage_error(self, tmp_path):
         model = write_json(tmp_path / "m.json", model_obj())
         assert main(["perturb", model, "--t-end", "0.1", "--steps", "10"]) == 2
+
+    @pytest.mark.parametrize("method, t_end, steps, flag", [
+        ("meanfield", "-1", "10", "--t-end"), ("meanfield", "nan", "10", "--t-end"),
+        ("dyson", "nan", "10", "--t-end"), ("dyson", "inf", "10", "--t-end"),
+        ("dyson", "0", "10", "--t-end"), ("dyson", "0.1", "0", "--steps"),
+    ])
+    def test_bad_time_grid_usage_exit(self, tmp_path, capsys, method, t_end, steps, flag):
+        model = self.annih_model(tmp_path)
+        assert main(["perturb", model, "--t-end", t_end, "--steps", steps,
+                     "--method", method]) == 2
+        assert flag in one_line_error(capsys)
+
+    def test_manifests_independent_of_paths(self, tmp_path):
+        """perturb and compare on the same inputs in two directories whose
+        path lengths differ write equal manifests, wall_clock aside."""
+        manifests = []
+        for name in ("a", "a_much_longer_directory_name"):
+            work = tmp_path / name
+            work.mkdir()
+            model = self.annih_model(work)
+            out = str(work / "dy.csv")
+            assert main(["perturb", model, "--t-end", "0.1", "--steps", "10",
+                         "--out", out]) == 0
+            assert main(["compare", out, out, "--out", str(work / "cmp.json")]) == 0
+            for base in ("dy.csv", "cmp.json"):
+                m = json.loads((work / f"{base}.manifest.json").read_text())
+                del m["wall_clock"]
+                manifests.append(m)
+        assert manifests[:2] == manifests[2:]
 
     def test_nonconvergence_runtime_exit(self, tmp_path, capsys):
         model = write_json(

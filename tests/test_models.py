@@ -475,6 +475,11 @@ class TestJsonAndCsv:
         with pytest.raises(ModelError):
             Rate(table=(1.0, -0.5))
 
+    @pytest.mark.parametrize("rate", ["fast", [2.0], True])
+    def test_rate_must_be_number_or_object(self, rate):
+        with pytest.raises(ModelError):
+            Rate.from_json(rate)
+
     def test_csv_header_and_values(self):
         spec = gaussian_spec()
         text = density_csv(spec, [0.0])
