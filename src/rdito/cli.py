@@ -105,6 +105,13 @@ def _load_model(path: str) -> tuple[str, models.ModelSpec]:
         raise UsageError(f"invalid model config {path}: {e}")
 
 
+def _check_times(flag: str, times, positive: bool = False) -> None:
+    """Usage error unless every time is finite and >= 0 (> 0 if positive)."""
+    for t in times:
+        if not math.isfinite(t) or t < 0 or (positive and t == 0):
+            raise UsageError(f"{flag} must be finite and {'>' if positive else '>='} 0, got {t}")
+
+
 def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
     """Write outputs ({path suffix: text}) next to --out, atomically, plus the
     run manifest; without --out, print the first output instead."""
@@ -185,6 +192,7 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
 
 
 def cmd_density(args) -> int:
+    _check_times("--t", args.t)
     model_text, spec = _load_model(args.model)
     try:
         if args.cell_average:
@@ -217,6 +225,7 @@ def _test_function(spec: models.ModelSpec, text: str | None):
 
 
 def cmd_gf(args) -> int:
+    _check_times("--t", args.t)
     model_text, spec = _load_model(args.model)
     u = _test_function(spec, args.u)
     lines = ["t,log_gf"]
@@ -257,6 +266,7 @@ def _parse_points(text: str, d: int) -> list[list[float]]:
 
 
 def cmd_fn(args) -> int:
+    _check_times("--t", args.t)
     model_text, spec = _load_model(args.model)
     if spec.kind != "DeathDiffusion":
         raise UsageError(f"n-point density is implemented for DeathDiffusion, not {spec.kind}")
@@ -279,6 +289,9 @@ def cmd_fn(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_times("--t-end", [args.t_end])
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model_text, spec = _load_model(args.model)
     sim_text = _read_json_file(args.sim, "simulation config")
     try:
@@ -304,8 +317,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if not (math.isfinite(args.t_end) and args.t_end > 0):
-        raise UsageError(f"--t-end must be finite and > 0, got {args.t_end}")
+    _check_times("--t-end", [args.t_end], positive=True)
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     model_text, spec = _load_model(args.model)
@@ -352,14 +364,10 @@ def _load_values(path: str):
         for ln in lines[1:]:
             name, _, value = ln.split(",")
             vals.setdefault(name, []).append(float(value))
-        means = []
-        ses = []
-        for key in sorted(vals):
-            if key.endswith("_se"):
-                continue
-            se_key = key + "_se"
+        means, ses = [], []
+        for key in sorted(k for k in vals if not k.endswith("_se")):
             means.extend(vals[key])
-            ses.extend(vals.get(se_key, [0.0] * len(vals[key])))
+            ses.extend(vals.get(key + "_se", [0.0] * len(vals[key])))
         return np.array(means), np.array(ses)
     if header[-1] != "value":
         raise UsageError(f"{path}: unrecognized table header {lines[0]!r}")

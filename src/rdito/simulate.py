@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,10 +71,12 @@ class SimConfig:
     chunk: int = 256
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise SimError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SimError(f"dt must be finite and > 0, got {self.dt}")
         if self.replicas <= 0:
             raise SimError("replicas must be > 0")
+        if self.chunk < 1:
+            raise SimError(f"chunk must be >= 1, got {self.chunk}")
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
@@ -109,9 +112,10 @@ class ParticleEnsemble:
         return len(self.positions)
 
     def select(self, keep: np.ndarray) -> None:
-        self.positions = self.positions[keep]
-        self.species = self.species[keep]
-        self.replica = self.replica[keep]
+        idx = np.flatnonzero(keep)
+        self.positions = self.positions.take(idx, axis=0)
+        self.species = self.species.take(idx)
+        self.replica = self.replica.take(idx)
 
     def append(self, positions, species, replica) -> None:
         self.positions = np.concatenate([self.positions, positions])
@@ -196,13 +200,10 @@ def sample_initial(spec: ModelSpec, rng, replicas: int = 1) -> ParticleEnsemble:
 
 
 def _cell_index(ens: ParticleEnsemble, grid: FieldGrid):
-    idx = []
-    for ax in range(grid.dim):
-        h = grid.spacing[ax]
-        idx.append(
-            np.clip((ens.positions[:, ax] / h).astype(np.int64), 0, grid.shape[ax] - 1)
-        )
-    return tuple(idx)
+    return tuple(
+        np.clip((ens.positions[:, ax] / h).astype(np.int64), 0, n - 1)
+        for ax, (h, n) in enumerate(zip(grid.spacing, grid.shape))
+    )
 
 
 def _rate_at(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float):
@@ -251,8 +252,6 @@ def _annihilation_step(ens: ParticleEnsemble, kernel: RadialKernel, dt, rng) -> 
     pos = ens.positions
     pairs_i, pairs_j = [], []
     # map (replica, cell-coords) -> member indices
-    from collections import defaultdict
-
     members = defaultdict(list)
     coords = np.zeros((ens.n, d), dtype=np.int64)
     rem = cell.copy()
@@ -307,11 +306,12 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
     kind = spec.kind
     # diffusion
     if spec.D > 0 and ens.n:
-        ens.positions = ens.positions + rng.normal(
+        pos = ens.positions + rng.normal(
             0.0, math.sqrt(2 * spec.D * dt), size=ens.positions.shape
         )
-        for ax, L in enumerate(ens.box):
-            ens.positions[:, ax] %= L
+        box = np.asarray(ens.box)
+        pos -= box * np.floor(pos / box)
+        ens.positions = pos
     if kind in ("DeathDiffusion",):
         p = _rate_at(spec.rate("mu"), ens, g, t) * dt
         _check_prob(p, "death")
@@ -320,9 +320,7 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
         p = _rate_at(spec.rate("mu"), ens, g, t) * dt
         _check_prob(p, "birth")
         born = rng.random(ens.n) < p
-        ens.append(
-            ens.positions[born], ens.species[born], ens.replica[born]
-        )
+        ens.append(ens.positions[born], ens.species[born], ens.replica[born])
     elif kind == "ConvertAB":
         isa = ens.species == 0
         p = _rate_at(spec.rate("mu"), ens, g, t) * dt
@@ -364,6 +362,9 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
 
 
 def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
+    """Per-replica tallies of one chunk at t_end: cell counts per species, N,
+    N^2, void and, given u, the GF estimate prod_i u(x_i).  The estimators
+    cost O(particles): one cell lookup, bincounts and one scatter-product."""
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(chunk_index,)))
     ens = sample_initial(spec, rng, nrep)
     nsteps = int(round(t_end / sim.dt))
@@ -371,27 +372,23 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
         step(ens, spec, sim, rng)
     g = spec.grid()
     ncells = int(np.prod(g.shape))
+    flat = np.ravel_multi_index(_cell_index(ens, g), g.shape)
+    key = ens.replica * ncells + flat
     stats = {}
     for s in (0, 1):
         sel = ens.species == s
-        if s == 1 and not np.any(sel):
-            if spec.kind != "ConvertAB":
-                continue
-        flat = np.ravel_multi_index(_cell_index(ens, g), g.shape)
-        key = ens.replica * ncells + flat
-        counts = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
-        stats[f"counts{s}"] = counts
+        if s == 1 and not np.any(sel) and spec.kind != "ConvertAB":
+            continue
+        stats[f"counts{s}"] = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
     n_per_rep = np.bincount(ens.replica, minlength=nrep)
     stats["N"] = n_per_rep.astype(float)
     stats["N2"] = n_per_rep.astype(float) ** 2
     stats["void"] = (n_per_rep == 0).astype(float)
     if u is not None:
-        uvals = u.values.ravel()[
-            np.ravel_multi_index(_cell_index(ens, g), g.shape)
-        ]
+        # multiplies in particle order, as np.prod over each replica would;
+        # labels need not be sorted and an empty replica keeps gf = 1
         gf = np.ones(nrep)
-        for r in range(nrep):
-            gf[r] = np.prod(uvals[ens.replica == r])
+        np.multiply.at(gf, ens.replica, u.values.ravel()[flat])
         stats["gf"] = gf
     return stats
 
@@ -404,21 +401,16 @@ def run(
     whatever the number of worker threads running the chunks."""
     g = spec.grid()
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
-    sizes = [
-        min(sim.chunk, sim.replicas - i * sim.chunk) for i in range(nchunks)
-    ]
+
+    def chunk(ci):
+        size = min(sim.chunk, sim.replicas - ci * sim.chunk)
+        return _chunk_stats(spec, sim, t_end, u, ci, size)
+
     if threads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(
-                ex.map(
-                    lambda ci: _chunk_stats(spec, sim, t_end, u, ci, sizes[ci]),
-                    range(nchunks),
-                )
-            )
+            results = list(ex.map(chunk, range(nchunks)))
     else:
-        results = [
-            _chunk_stats(spec, sim, t_end, u, ci, sizes[ci]) for ci in range(nchunks)
-        ]
+        results = [chunk(ci) for ci in range(nchunks)]
     R = sim.replicas
     dV = g.cell_volume
     fields = {}

@@ -168,6 +168,15 @@ class TestGfFn:
         assert main(["fn", model, "--t", "0.4", "--points", points]) == 2
         assert "--points" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("cmd, t", [
+        ("gf", "nan"), ("gf", "-1"), ("gf", "inf"), ("fn", "nan"), ("fn", "-1"),
+        ("density", "-1"),
+    ])
+    def test_bad_time_usage_exit(self, tmp_path, capsys, cmd, t):
+        model = write_json(tmp_path / "m.json", model_obj())
+        assert main([cmd, model, "--t", "0.3", t]) == 2
+        assert "--t" in one_line_error(capsys)
+
 
 class TestSimulate:
     def test_deterministic_rerun_and_manifest(self, tmp_path):
@@ -210,6 +219,22 @@ class TestSimulate:
         out = tmp_path / "t"
         assert main(["simulate", model, sim, "--t-end", "0.05", "--out", str(out)]) == 0
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".rdito-tmp-")]
+
+    @pytest.mark.parametrize("t_end, threads, sim_keys, flag", [
+        ("nan", "1", {}, "--t-end"), ("-1", "1", {}, "--t-end"),
+        ("inf", "1", {}, "--t-end"), ("0.05", "0", {}, "--threads"),
+        ("0.05", "-2", {}, "--threads"), ("0.05", "1", {"chunk": 0}, "chunk"),
+        ("0.05", "1", {"dt": math.nan}, "dt"), ("0.05", "1", {"dt": math.inf}, "dt"),
+    ])
+    def test_bad_input_usage_exit(self, tmp_path, capsys, t_end, threads, sim_keys, flag):
+        model = write_json(tmp_path / "m.json", model_obj())
+        sim = write_json(tmp_path / "s.json",
+                         {"dt": 0.01, "replicas": 10, "seed": 1, **sim_keys})
+        out = tmp_path / "x"
+        assert main(["simulate", model, sim, "--t-end", t_end, "--threads", threads,
+                     "--out", str(out)]) == 2
+        assert flag in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
 
 
 class TestPerturb:

@@ -26,6 +26,7 @@ from rdito.simulate import (
     SimConfig,
     SimError,
     StepTooLarge,
+    _chunk_stats,
     run,
     sample_initial,
     step,
@@ -152,6 +153,23 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
 
+    def test_wrap_after_steps_longer_than_the_box(self):
+        """A diffusion step of several box lengths still lands on the torus
+        (a one-image wrap such as x + L where x < 0 would leave the box)."""
+        box = (10.0, 4.0)
+        v = FieldGrid(box, np.full((16, 8), 50.0), POSITION)
+        D, dt = 20000.0, 0.01
+        spec = ModelSpec("DeathDiffusion", box, D, {"mu": Rate(const=1e-6)}, v)
+        rng = np.random.default_rng(11)
+        ens = sample_initial(spec, rng)
+        shadow = np.random.default_rng()
+        shadow.bit_generator.state = rng.bit_generator.state
+        noise = shadow.normal(0.0, math.sqrt(2 * D * dt), size=ens.positions.shape)
+        assert np.mean(np.abs(noise) > np.asarray(box)) > 0.5
+        step(ens, spec, SimConfig(dt=dt, replicas=1, seed=0), rng)
+        assert ens.n > 0
+        assert np.all(ens.positions >= 0.0) and np.all(ens.positions <= np.asarray(box))
+
 
 class TestRun:
     def test_gf_at_one_is_exactly_one(self):
@@ -159,6 +177,27 @@ class TestRun:
         sim = SimConfig(dt=0.05, replicas=64, seed=9)
         rep = run(spec, sim, 0.2, u=make_grid(np.ones(N)))
         assert rep.scalars["gf"] == (1.0, 0.0)
+
+    def test_gf_matches_per_replica_product_loop(self):
+        """The GF estimate of each replica is the product of u over its
+        particles, exactly as a loop of np.prod computes it, with births
+        appended out of replica order and some replicas empty."""
+        spec = gauss_spec("BrownianTree", mu=2.0, mass=1.5)
+        sim = SimConfig(dt=0.01, replicas=64, seed=21, chunk=64)
+        u = make_grid(0.8 + 0.4 * np.sin(np.arange(N)) ** 2)
+        t_end = 0.5
+        gf = _chunk_stats(spec, sim, t_end, u, 0, sim.replicas)["gf"]
+        rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(0,)))
+        ens = sample_initial(spec, rng, sim.replicas)
+        for _ in range(int(round(t_end / sim.dt))):
+            step(ens, spec, sim, rng)
+        assert np.any(np.diff(ens.replica) < 0)
+        assert np.any(np.bincount(ens.replica, minlength=sim.replicas) == 0)
+        cells = np.clip((ens.positions[:, 0] / (L / N)).astype(np.int64), 0, N - 1)
+        uvals = u.values[cells]
+        expect = np.array([np.prod(uvals[ens.replica == r]) for r in range(sim.replicas)])
+        assert np.array_equal(gf, expect)
+        assert len(set(expect.tolist())) > 10
 
     def test_determinism(self):
         spec = gauss_spec(mass=5.0)
