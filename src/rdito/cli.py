@@ -21,7 +21,6 @@ import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy import stats
 
 from . import __version__, algebra, models, perturb, simulate
 
@@ -220,7 +219,7 @@ def _test_function(spec: models.ModelSpec, text: str | None):
         raise UsageError(f"malformed --u JSON: line {e.lineno} column {e.colno}: {e.msg}")
     try:
         return models._field_from_json(obj, g.box, g.shape)
-    except models.ModelError as e:
+    except (models.ModelError, TypeError, ValueError) as e:
         raise UsageError(f"invalid --u field: {e}")
 
 
@@ -293,13 +292,19 @@ def cmd_simulate(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     model_text, spec = _load_model(args.model)
+    if spec.kind == "DiscreteDeath":
+        raise UsageError("DiscreteDeath is non-spatial; simulate needs a grid model")
     sim_text = _read_json_file(args.sim, "simulation config")
     try:
         sim = simulate.SimConfig.from_json(sim_text)
+        if args.seed is not None:
+            sim = dataclasses.replace(sim, seed=args.seed)
+        sim.check_box(spec.box)
     except (simulate.SimError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"invalid simulation config {args.sim}: {e}")
-    if args.seed is not None:
-        sim = dataclasses.replace(sim, seed=args.seed)
+    steps = args.t_end / sim.dt
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise UsageError(f"--t-end {args.t_end} is not a whole number of dt = {sim.dt} steps")
     u = _test_function(spec, args.u) if args.u else None
     try:
         report = simulate.run(spec, sim, args.t_end, u=u, threads=args.threads)
@@ -390,6 +395,8 @@ def cmd_compare(args) -> int:
     z = np.where(np.isnan(z), np.inf, z)
     n = len(z)
     outliers = int(np.sum(np.abs(z) > args.sigma))
+    from scipy import stats
+
     p = 2.0 * (1.0 - stats.norm.cdf(args.sigma))
     allowed = int(stats.binom.ppf(0.99, n, p))
     ok = outliers <= allowed

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .grid import FieldGrid, MOMENTUM, POSITION, point_labels, table_rows
 
@@ -82,6 +81,8 @@ class Rate:
         """Integral of the time profile over [t0, t1] (adaptive quadrature)."""
         if self.time is None:
             return t1 - t0
+        from scipy import integrate
+
         val, _ = integrate.quad(
             _TIME_EXPRS[self.time], t0, t1, epsabs=1e-10, epsrel=1e-10
         )
@@ -101,6 +102,15 @@ class Rate:
         if "expr" in obj:
             kwargs["time"] = obj["expr"]
         return cls(**kwargs)
+
+
+def as_int(value, what: str) -> int:
+    """A JSON number that is a whole number, as an int; ValueError otherwise
+    (int() would truncate 2.5 to 2)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _freeze(nested):
@@ -158,7 +168,14 @@ def _field_from_json(obj, box, shape) -> FieldGrid:
     if obj.get("expr") == "gaussian":
         mass = float(obj.get("mass", 1.0))
         width = float(obj.get("width", 1.0))
-        center = obj.get("center", [b / 2 for b in g.box])
+        for name, val in (("mass", mass), ("width", width)):
+            if not (math.isfinite(val) and val > 0):
+                raise ModelError(f"gaussian {name} must be finite and > 0, got {val}")
+        center = np.atleast_1d(np.asarray(obj.get("center", [b / 2 for b in g.box]), float))
+        if center.shape != (g.dim,) or not np.all(np.isfinite(center)):
+            raise ModelError(
+                f"gaussian center must be {g.dim} finite numbers, got {obj.get('center')!r}"
+            )
         return g.with_values(wrapped_gaussian(g, mass, width, center))
     raise ModelError(f"cannot interpret field spec {obj!r}")
 
@@ -210,7 +227,11 @@ class ModelSpec:
                 v=float(obj["v"]),
             )
         box = tuple(float(b) for b in obj["box"])
-        shape = tuple(int(n) for n in obj["shape"])
+        if not all(math.isfinite(b) and b > 0 for b in box):
+            raise ModelError(f"box lengths must be finite and > 0, got {obj['box']!r}")
+        shape = tuple(as_int(n, "shape entry") for n in obj["shape"])
+        if min(shape, default=1) < 1:
+            raise ModelError(f"shape entries must be >= 1, got {obj['shape']!r}")
         if len(box) != int(obj.get("d", len(box))):
             raise ModelError("d does not match box length")
         v = _field_from_json(obj["v"], box, shape)
@@ -511,6 +532,8 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     pairs = np.stack([gmu.ravel(), gnu.ravel()], axis=1)
     uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
     born = np.zeros(len(uniq))
+    from scipy import integrate
+
     for i, (gm, gn) in enumerate(uniq):
         if gm == 0:
             continue

@@ -14,12 +14,12 @@ import json
 import math
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import ModelSpec, Rate
+from .models import ModelSpec, Rate, as_int
 
 MAX_EVENT_PROB = 0.1
 
@@ -77,10 +77,15 @@ class SimConfig:
             raise SimError("replicas must be > 0")
         if self.chunk < 1:
             raise SimError(f"chunk must be >= 1, got {self.chunk}")
+        if self.seed < 0:
+            raise SimError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SimError(f"unknown keys {unknown}")
         kern = None
         if "kernel" in obj:
             kern = RadialKernel(
@@ -89,11 +94,20 @@ class SimConfig:
             )
         return cls(
             dt=float(obj["dt"]),
-            replicas=int(obj["replicas"]),
-            seed=int(obj["seed"]),
+            replicas=as_int(obj["replicas"], "replicas"),
+            seed=as_int(obj["seed"], "seed"),
             kernel=kern,
-            chunk=int(obj.get("chunk", 256)),
+            chunk=as_int(obj.get("chunk", 256), "chunk"),
         )
+
+    def check_box(self, box) -> None:
+        """SimError unless the kernel cutoff lies in (0, min(box)/2]; beyond
+        half the box the minimum-image distance of a pair is ambiguous."""
+        half = min(box) / 2
+        if self.kernel is not None and not 0 < self.kernel.cutoff <= half:
+            raise SimError(
+                f"kernel cutoff must be > 0 and <= min(box)/2 = {half}, got {self.kernel.cutoff}"
+            )
 
 
 @dataclass
@@ -400,6 +414,7 @@ def run(
     """Replica-averaged estimators; deterministic for fixed (seed, config),
     whatever the number of worker threads running the chunks."""
     g = spec.grid()
+    sim.check_box(g.box)
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
 
     def chunk(ci):

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from rdito import algebra
 from rdito.cli import main
 
 L, N = 10.0, 32
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def model_obj(kind="DeathDiffusion", **kw):
@@ -31,10 +35,19 @@ def write_json(path, obj):
 
 
 def one_line_error(capsys):
-    """The captured stderr, checked to be a single `error: ...` line."""
+    """The captured stderr, checked to be a single `error: ...` line, with
+    absolute paths cut out: tmp_path holds the test's name and parameters."""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    return err
+    return " ".join(w for w in err.split() if not w.startswith(os.sep))
+
+
+def fresh_python(code, cwd, timeout=120):
+    """Run `code` in a new interpreter with src/ on the path; a hang fails
+    the test instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def read_rows(path):
@@ -114,6 +127,42 @@ class TestDensity:
         assert main(["density", model, "--t", "0.1"]) == 2
         assert one_line_error(capsys)
 
+    @pytest.mark.parametrize("v", [
+        {"width": -1.0}, {"mass": math.nan}, {"mass": math.inf}, {"mass": 0.0},
+        {"center": [1.0, 2.0]}, {"center": []},
+    ])
+    def test_bad_gaussian_usage_exit(self, tmp_path, capsys, v):
+        model = write_json(tmp_path / "m.json", model_obj(v={"expr": "gaussian", **v}))
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert "gaussian" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("change, flag", [
+        ({"v": {"expr": "gaussian", "width": 0.0}}, "width"),
+        ({"v": {"expr": "gaussian", "width": math.nan}}, "width"),
+        ({"v": {"expr": "gaussian", "center": [math.nan]}}, "center"),
+        ({"box": [math.nan]}, "box"), ({"box": [math.inf]}, "box"),
+    ])
+    def test_degenerate_gaussian_does_not_hang(self, tmp_path, change, flag):
+        """wrapped_gaussian's image sum never converges on a NaN profile, so
+        the command runs in its own process under a timeout."""
+        model = write_json(tmp_path / "m.json", {**model_obj(), **change})
+        res = fresh_python("import sys; from rdito.cli import main; "
+                           f"sys.exit(main(['density', {model!r}, '--t', '0.1']))",
+                           tmp_path, timeout=30)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert flag in res.stderr.split("m.json: ")[-1]
+
+    @pytest.mark.parametrize("box, shape", [
+        ([L], [0]), ([L], [2.5]), ([L], [True]), ([0.0], [N]), ([-L], [N]),
+    ])
+    def test_bad_geometry_usage_exit(self, tmp_path, capsys, box, shape):
+        obj = {**model_obj(v={"expr": "uniform", "const": 1.0}), "box": box, "shape": shape}
+        model = write_json(tmp_path / "m.json", obj)
+        assert main(["density", model, "--t", "0.1"]) == 2
+        err = one_line_error(capsys)
+        assert "box" in err or "shape" in err
+
     @pytest.mark.parametrize("mu", ["fast", [2.0]])
     def test_non_numeric_rate_usage_exit(self, tmp_path, capsys, mu):
         model = write_json(tmp_path / "m.json", model_obj(rates={"mu": mu}))
@@ -153,8 +202,11 @@ class TestGfFn:
         model = write_json(tmp_path / "m.json", model_obj("SpontBirth"))
         assert main(["gf", model, "--t", "0.5"]) == 2
 
-    @pytest.mark.parametrize("kind, u", [("DeathDiffusion", "[1, 2]"),
-                                         ("DiscreteDeath", "abc")])
+    @pytest.mark.parametrize("kind, u", [
+        ("DeathDiffusion", "[1, 2]"), ("DiscreteDeath", "abc"),
+        ("DeathDiffusion", '{"expr": "gaussian", "width": -1}'),
+        ("DeathDiffusion", '{"expr": "gaussian", "mass": "x"}'),
+    ])
     def test_gf_bad_u_usage_exit(self, tmp_path, capsys, kind, u):
         obj = model_obj() if kind == "DeathDiffusion" else {
             "kind": kind, "rates": {"mu": 2.0}, "v": 3.0}
@@ -225,6 +277,12 @@ class TestSimulate:
         ("inf", "1", {}, "--t-end"), ("0.05", "0", {}, "--threads"),
         ("0.05", "-2", {}, "--threads"), ("0.05", "1", {"chunk": 0}, "chunk"),
         ("0.05", "1", {"dt": math.nan}, "dt"), ("0.05", "1", {"dt": math.inf}, "dt"),
+        ("0.05", "1", {"replicas": 10.7}, "replicas"), ("0.05", "1", {"chunk": 2.5}, "chunk"),
+        ("0.05", "1", {"seed": 1.5}, "seed"), ("0.05", "1", {"seed": -1}, "seed"),
+        ("0.05", "1", {"replicas": "10"}, "replicas"), ("0.05", "1", {"dtt": 3}, "dtt"),
+        ("0.05", "1", {"kernel": {"cutoff": 6.0, "samples": [1.0, 0.0]}}, "cutoff"),
+        ("0.05", "1", {"kernel": {"cutoff": 0.0, "samples": [1.0, 0.0]}}, "cutoff"),
+        ("0.015", "1", {}, "--t-end"), ("0.0500001", "1", {}, "--t-end"),
     ])
     def test_bad_input_usage_exit(self, tmp_path, capsys, t_end, threads, sim_keys, flag):
         model = write_json(tmp_path / "m.json", model_obj())
@@ -235,6 +293,22 @@ class TestSimulate:
                      "--out", str(out)]) == 2
         assert flag in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("t_end, dt", [("0.3", 0.1), ("0.5", 0.01), ("0.2", 0.02)])
+    def test_t_end_a_whole_number_of_steps_in_floating_point(self, tmp_path, t_end, dt):
+        """0.3 / 0.1 is 2.9999999999999996: still three steps, not an error."""
+        model = write_json(tmp_path / "m.json", model_obj())
+        sim = write_json(tmp_path / "s.json", {"dt": dt, "replicas": 10, "seed": 1})
+        assert main(["simulate", model, sim, "--t-end", t_end,
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_non_spatial_model_usage_exit(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json",
+                           {"kind": "DiscreteDeath", "rates": {"mu": 2.0}, "v": 3.0})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        assert main(["simulate", model, sim, "--t-end", "0.1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "DiscreteDeath" in one_line_error(capsys)
 
 
 class TestPerturb:
@@ -362,3 +436,28 @@ class TestCompare:
         a.write_text("t,x0,value\n0.1,0.0,1.0\n")
         b.write_text("t,x0,value\n0.1,0.0,1.0\n0.1,0.5,2.0\n")
         assert main(["compare", str(a), str(b)]) == 2
+
+
+def test_no_scipy_on_the_startup_path(tmp_path):
+    """density, gf, simulate and perturb never import scipy: in a fresh
+    interpreter that import costs most of the start-up time of a CLI call."""
+    model = write_json(tmp_path / "m.json", model_obj())
+    sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+    annih = TestPerturb().annih_model(tmp_path)
+    runs = [
+        ["density", model, "--t", "0.1", "--out", "d.csv"],
+        ["density", model, "--t", "0.1", "--cell-average", "--out", "c.csv"],
+        ["gf", model, "--t", "0.1", "--u", "0.5", "--out", "g.csv"],
+        ["simulate", model, sim, "--t-end", "0.05", "--u", "0.5", "--out", "mc"],
+        ["perturb", annih, "--t-end", "0.1", "--steps", "10", "--out", "p.csv"],
+    ]
+    res = fresh_python(
+        "import sys\n"
+        "from rdito.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
