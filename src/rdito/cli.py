@@ -169,6 +169,8 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
     obj = json.loads(model_text)
     if "shape" not in obj or not isinstance(obj.get("v"), dict) or "table" in obj["v"]:
         raise UsageError("--cell-average needs a grid model with an analytic v field")
+    if any(isinstance(r, dict) and "table" in r for r in obj.get("rates", {}).values()):
+        raise UsageError("--cell-average cannot refine a tabulated rate")
     obj["shape"] = [int(n) * refine for n in obj["shape"]]
     fine = models.ModelSpec.from_json(json.dumps(obj))
     coarse = spec.grid()

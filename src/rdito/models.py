@@ -47,6 +47,11 @@ _TIME_EXPRS: dict[str, Callable[[float], float]] = {
 }
 
 
+def _finite_nonneg(values) -> bool:
+    arr = np.asarray(values, float)
+    return bool(np.all(np.isfinite(arr)) and np.all(arr >= 0))
+
+
 @dataclass(frozen=True)
 class Rate:
     """Separable rate c * g(p) * h(t); any factor may be absent (=1)."""
@@ -56,14 +61,12 @@ class Rate:
     time: str | None = None  # named builtin time profile
 
     def __post_init__(self):
-        if self.const < 0:
-            raise ModelError("rate constant must be >= 0")
+        if not _finite_nonneg(self.const):
+            raise ModelError(f"rate constant must be finite and >= 0, got {self.const}")
         if self.time is not None and self.time not in _TIME_EXPRS:
             raise ModelError(f"unknown time expression {self.time!r}")
-        if self.table is not None:
-            arr = np.asarray(self.table, float)
-            if np.any(arr < 0):
-                raise ModelError("rate samples must be >= 0")
+        if self.table is not None and not _finite_nonneg(self.table):
+            raise ModelError("rate samples must be finite and >= 0")
 
     @property
     def is_const(self) -> bool:
@@ -196,8 +199,9 @@ class ModelSpec:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.D < 0:
             raise ModelError("D must be >= 0")
-        if isinstance(self.v, FieldGrid) and np.any(self.v.values < 0):
-            raise ModelError("initial intensity must be >= 0")
+        for name, f in (("v", self.v), ("vb", self.vb)):
+            if f is not None and not _finite_nonneg(getattr(f, "values", f)):
+                raise ModelError(f"initial intensity {name} must be finite and >= 0")
 
     @property
     def d(self) -> int:

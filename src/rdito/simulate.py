@@ -231,7 +231,7 @@ def _rate_at(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float):
 
 def _check_prob(p, what: str) -> None:
     m = float(np.max(p)) if np.size(p) else 0.0
-    if m > MAX_EVENT_PROB:
+    if not m <= MAX_EVENT_PROB:  # NaN fails this test too
         raise StepTooLarge(
             f"{what} probability {m:.3g} exceeds {MAX_EVENT_PROB}; reduce dt"
         )
@@ -418,8 +418,13 @@ def run(
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
 
     def chunk(ci):
+        # reduced here, in the worker, so only per-cell sums outlive a chunk
         size = min(sim.chunk, sim.replicas - ci * sim.chunk)
-        return _chunk_stats(spec, sim, t_end, u, ci, size)
+        sums = {}
+        for key, x in _chunk_stats(spec, sim, t_end, u, ci, size).items():
+            x = x.astype(float)
+            sums[key] = (x.sum(axis=0), (x ** 2).sum(axis=0))
+        return sums
 
     if threads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -431,40 +436,28 @@ def run(
     fields = {}
     scalars = {}
 
-    def reduce_vec(key):
-        s = np.zeros(int(np.prod(g.shape)))
-        s2 = np.zeros_like(s)
+    def reduce(key):
+        """Mean and standard error over all replicas from the chunk sums,
+        added in chunk order (a scalar tally gives floats, a cell tally arrays)."""
+        s = s2 = 0.0
         for res in results:
-            if key not in res:
-                continue
-            c = res[key].astype(float)
-            s += c.sum(axis=0)
-            s2 += (c ** 2).sum(axis=0)
+            if key in res:
+                s += res[key][0]
+                s2 += res[key][1]
         mean = s / R
-        var = np.maximum(s2 / R - mean ** 2, 0.0)
-        se = np.sqrt(var / max(R - 1, 1))
-        return mean, se
+        se = np.sqrt(np.maximum(s2 / R - mean ** 2, 0.0) / max(R - 1, 1))
+        return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
 
     for s in (0, 1):
         if not any(f"counts{s}" in res for res in results):
             continue
-        mean, se = reduce_vec(f"counts{s}")
+        mean, se = reduce(f"counts{s}")
         name = "density" if s == 0 else "density_b"
         fields[name] = FieldGrid(g.box, (mean / dV).reshape(g.shape), POSITION)
         fields[name + "_se"] = FieldGrid(g.box, (se / dV).reshape(g.shape), POSITION)
 
-    def reduce_scalar(key):
-        s = s2 = 0.0
-        for res in results:
-            if key in res:
-                s += float(res[key].sum())
-                s2 += float((res[key] ** 2).sum())
-        mean = s / R
-        var = max(s2 / R - mean ** 2, 0.0)
-        return mean, math.sqrt(var / max(R - 1, 1))
-
     for key in ("N", "N2", "void"):
-        scalars[key] = reduce_scalar(key)
+        scalars[key] = reduce(key)
     if u is not None:
-        scalars["gf"] = reduce_scalar("gf")
+        scalars["gf"] = reduce("gf")
     return EstimatorReport(fields=fields, scalars=scalars, replicas=R)

@@ -169,6 +169,29 @@ class TestDensity:
         assert main(["density", model, "--t", "0.1"]) == 2
         assert "rate" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("change, flag", [
+        ({"v": {"table": [1.0, math.nan] + [1.0] * (N - 2)}}, "intensity v"),
+        ({"v": {"table": [1.0, math.inf] + [1.0] * (N - 2)}}, "intensity v"),
+        ({"kind": "ConvertAB", "vb": {"table": [1.0, -1.0] + [1.0] * (N - 2)}}, "intensity vb"),
+        ({"kind": "ConvertAB", "vb": {"table": [math.nan] * N}}, "intensity vb"),
+        ({"rates": {"mu": {"table": [1.0, math.nan] + [1.0] * (N - 2)}}}, "rate samples"),
+        ({"rates": {"mu": math.nan}}, "rate constant"),
+        ({"rates": {"mu": {"const": math.inf}}}, "rate constant"),
+    ])
+    def test_non_finite_or_negative_table_usage_exit(self, tmp_path, capsys, change, flag):
+        model = write_json(tmp_path / "m.json", {**model_obj(), **change})
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert flag in one_line_error(capsys)
+
+    def test_cell_average_of_tabulated_rate_usage_exit(self, tmp_path, capsys):
+        """--cell-average refines the grid, which a rate table cannot follow."""
+        model = write_json(tmp_path / "m.json", model_obj(
+            "BirthDeathTimeDep", v={"expr": "uniform", "const": 1.0},
+            rates={"mu": {"const": 2.0, "expr": "sin2", "table": [1.0 + (i % 3) for i in range(N)]}}))
+        assert main(["density", model, "--t", "0.8", "--cell-average", "--refine", "2"]) == 2
+        assert "tabulated rate" in one_line_error(capsys)
+        assert main(["density", model, "--t", "0.8"]) == 0
+
     @pytest.mark.parametrize("refine", ["0", "-2"])
     def test_bad_refine_usage_exit(self, tmp_path, capsys, refine):
         model = write_json(tmp_path / "m.json", model_obj())
@@ -301,6 +324,20 @@ class TestSimulate:
         sim = write_json(tmp_path / "s.json", {"dt": dt, "replicas": 10, "seed": 1})
         assert main(["simulate", model, sim, "--t-end", t_end,
                      "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("change, flag", [
+        ({"rates": {"mu": {"table": [1.0, math.nan] + [1.0] * (N - 2)}}}, "rate samples"),
+        ({"kind": "ConvertAB", "vb": {"table": [1.0, -1.0] + [1.0] * (N - 2)}}, "intensity vb"),
+    ])
+    def test_bad_table_usage_exit(self, tmp_path, capsys, change, flag):
+        """A NaN rate emptied its cell with exit 0; a negative vb ended in
+        a traceback from the sampler."""
+        model = write_json(tmp_path / "m.json", {**model_obj(), **change})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        assert main(["simulate", model, sim, "--t-end", "0.1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert flag in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
 
     def test_non_spatial_model_usage_exit(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json",

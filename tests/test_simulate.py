@@ -1,6 +1,7 @@
 """Tests for the particle Monte Carlo against exact statistical oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rdito.simulate import (
     SimConfig,
     SimError,
     StepTooLarge,
+    _check_prob,
     _chunk_stats,
     run,
     sample_initial,
@@ -153,6 +155,10 @@ class TestStep:
         with pytest.raises(StepTooLarge):
             step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
 
+    def test_nan_probability_is_too_large(self):
+        with pytest.raises(StepTooLarge):
+            _check_prob(np.array([0.01, math.nan]), "death")
+
     def test_wrap_after_steps_longer_than_the_box(self):
         """A diffusion step of several box lengths still lands on the torus
         (a one-image wrap such as x + L where x < 0 would leave the box)."""
@@ -198,6 +204,61 @@ class TestRun:
         expect = np.array([np.prod(uvals[ens.replica == r]) for r in range(sim.replicas)])
         assert np.array_equal(gf, expect)
         assert len(set(expect.tolist())) > 10
+
+    def test_peak_memory_does_not_grow_with_replicas(self):
+        """Each chunk is reduced to per-cell sums inside its worker, so
+        quadrupling the replicas must not quadruple the peak allocation (kept
+        per-replica cell counts would: 500 x 128 int64 per chunk)."""
+        g = FieldGrid((L,), np.zeros(128), POSITION)
+        spec = ModelSpec("DeathDiffusion", (L,), 1.0, {"mu": Rate(const=1.0)},
+                         g.with_values(wrapped_gaussian(g, 5.0, 1.0, L / 2)))
+
+        def peak(replicas):
+            sim = SimConfig(dt=0.05, replicas=replicas, seed=3, chunk=500)
+            tracemalloc.start()
+            try:
+                run(spec, sim, 0.1, threads=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4000), peak(16000)
+        assert large < 1.5 * small, (small, large)
+
+    def test_reduction_equals_two_pass_over_chunk_stats(self):
+        """run's fields and scalars equal, bit for bit, collecting every
+        chunk's per-replica tallies first and reducing them afterwards."""
+        g = make_grid()
+        spec = ModelSpec("ConvertAB", (L,), 0.5,
+                         {"mu": Rate(const=0.5, table=tuple(1 + np.sin(g.axes()[0]) ** 2))},
+                         g.with_values(wrapped_gaussian(g, 8.0, 1.0, 4.0)),
+                         vb=g.with_values(np.full(N, 0.2)))
+        sim = SimConfig(dt=0.01, replicas=700, seed=31, chunk=300)
+        t_end = 0.2
+        rep = run(spec, sim, t_end, threads=2)
+        R = sim.replicas
+        tallies = [_chunk_stats(spec, sim, t_end, None, ci, min(sim.chunk, R - ci * sim.chunk))
+                   for ci in range(3)]
+        assert [len(t["N"]) for t in tallies] == [300, 300, 100]
+
+        def two_pass(key):
+            s = s2 = 0.0
+            for t in tallies:
+                x = t[key].astype(float)
+                s = s + x.sum(axis=0)
+                s2 = s2 + (x ** 2).sum(axis=0)
+            mean = s / R
+            return mean, np.sqrt(np.maximum(s2 / R - mean ** 2, 0.0) / (R - 1))
+
+        dV = g.cell_volume
+        for s, name in ((0, "density"), (1, "density_b")):
+            mean, se = two_pass(f"counts{s}")
+            assert np.array_equal(rep.fields[name].values, mean / dV)
+            assert np.array_equal(rep.fields[name + "_se"].values, se / dV)
+        assert set(rep.fields) == {"density", "density_se", "density_b", "density_b_se"}
+        for key in ("N", "N2", "void"):
+            mean, se = two_pass(key)
+            assert rep.scalars[key] == (mean, se)
 
     def test_determinism(self):
         spec = gauss_spec(mass=5.0)
