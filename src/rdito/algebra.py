@@ -41,7 +41,6 @@ __all__ = [
     "expr",
     "normal_order",
     "count_contractions",
-    "normal_order_by_commutators",
     "ito_product",
     "derive_table",
     "doi_shift",
@@ -511,40 +510,6 @@ def normal_order(e: OperatorExpr, max_ops: int = 16, free: Iterable[str] | None 
 def count_contractions(t: OperatorTerm) -> int:
     """Number of partial matchings of contractible pairs (incl. the null one)."""
     return len(_matchings(_contractible_pairs(t)))
-
-
-def normal_order_by_commutators(e: OperatorExpr, max_steps: int = 200_000) -> OperatorExpr:
-    """Independent rewrite oracle: repeatedly apply [a_p, a+_q] = delta(p-q)
-    to the leftmost out-of-order adjacent pair until every term is normal."""
-    pending = list(e.terms)
-    done: list[OperatorTerm] = []
-    steps = 0
-    while pending:
-        steps += 1
-        if steps > max_steps:
-            raise AlgebraError("commutator rewrite did not terminate")
-        t = pending.pop()
-        # push creators left past annihilators one adjacent swap at a time;
-        # a same-species swap also spawns the contracted delta term
-        pos = contract = None
-        for i, x in enumerate(t.ops[:-1]):
-            y = t.ops[i + 1]
-            if not x.dagger and y.dagger:
-                pos = i
-                contract = x.species == y.species
-                break
-        if pos is None:
-            done.append(t)
-            continue
-        swapped = OperatorTerm(
-            t.coeff,
-            t.ops[:pos] + (t.ops[pos + 1], t.ops[pos]) + t.ops[pos + 2 :],
-            t.bound,
-        )
-        pending.append(swapped)
-        if contract:
-            pending.append(_apply_matching(t, [(pos, pos + 1)], reorder=False))
-    return OperatorExpr(done)
 
 
 # ---------------------------------------------------------------------------

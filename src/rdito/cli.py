@@ -209,9 +209,12 @@ def cmd_density(args) -> int:
 def _test_function(spec: models.ModelSpec, text: str | None):
     if spec.kind == "DiscreteDeath":
         try:
-            return float(text) if text is not None else 1.0
+            u = float(text) if text is not None else 1.0
         except ValueError:
             raise UsageError(f"--u for DiscreteDeath must be a number, got {text!r}")
+        if not math.isfinite(u):
+            raise UsageError(f"--u for DiscreteDeath must be finite, got {text!r}")
+        return u
     g = spec.grid()
     if text is None:
         return g.with_values(np.ones(g.shape))
@@ -220,33 +223,27 @@ def _test_function(spec: models.ModelSpec, text: str | None):
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed --u JSON: line {e.lineno} column {e.colno}: {e.msg}")
     try:
-        return models._field_from_json(obj, g.box, g.shape)
+        u = models._field_from_json(obj, g.box, g.shape)
     except (models.ModelError, TypeError, ValueError) as e:
         raise UsageError(f"invalid --u field: {e}")
+    if not np.all(np.isfinite(u.values)):
+        raise UsageError("invalid --u field: values must be finite")
+    return u
 
 
 def cmd_gf(args) -> int:
     _check_times("--t", args.t)
     model_text, spec = _load_model(args.model)
     u = _test_function(spec, args.u)
-    lines = ["t,log_gf"]
+    log_gf = models.KINDS[spec.kind].log_gf
+    if log_gf is None:
+        raise UsageError(f"no generating functional for kind {spec.kind}")
     try:
-        for t in args.t:
-            if spec.kind == "DeathDiffusion":
-                val = models.death_diffusion_log_gf(spec, models.GFQuery(u=u, t=t))
-            elif spec.kind == "BrownianTree":
-                val = models.brownian_tree_log_gf(spec, models.GFQuery(u=u, t=t))
-            elif spec.kind == "DiscreteDeath":
-                val = math.log(
-                    models.discrete_death_gf(spec.v, spec.rate("mu").const, t, u)
-                )
-            else:
-                raise UsageError(f"no generating functional for kind {spec.kind}")
-            lines.append(f"{float(t)!r},{float(val)!r}")
+        rows = [f"{float(t)!r},{float(log_gf(spec, u, t))!r}" for t in args.t]
     except models.ModelError as e:
         raise RuntimeModelError(str(e))
     _emit(args, "gf", {"model": json.loads(model_text), "t": args.t, "u": args.u},
-          {"": "\n".join(lines) + "\n"})
+          {"": "\n".join(["t,log_gf"] + rows) + "\n"})
     return EXIT_OK
 
 

@@ -115,15 +115,3 @@ def table_rows(lead: str, labels: list[str], values: np.ndarray) -> list[str]:
     """
     values = np.ravel(values).tolist()
     return [f"{lead},{lab},{v!r}" for lab, v in zip(labels, values, strict=True)]
-
-
-def position_grid(box, values) -> FieldGrid:
-    return FieldGrid(tuple(np.atleast_1d(box)), np.asarray(values, float), POSITION)
-
-
-def sample_function(box, shape, f) -> FieldGrid:
-    """Sample f(x1, ..., xd) on the grid; f must accept broadcast arrays."""
-    box = tuple(np.atleast_1d(box))
-    g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
-    mesh = np.meshgrid(*g.axes(), indexing="ij")
-    return g.with_values(np.asarray(f(*mesh), float))

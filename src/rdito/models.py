@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,15 +122,24 @@ def _freeze(nested):
     return float(nested)
 
 
-KINDS = (
-    "DeathDiffusion",
-    "BrownianTree",
-    "ConvertAB",
-    "SpontBirth",
-    "BirthDeathTimeDep",
-    "DiscreteDeath",
-    "Annihilation",
-)
+def image_sum(dx, L: float, two_var: float):
+    """Sum over periodic images j of exp(-(dx + j L)^2 / two_var), elementwise.
+
+    Pairs j, -j are added until a pair adds under 1e-14 of the largest sum; the
+    1e-300 floor ends it when every image underflows.  Past two_var = 1e6 L^2
+    (thousands of pairs) it returns sqrt(pi two_var) / L, exact to an ulp by
+    Poisson summation: the next term is 2 exp(-pi^2 two_var / L^2) of it.
+    """
+    if two_var > 1e6 * L * L:
+        return np.full(np.shape(dx), math.sqrt(math.pi * two_var) / L)
+    s = np.exp(-(dx ** 2) / two_var)
+    j = 1
+    while True:
+        add = np.exp(-((dx + j * L) ** 2) / two_var) + np.exp(-((dx - j * L) ** 2) / two_var)
+        s = s + add
+        if np.max(add) < 1e-14 * max(np.max(s), 1e-300):
+            return s
+        j += 1
 
 
 def wrapped_gaussian(grid: FieldGrid, mass: float, width: float, center) -> np.ndarray:
@@ -138,17 +147,7 @@ def wrapped_gaussian(grid: FieldGrid, mass: float, width: float, center) -> np.n
     center = np.atleast_1d(center)
     out = np.ones(grid.shape)
     for ax, (x, L, c) in enumerate(zip(grid.axes(), grid.box, center)):
-        prof = np.zeros_like(x)
-        j = 0
-        while True:
-            add = np.exp(-((x - c + j * L) ** 2) / (2 * width ** 2))
-            if j > 0:
-                add = add + np.exp(-((x - c - j * L) ** 2) / (2 * width ** 2))
-            prof += add
-            if j > 0 and np.max(add) < 1e-14 * max(np.max(prof), 1e-300):
-                break
-            j += 1
-        prof /= math.sqrt(2 * math.pi) * width
+        prof = image_sum(x - c, L, 2 * width ** 2) / (math.sqrt(2 * math.pi) * width)
         sh = [1] * grid.dim
         sh[ax] = len(x)
         out = out * prof.reshape(sh)
@@ -197,8 +196,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if self.D < 0:
-            raise ModelError("D must be >= 0")
+        if not (math.isfinite(self.D) and self.D >= 0):
+            raise ModelError(f"D must be finite and >= 0, got {self.D}")
+        if self.vb is not None and self.kind != "ConvertAB":
+            raise ModelError(f"initial intensity vb is for ConvertAB only, not {self.kind}")
         for name, f in (("v", self.v), ("vb", self.vb)):
             if f is not None and not _finite_nonneg(getattr(f, "values", f)):
                 raise ModelError(f"initial intensity {name} must be finite and >= 0")
@@ -239,9 +240,7 @@ class ModelSpec:
         if len(box) != int(obj.get("d", len(box))):
             raise ModelError("d does not match box length")
         v = _field_from_json(obj["v"], box, shape)
-        vb = None
-        if "vb" in obj:
-            vb = _field_from_json(obj["vb"], box, shape)
+        vb = _field_from_json(obj["vb"], box, shape) if "vb" in obj else None
         return cls(
             kind=kind,
             box=box,
@@ -285,18 +284,10 @@ def heat_kernel(d: int, D: float, x, t: float, box=None) -> float:
         raise ModelError(f"displacement has {len(x)} components, d={d}")
     out = 1.0
     for ax in range(d):
-        s = math.exp(-x[ax] ** 2 / (4 * D * t))
-        if box is not None:
-            L = box[ax]
-            j = 1
-            while True:
-                add = math.exp(-((x[ax] + j * L) ** 2) / (4 * D * t)) + math.exp(
-                    -((x[ax] - j * L) ** 2) / (4 * D * t)
-                )
-                s += add
-                if add < 1e-14 * s:
-                    break
-                j += 1
+        if box is None:
+            s = math.exp(-x[ax] ** 2 / (4 * D * t))
+        else:
+            s = image_sum(x[ax], box[ax], 4 * D * t)
         out *= s / math.sqrt(4 * math.pi * D * t)
     return out
 
@@ -343,7 +334,8 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
     """n-point weighted probability density f^(n)(p_1..p_n; t).
 
     exp(-e^{-mu t} int v) * prod_i e^{-mu t} (Phi(.;t) * v)(p_i); the empty
-    tuple gives the void probability.
+    tuple gives the void probability.  Refused when sqrt(2 D t) < h: the grid
+    sum of a Gaussian of width sigma aliases by about exp(-2 pi^2 sigma^2 / h^2).
     """
     mu = _const_rate(spec, "mu")
     g = spec.grid()
@@ -351,6 +343,9 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
     out = math.exp(-math.exp(-mu * t) * total)
     if len(points) == 0:
         return out
+    if t > 0 and spec.D > 0 and math.sqrt(2 * spec.D * t) < max(g.spacing):
+        raise ModelError(f"heat kernel width sqrt(2 D t) at t = {t} is below the grid "
+                         f"spacing {max(g.spacing):.3g}; refine the grid")
     dV = g.cell_volume
     mesh = np.meshgrid(*g.axes(), indexing="ij")
     for p in points:
@@ -358,19 +353,7 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
         if t > 0 and spec.D > 0:
             phi = np.ones(g.shape)
             for ax in range(g.dim):
-                xs = mesh[ax]
-                dx = p[ax] - xs
-                L = g.box[ax]
-                s = np.exp(-(dx ** 2) / (4 * spec.D * t))
-                j = 1
-                while True:
-                    add = np.exp(-((dx + j * L) ** 2) / (4 * spec.D * t)) + np.exp(
-                        -((dx - j * L) ** 2) / (4 * spec.D * t)
-                    )
-                    s = s + add
-                    if np.max(add) < 1e-14 * np.max(s):
-                        break
-                    j += 1
+                s = image_sum(p[ax] - mesh[ax], g.box[ax], 4 * spec.D * t)
                 phi = phi * s / math.sqrt(4 * math.pi * spec.D * t)
             val = float(np.sum(phi * g.values) * dV)
         else:
@@ -581,21 +564,38 @@ def discrete_death_pmf(v: float, mu: float, t: float, nmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class Kind(NamedTuple):
+    """A model kind's closed forms, None where it has none: density(spec, t)
+    and log_gf(spec, u, t), the normalized log GF at test function u."""
+
+    density: Callable | None
+    log_gf: Callable | None
+
+
+# Every model kind ModelSpec accepts.  Each entry looks its function up in
+# this module when it is called, so a wrapper installed on the module
+# attribute (perfbench/spans.py times calls that way) sees every call.
+KINDS = {
+    "DeathDiffusion": Kind(lambda s, t: death_diffusion_density(s, t),
+                           lambda s, u, t: death_diffusion_log_gf(s, GFQuery(u, t))),
+    "BrownianTree": Kind(lambda s, t: brownian_tree_density(s, t),
+                         lambda s, u, t: brownian_tree_log_gf(s, GFQuery(u, t))),
+    "ConvertAB": Kind(lambda s, t: convert_ab_densities(s, t), None),
+    "SpontBirth": Kind(lambda s, t: spont_birth_density(s, t), None),
+    "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None),
+    "DiscreteDeath": Kind(
+        lambda s, t: discrete_death_mean(s.v, s.rate("mu").const, t),
+        lambda s, u, t: math.log(discrete_death_gf(s.v, s.rate("mu").const, t, u))),
+    "Annihilation": Kind(None, None),
+}
+
+
 def density(spec: ModelSpec, t: float):
     """Model-appropriate density evaluation (grid, or tuple for ConvertAB)."""
-    if spec.kind == "DeathDiffusion":
-        return death_diffusion_density(spec, t)
-    if spec.kind == "BrownianTree":
-        return brownian_tree_density(spec, t)
-    if spec.kind == "ConvertAB":
-        return convert_ab_densities(spec, t)
-    if spec.kind == "SpontBirth":
-        return spont_birth_density(spec, t)
-    if spec.kind == "BirthDeathTimeDep":
-        return birth_death_timedep_density(spec, t)
-    if spec.kind == "DiscreteDeath":
-        return discrete_death_mean(spec.v, spec.rate("mu").const, t)
-    raise ModelError(f"no closed-form density for kind {spec.kind}")
+    evaluate = KINDS[spec.kind].density
+    if evaluate is None:
+        raise ModelError(f"no closed-form density for kind {spec.kind}")
+    return evaluate(spec, t)
 
 
 def density_table(

@@ -172,14 +172,18 @@ class EstimatorReport:
 # ---------------------------------------------------------------------------
 
 
-def _sample_positions(grid: FieldGrid, weights: np.ndarray, count: int, rng):
-    """Sample positions with density given by the multilinear interpolant of
-    the cell weights: categorical over cells, then triangular jitter about
-    the cell's sample point (O(dx^2) accurate for smooth densities)."""
+def _add_poisson(ens: ParticleEnsemble, grid: FieldGrid, weights: np.ndarray, mean: float,
+                 species: int, rng) -> None:
+    """Append Poisson(mean) particles of `species` to each replica, i.i.d. with
+    density the multilinear interpolant of the cell weights (O(dx^2) for smooth
+    densities): poisson counts, a categorical cell, then triangular jitter.
+    `weights` are normalized here; a rescaled copy would move choice's p."""
+    counts = rng.poisson(mean, size=ens.nreplicas)
+    count = int(counts.sum())
     flat = weights.ravel()
     tot = flat.sum()
     if tot <= 0 or count == 0:
-        return np.zeros((0, grid.dim))
+        return
     cells = rng.choice(len(flat), size=count, p=flat / tot)
     idx = np.unravel_index(cells, grid.shape)
     pos = np.empty((count, grid.dim))
@@ -187,29 +191,18 @@ def _sample_positions(grid: FieldGrid, weights: np.ndarray, count: int, rng):
         h = grid.spacing[ax]
         jitter = (rng.random(count) + rng.random(count) - 1.0) * h
         pos[:, ax] = (idx[ax] * h + jitter) % grid.box[ax]
-    return pos
+    ens.append(pos, np.full(count, species, dtype=np.int64),
+               np.repeat(np.arange(ens.nreplicas), counts))
 
 
 def sample_initial(spec: ModelSpec, rng, replicas: int = 1) -> ParticleEnsemble:
-    """Poisson(integral v) particles per replica, i.i.d. with density v."""
+    """Poisson(integral v) particles per replica, i.i.d. with density v (vb: species 1)."""
     g = spec.grid()
-    mean = g.integral()
-    counts = rng.poisson(mean, size=replicas)
-    total = int(counts.sum())
-    pos = _sample_positions(g, g.values * g.cell_volume, total, rng)
-    rep = np.repeat(np.arange(replicas), counts)
-    spc = np.zeros(total, dtype=np.int64)
-    ens = ParticleEnsemble(
-        box=g.box, positions=pos, species=spc, replica=rep, nreplicas=replicas
-    )
-    if spec.kind == "ConvertAB" and spec.vb is not None:
-        meanb = spec.vb.integral()
-        countsb = rng.poisson(meanb, size=replicas)
-        totb = int(countsb.sum())
-        posb = _sample_positions(g, spec.vb.values * g.cell_volume, totb, rng)
-        ens.append(
-            posb, np.ones(totb, dtype=np.int64), np.repeat(np.arange(replicas), countsb)
-        )
+    empty = np.zeros(0, dtype=np.int64)
+    ens = ParticleEnsemble(g.box, np.zeros((0, g.dim)), empty, empty, replicas)
+    _add_poisson(ens, g, g.values * g.cell_volume, g.integral(), 0, rng)
+    if spec.vb is not None:
+        _add_poisson(ens, g, spec.vb.values * g.cell_volume, spec.vb.integral(), 1, rng)
     return ens
 
 
@@ -326,7 +319,7 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
         box = np.asarray(ens.box)
         pos -= box * np.floor(pos / box)
         ens.positions = pos
-    if kind in ("DeathDiffusion",):
+    if kind == "DeathDiffusion":
         p = _rate_at(spec.rate("mu"), ens, g, t) * dt
         _check_prob(p, "death")
         ens.select(rng.random(ens.n) >= p)
@@ -351,22 +344,11 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
             profile = np.broadcast_to(mu.spatial(g.shape), g.shape)
             lam = float(np.sum(profile) * g.cell_volume) * mu.temporal(t) * dt
             if lam > 0:
-                counts = rng.poisson(lam, size=ens.nreplicas)
-                tot = int(counts.sum())
-                pos = _sample_positions(g, profile, tot, rng)
-                ens.append(
-                    pos,
-                    np.zeros(tot, dtype=np.int64),
-                    np.repeat(np.arange(ens.nreplicas), counts),
-                )
+                _add_poisson(ens, g, profile, lam, 0, rng)
     elif kind == "Annihilation":
         if sim.kernel is None:
             raise SimError("Annihilation model needs a SimConfig kernel")
         _annihilation_step(ens, sim.kernel, dt, rng)
-    elif kind == "DiscreteDeath":
-        raise SimError("DiscreteDeath is non-spatial; no particle simulator")
-    else:
-        raise SimError(f"no simulator for kind {kind}")
     ens.time = t + dt
 
 

@@ -9,7 +9,9 @@ from rdito.algebra import (
     FULL,
     INF,
     OperatorExpr,
+    OperatorTerm,
     UnboundVariable,
+    _apply_matching,
     a,
     adag,
     count_contractions,
@@ -21,9 +23,42 @@ from rdito.algebra import (
     ito_product,
     make_family,
     normal_order,
-    normal_order_by_commutators,
     term,
 )
+
+
+def normal_order_by_commutators(e: OperatorExpr, max_steps: int = 200_000) -> OperatorExpr:
+    """Independent rewrite oracle for normal_order: repeatedly apply [a_p, a+_q] = delta(p-q)
+    to the leftmost out-of-order adjacent pair until every term is normal."""
+    pending = list(e.terms)
+    done: list[OperatorTerm] = []
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > max_steps:
+            raise AlgebraError("commutator rewrite did not terminate")
+        t = pending.pop()
+        # push creators left past annihilators one adjacent swap at a time;
+        # a same-species swap also spawns the contracted delta term
+        pos = contract = None
+        for i, x in enumerate(t.ops[:-1]):
+            y = t.ops[i + 1]
+            if not x.dagger and y.dagger:
+                pos = i
+                contract = x.species == y.species
+                break
+        if pos is None:
+            done.append(t)
+            continue
+        swapped = OperatorTerm(
+            t.coeff,
+            t.ops[:pos] + (t.ops[pos + 1], t.ops[pos]) + t.ops[pos + 2 :],
+            t.bound,
+        )
+        pending.append(swapped)
+        if contract:
+            pending.append(_apply_matching(t, [(pos, pos + 1)], reorder=False))
+    return OperatorExpr(done)
 
 
 def fam(name, param=None):

@@ -183,6 +183,27 @@ class TestDensity:
         assert main(["density", model, "--t", "0.1"]) == 2
         assert flag in one_line_error(capsys)
 
+    @pytest.mark.parametrize("change, flag", [
+        ({"D": math.nan}, "D must be finite"), ({"D": math.inf}, "D must be finite"),
+        ({"vb": {"expr": "uniform", "const": 1.0}}, "vb is for ConvertAB only"),
+    ])
+    def test_bad_model_usage_exit(self, tmp_path, change, flag):
+        """A NaN D wrote nan rows, and fn took its D = 0 branch, with exit 0;
+        on an infinite D simulate cast NaN positions to cells and fn never
+        returned (so the commands run in their own process under a timeout);
+        a vb outside ConvertAB was ignored."""
+        model = write_json(tmp_path / "m.json", {**model_obj(), **change})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        runs = [["density", model, "--t", "0.1"], ["gf", model, "--t", "0.1"],
+                ["fn", model, "--t", "0.1", "--points", "5.0"],
+                ["simulate", model, sim, "--t-end", "0.1", "--out", str(tmp_path / "x")]]
+        res = fresh_python(f"from rdito.cli import main; print([main(a) for a in {runs!r}])",
+                           tmp_path, timeout=60)
+        assert res.stdout.splitlines()[-1:] == ["[2, 2, 2, 2]"], res.stderr
+        errors = res.stderr.splitlines()
+        assert len(errors) == 4 and all(e.startswith("error: ") and flag in e for e in errors)
+        assert not list(tmp_path.glob("x*"))
+
     def test_cell_average_of_tabulated_rate_usage_exit(self, tmp_path, capsys):
         """--cell-average refines the grid, which a rate table cannot follow."""
         model = write_json(tmp_path / "m.json", model_obj(
@@ -229,6 +250,8 @@ class TestGfFn:
         ("DeathDiffusion", "[1, 2]"), ("DiscreteDeath", "abc"),
         ("DeathDiffusion", '{"expr": "gaussian", "width": -1}'),
         ("DeathDiffusion", '{"expr": "gaussian", "mass": "x"}'),
+        ("DeathDiffusion", "NaN"), ("DeathDiffusion", '{"expr": "uniform", "const": Infinity}'),
+        ("DiscreteDeath", "nan"), ("DiscreteDeath", "inf"),
     ])
     def test_gf_bad_u_usage_exit(self, tmp_path, capsys, kind, u):
         obj = model_obj() if kind == "DeathDiffusion" else {
@@ -236,6 +259,45 @@ class TestGfFn:
         model = write_json(tmp_path / "m.json", obj)
         assert main(["gf", model, "--t", "0.5", "--u", u]) == 2
         assert "--u" in one_line_error(capsys)
+
+    def test_closed_forms_called_through_module_attributes(self, tmp_path, monkeypatch):
+        """KINDS looks each closed form up when it is called, so a wrapper set
+        on the module attribute (perfbench times calls that way) sees it."""
+        from rdito import models
+
+        calls = []
+        for name in ("density", "death_diffusion_density", "death_diffusion_log_gf"):
+            def counted(*args, _name=name, _fn=getattr(models, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(models, name, counted)
+        model = write_json(tmp_path / "m.json", model_obj())
+        assert main(["gf", model, "--t", "0.3", "0.9", "--u", "0.5"]) == 0
+        assert main(["density", model, "--t", "0.3"]) == 0
+        assert calls == ["death_diffusion_log_gf"] * 2 + ["density", "death_diffusion_density"]
+
+    @pytest.mark.parametrize("t", ["1e-7", "1e-4"])
+    def test_fn_below_grid_resolution_runtime_exit(self, tmp_path, t):
+        """On a 10-cell unit box the heat kernel of t = 1e-7 is far narrower
+        than a cell: fn never returned there, and at t = 1e-4 it gave 0.004
+        where the answer is 0.368.  Runs in its own process under a timeout."""
+        model = write_json(tmp_path / "m.json", {
+            "kind": "DeathDiffusion", "box": [1.0], "shape": [10], "D": 1.0,
+            "rates": {"mu": 1.0}, "v": {"expr": "uniform", "const": 1.0}})
+        res = fresh_python("import sys; from rdito.cli import main; "
+                           f"sys.exit(main(['fn', {model!r}, '--t', {t!r}, '--points', '0.05']))",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert "grid spacing" in res.stderr and res.stderr.count("\n") == 1, res.stderr
+
+    def test_fn_resolved_kernel_on_a_coarse_grid(self, tmp_path, capsys):
+        """sqrt(2 D t) = 0.2 on spacing 0.1: uniform v gives exp(-e^-t) e^-t."""
+        model = write_json(tmp_path / "m.json", {
+            "kind": "DeathDiffusion", "box": [1.0], "shape": [10], "D": 1.0,
+            "rates": {"mu": 1.0}, "v": {"expr": "uniform", "const": 1.0}})
+        assert main(["fn", model, "--t", "0.02", "--points", "0.05"]) == 0
+        val = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[1])
+        assert val == pytest.approx(math.exp(-math.exp(-0.02)) * math.exp(-0.02), rel=1e-12)
 
     @pytest.mark.parametrize("points", ["a,b", "1,2", "1;2,3"])
     def test_fn_bad_points_usage_exit(self, tmp_path, capsys, points):
@@ -337,6 +399,18 @@ class TestSimulate:
         assert main(["simulate", model, sim, "--t-end", "0.1",
                      "--out", str(tmp_path / "x")]) == 2
         assert flag in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("u", [
+        "NaN", json.dumps({"table": [1.0] * 16 + [math.nan] + [1.0] * (N - 17)}),
+    ])
+    def test_non_finite_u_usage_exit(self, tmp_path, capsys, u):
+        """A NaN in --u wrote `"gf": [NaN, NaN]`, which is not JSON, with exit 0."""
+        model = write_json(tmp_path / "m.json", model_obj())
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        assert main(["simulate", model, sim, "--t-end", "0.1", "--u", u,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "--u" in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
 
     def test_non_spatial_model_usage_exit(self, tmp_path, capsys):
@@ -473,6 +547,24 @@ class TestCompare:
         a.write_text("t,x0,value\n0.1,0.0,1.0\n")
         b.write_text("t,x0,value\n0.1,0.0,1.0\n0.1,0.5,2.0\n")
         assert main(["compare", str(a), str(b)]) == 2
+
+
+def test_image_sum_returns_on_kernels_far_narrower_or_wider_than_the_box(tmp_path):
+    """Every image of a kernel 1e-3 boxes wide underflows to 0, and the sum
+    waited for an image below 1e-14 of a zero total; one 1e9 boxes wide
+    needed some 1e10 image pairs.  Both ran for good."""
+    res = fresh_python(
+        "import numpy as np\n"
+        "from rdito.models import heat_kernel, image_sum\n"
+        "print(heat_kernel(1, 1.0, [0.5], 1e-7, box=(1.0,)))\n"
+        "print(image_sum(np.array([0.5, 0.3]), 1.0, 4e-7).tolist())\n"
+        "print(heat_kernel(1, 1.0, [0.5], 1e18, box=(1.0,)))\n",
+        tmp_path, timeout=30,
+    )
+    assert res.returncode == 0, res.stderr
+    narrow, narrow_sum, wide = res.stdout.split("\n")[:3]
+    assert (narrow, narrow_sum) == ("0.0", "[0.0, 0.0]")
+    assert float(wide) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_no_scipy_on_the_startup_path(tmp_path):

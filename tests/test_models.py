@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, stats
 
-from rdito.grid import FieldGrid, POSITION, position_grid, sample_function
+from rdito.grid import FieldGrid, POSITION
 from rdito.models import (
+    KINDS,
     DegenerateTime,
     GFQuery,
     ModelError,
@@ -28,12 +29,25 @@ from rdito.models import (
     discrete_death_mean,
     discrete_death_pmf,
     heat_kernel,
+    image_sum,
     spont_birth_density,
     stirling2,
     wrapped_gaussian,
 )
 
 L, N = 10.0, 64
+
+
+def position_grid(box, values) -> FieldGrid:
+    return FieldGrid(tuple(np.atleast_1d(box)), np.asarray(values, float), POSITION)
+
+
+def sample_function(box, shape, f) -> FieldGrid:
+    """Sample f(x1, ..., xd) on the grid; f must accept broadcast arrays."""
+    box = tuple(np.atleast_1d(box))
+    g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
+    mesh = np.meshgrid(*g.axes(), indexing="ij")
+    return g.with_values(np.asarray(f(*mesh), float))
 
 
 def gaussian_spec(kind="DeathDiffusion", mu=1.0, D=1.0, mass=20.0, **kw):
@@ -112,6 +126,56 @@ class TestHeatKernel:
             )
             direct[i] = np.sum(k * g.values) * g.cell_volume
         assert np.max(np.abs(spectral.values - direct)) < 1e-10
+
+
+def wrapped_gaussian_loop(grid, mass, width, center):
+    """wrapped_gaussian as written before `image_sum`, the reference its
+    arithmetic must reproduce bit for bit (seeded outputs depend on it)."""
+    center = np.atleast_1d(center)
+    out = np.ones(grid.shape)
+    for ax, (x, L, c) in enumerate(zip(grid.axes(), grid.box, center)):
+        prof = np.zeros_like(x)
+        j = 0
+        while True:
+            add = np.exp(-((x - c + j * L) ** 2) / (2 * width ** 2))
+            if j > 0:
+                add = add + np.exp(-((x - c - j * L) ** 2) / (2 * width ** 2))
+            prof += add
+            if j > 0 and np.max(add) < 1e-14 * max(np.max(prof), 1e-300):
+                break
+            j += 1
+        prof /= math.sqrt(2 * math.pi) * width
+        sh = [1] * grid.dim
+        sh[ax] = len(x)
+        out = out * prof.reshape(sh)
+    return mass * out
+
+
+class TestImageSum:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wrapped_gaussian_equals_image_loop(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(150):
+            box = tuple(rng.uniform(0.5, 20.0, dim))
+            g = FieldGrid(box, np.zeros(tuple(rng.integers(1, 65, dim))), POSITION)
+            width = rng.uniform(0.05, 3.0) * rng.choice(box)
+            center = rng.uniform(0.0, box)
+            mass = rng.uniform(0.1, 50.0)
+            got = wrapped_gaussian(g, mass, width, center)
+            assert np.array_equal(got, wrapped_gaussian_loop(g, mass, width, center))
+
+    def test_wide_kernel_is_the_poisson_summation_constant(self):
+        """Past two_var = 1e6 L^2 image_sum returns sqrt(pi two_var) / L; just
+        below, the direct sum agrees with that to rounding."""
+        dx = np.linspace(-3.0, 3.0, 13)
+        for two_var in (0.999e6 * 9.0, 1.001e6 * 9.0, 1e30):
+            expect = math.sqrt(math.pi * two_var) / 3.0
+            assert np.allclose(image_sum(dx, 3.0, two_var), expect, rtol=1e-12, atol=0)
+
+    def test_matches_explicit_images(self):
+        dx = np.linspace(-3.0, 3.0, 13)
+        explicit = sum(np.exp(-((dx + j * 2.0) ** 2) / 1.5) for j in range(-40, 41))
+        assert np.allclose(image_sum(dx, 2.0, 1.5), explicit, rtol=1e-13, atol=0)
 
 
 class TestStirling:
@@ -468,6 +532,16 @@ class TestJsonAndCsv:
     def test_bad_kind(self):
         with pytest.raises(ModelError):
             ModelSpec("Nope", (1.0,), 0.0, {}, position_grid((1.0,), np.zeros(4)))
+
+    def test_kinds_table_holds_every_accepted_kind(self):
+        g = position_grid((1.0,), np.ones(4))
+        assert set(KINDS) == {"DeathDiffusion", "BrownianTree", "ConvertAB", "SpontBirth",
+                              "BirthDeathTimeDep", "DiscreteDeath", "Annihilation"}
+        for kind in KINDS:
+            assert ModelSpec(kind, (1.0,), 0.0, {}, g).kind == kind
+        assert {k for k, c in KINDS.items() if c.density is None} == {"Annihilation"}
+        assert {k for k, c in KINDS.items() if c.log_gf is not None} == {
+            "DeathDiffusion", "BrownianTree", "DiscreteDeath"}
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ModelError):
