@@ -40,10 +40,22 @@ class SeriesDivergence(ModelError):
 # Rates and model specifications
 # ---------------------------------------------------------------------------
 
-_TIME_EXPRS: dict[str, Callable[[float], float]] = {
-    "one": lambda t: 1.0,
-    "sin2": lambda t: math.sin(t) ** 2,
-    "cos2": lambda t: math.cos(t) ** 2,
+class TimeProfile(NamedTuple):
+    """A named time profile h(t) and its exact integral over [t0, t1]; both
+    take numpy arrays as well as floats."""
+
+    h: Callable
+    integral: Callable
+
+
+# The integrals are written in t1 - t0, not as F(t1) - F(t0), so that short
+# intervals do not cancel: sin^2 integrates to (d - cos(t0 + t1) sin d) / 2.
+_TIME_EXPRS: dict[str, TimeProfile] = {
+    "one": TimeProfile(lambda t: 1.0, lambda t0, t1: t1 - t0),
+    "sin2": TimeProfile(lambda t: np.sin(t) ** 2,
+                        lambda t0, t1: ((t1 - t0) - np.cos(t0 + t1) * np.sin(t1 - t0)) / 2),
+    "cos2": TimeProfile(lambda t: np.cos(t) ** 2,
+                        lambda t0, t1: ((t1 - t0) + np.cos(t0 + t1) * np.sin(t1 - t0)) / 2),
 }
 
 
@@ -77,19 +89,12 @@ class Rate:
             return np.full(shape if shape is not None else (), self.const)
         return self.const * np.asarray(self.table, float)
 
-    def temporal(self, t: float) -> float:
-        return _TIME_EXPRS[self.time](t) if self.time else 1.0
+    def temporal(self, t):
+        return _TIME_EXPRS[self.time].h(t) if self.time else 1.0
 
-    def temporal_integral(self, t0: float, t1: float) -> float:
-        """Integral of the time profile over [t0, t1] (adaptive quadrature)."""
-        if self.time is None:
-            return t1 - t0
-        from scipy import integrate
-
-        val, _ = integrate.quad(
-            _TIME_EXPRS[self.time], t0, t1, epsabs=1e-10, epsrel=1e-10
-        )
-        return val
+    def temporal_integral(self, t0, t1):
+        """Exact integral of the time profile over [t0, t1]."""
+        return _TIME_EXPRS[self.time].integral(t0, t1) if self.time else t1 - t0
 
     @classmethod
     def from_json(cls, obj) -> "Rate":
@@ -506,7 +511,7 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     """X = v e^{-N(0,t)} + integral_0^t mu(s) e^{-N(s,t)} ds, N = cum. death.
 
     Separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s); the outer
-    integral is adaptive per distinct spatial value.
+    integral is taken once per distinct spatial value, all values at a time.
     """
     g = spec.grid()
     mu = spec.rates.get("mu", Rate(const=0.0))
@@ -519,21 +524,47 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     pairs = np.stack([gmu.ravel(), gnu.ravel()], axis=1)
     uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
     born = np.zeros(len(uniq))
-    from scipy import integrate
-
-    for i, (gm, gn) in enumerate(uniq):
-        if gm == 0:
-            continue
-
-        def integrand(s, gm=gm, gn=gn):
-            return (
-                gm
-                * mu.temporal(s)
-                * math.exp(-gn * nu.temporal_integral(s, t))
-            )
-
-        born[i], _ = integrate.quad(integrand, 0.0, t, epsabs=1e-8, epsrel=1e-8)
+    births = uniq[:, 0] != 0
+    if np.any(births):
+        gm, gn = uniq[births].T
+        born[births] = gm * _births_integral(mu, nu, gn, t)
     return g.with_values(out + born[inv].reshape(g.shape))
+
+
+_GL_ORDER = 16  # Gauss-Legendre nodes per panel
+_GL_LEVELS = 14  # at most 2^14 panels
+_GL_SPAN = 8.0  # most decay lengths 1 / g_nu that one panel spans
+_GL_BLOCK = 1 << 20  # matrix entries evaluated at a time
+
+
+def _births_integral(mu: Rate, nu: Rate, gn: np.ndarray, t: float) -> np.ndarray:
+    """integral_0^t h_mu(s) exp(-gn N(s, t)) ds for each entry of gn.
+
+    Composite Gauss-Legendre on equal panels, doubled until two levels agree
+    to 1e-8 absolute or relative on every entry.  The first level has panels
+    narrow enough to see the boundary layer of width 1/gn at s = t, which a
+    coarse rule misses while two levels agree on ~0.  ModelError if that
+    takes more than 2^_GL_LEVELS panels.
+    """
+    need = t * float(np.max(gn)) / _GL_SPAN
+    if need > 2 ** (_GL_LEVELS - 1):
+        raise ModelError(f"birth integral over [0, {t}] needs more than "
+                         f"{2 ** _GL_LEVELS} panels: death rate x time is {need * _GL_SPAN:.3g}")
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    prev = None
+    for level in range(math.ceil(math.log2(max(need, 1.0))), _GL_LEVELS + 1):
+        panels = 2 ** level
+        width = t / panels
+        s = (np.arange(panels)[:, None] * width + (x + 1) * (width / 2)).ravel()
+        ws = np.tile(w * (width / 2), panels) * mu.temporal(s)
+        cum = nu.temporal_integral(s, t)
+        rows = max(1, _GL_BLOCK // len(s))
+        cur = np.concatenate([np.exp(-np.outer(gn[i:i + rows], cum)) @ ws
+                              for i in range(0, len(gn), rows)])
+        if prev is not None and np.all(np.abs(cur - prev) <= 1e-8 * np.maximum(1.0, np.abs(cur))):
+            return cur
+        prev = cur
+    raise ModelError(f"birth integral over [0, {t}] did not converge on {2 ** _GL_LEVELS} panels")
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +572,17 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
 # ---------------------------------------------------------------------------
 
 
+def discrete_death_log_gf(v: float, mu: float, t: float, u: float) -> float:
+    """log G(u;t) = (u-1) v e^{-mu t}: Poisson with decaying mean."""
+    return (u - 1.0) * v * math.exp(-mu * t)
+
+
 def discrete_death_gf(v: float, mu: float, t: float, u: float) -> float:
-    """G(u;t) = exp((u-1) v e^{-mu t}): Poisson with decaying mean."""
-    return math.exp((u - 1.0) * v * math.exp(-mu * t))
+    return math.exp(discrete_death_log_gf(v, mu, t, u))
 
 
 def discrete_death_mean(v: float, mu: float, t: float) -> float:
     return v * math.exp(-mu * t)
-
-
-def discrete_death_pmf(v: float, mu: float, t: float, nmax: int) -> np.ndarray:
-    """P(N=n) for n = 0..nmax, from the generating function (Poisson)."""
-    lam = v * math.exp(-mu * t)
-    ns = np.arange(nmax + 1)
-    from scipy import stats
-
-    return stats.poisson.pmf(ns, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +611,7 @@ KINDS = {
     "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None),
     "DiscreteDeath": Kind(
         lambda s, t: discrete_death_mean(s.v, s.rate("mu").const, t),
-        lambda s, u, t: math.log(discrete_death_gf(s.v, s.rate("mu").const, t, u))),
+        lambda s, u, t: discrete_death_log_gf(s.v, s.rate("mu").const, t, u)),
     "Annihilation": Kind(None, None),
 }
 

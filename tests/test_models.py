@@ -27,7 +27,6 @@ from rdito.models import (
     diffuse,
     discrete_death_gf,
     discrete_death_mean,
-    discrete_death_pmf,
     heat_kernel,
     image_sum,
     spont_birth_density,
@@ -490,6 +489,64 @@ class TestTimeDependent:
         ref = spec.v.values * math.exp(-nu * t) + (mu / nu) * (1 - math.exp(-nu * t))
         assert np.max(np.abs(out.values - ref)) < 1e-8
 
+    @pytest.mark.parametrize("time", ["one", "sin2", "cos2"])
+    @pytest.mark.parametrize("t0", [0.0, 0.7, 3.1])
+    @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.5, 2.0, 20.0])
+    def test_temporal_integral_matches_quad(self, time, t0, length):
+        h = PROFILES[time]
+        ref, _ = integrate.quad(h, t0, t0 + length, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(Rate(time=time).temporal_integral(t0, t0 + length) - ref) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.3, 1.7, 6.0])
+    @pytest.mark.parametrize("mu_time, nu_time", [
+        ("sin2", "cos2"), ("cos2", None), (None, "sin2"), ("one", "sin2")])
+    def test_birth_death_matches_nested_quad(self, t, mu_time, nu_time):
+        x = np.arange(N) * (L / N)
+        prof = tuple(0.5 + 0.5 * np.cos(2 * np.pi * x / L) ** 2)
+        spec = self.base({"mu": Rate(const=0.7, table=prof, time=mu_time),
+                          "nu": Rate(const=1.3, table=prof[::-1], time=nu_time)})
+        out = birth_death_timedep_density(spec, t).values
+        assert np.max(np.abs(out - nested_quad_density(spec, t))) <= 1e-8
+
+    def test_birth_death_resolves_a_thin_layer_of_births(self):
+        """With death rate 400 over t = 100, births survive only in the last
+        1/400 before t; a rule that never samples there sees no births."""
+        spec = self.base({"mu": Rate(const=1.0), "nu": Rate(const=400.0)})
+        out = birth_death_timedep_density(spec, 100.0)
+        assert np.max(np.abs(out.values - 1 / 400)) < 1e-12
+
+    @pytest.mark.parametrize("rates, t", [
+        ({"mu": Rate(const=1.0), "nu": Rate(const=1e6)}, 1.0),
+        ({"mu": Rate(const=1.0, time="sin2"), "nu": Rate(const=1.0)}, 1e6),
+        ({"mu": Rate(const=1.0, time="sin2"), "nu": Rate(const=0.0)}, 1e6),
+    ])
+    def test_birth_death_refuses_what_its_rule_cannot_resolve(self, rates, t):
+        with pytest.raises(ModelError, match="birth integral"):
+            birth_death_timedep_density(self.base(rates), t)
+
+
+PROFILES = {None: lambda s: 1.0, "one": lambda s: 1.0,
+            "sin2": lambda s: math.sin(s) ** 2, "cos2": lambda s: math.cos(s) ** 2}
+
+
+def nested_quad_density(spec, t):
+    """v e^{-N(0,t)} + integral_0^t mu(s) e^{-N(s,t)} ds with both the outer
+    integral and the cumulative death N by adaptive quadrature."""
+
+    def cum(time, a, b):
+        return integrate.quad(PROFILES[time], a, b, epsabs=1e-10, epsrel=1e-10)[0]
+
+    g = spec.grid()
+    mu, nu = spec.rates["mu"], spec.rates["nu"]
+    gmu, gnu = mu.spatial(g.shape), nu.spatial(g.shape)
+    out = g.values * np.exp(-gnu * cum(nu.time, 0.0, t))
+    born = {}
+    for gm, gn in set(zip(gmu, gnu)):
+        born[gm, gn], _ = integrate.quad(
+            lambda s: gm * PROFILES[mu.time](s) * math.exp(-gn * cum(nu.time, s, t)),
+            0.0, t, epsabs=1e-8, epsrel=1e-8)
+    return out + np.array([born[pair] for pair in zip(gmu, gnu)])
+
 
 class TestDiscreteDeath:
     def test_gf_mean(self):
@@ -505,6 +562,11 @@ class TestDiscreteDeath:
                 math.exp((u - 1) * v)
             )
 
+    def test_log_gf_has_no_underflow(self):
+        """exp((u-1) v) underflows to 0 past (u-1) v = -745; its log does not."""
+        spec = ModelSpec("DiscreteDeath", (), 0.0, {"mu": Rate(const=0.0)}, 1000.0)
+        assert KINDS["DiscreteDeath"].log_gf(spec, 0.0, 0.0) == -1000.0
+
     def test_distribution_vs_master_equation(self):
         v, mu, t, nmax = 5.0, 0.7, 0.6, 200
         gen = np.zeros((nmax + 1, nmax + 1))
@@ -516,6 +578,11 @@ class TestDiscreteDeath:
         pt = linalg.expm(gen * t) @ p0
         pred = discrete_death_pmf(v, mu, t, nmax)
         assert np.max(np.abs(pt - pred)) <= 1e-8
+
+
+def discrete_death_pmf(v: float, mu: float, t: float, nmax: int) -> np.ndarray:
+    """P(N=n) for n = 0..nmax: the GF exp((u-1) v e^{-mu t}) is Poisson's."""
+    return stats.poisson.pmf(np.arange(nmax + 1), discrete_death_mean(v, mu, t))
 
 
 class TestJsonAndCsv:

@@ -208,22 +208,26 @@ class TestRun:
     def test_peak_memory_does_not_grow_with_replicas(self):
         """Each chunk is reduced to per-cell sums inside its worker, so
         quadrupling the replicas must not quadruple the peak allocation (kept
-        per-replica cell counts would: 500 x 128 int64 per chunk)."""
+        per-replica cell counts would: 500 x 128 int64 per chunk).  One thread
+        keeps one chunk in flight, so its peak does not depend on timing; two
+        threads keep at most two."""
         g = FieldGrid((L,), np.zeros(128), POSITION)
         spec = ModelSpec("DeathDiffusion", (L,), 1.0, {"mu": Rate(const=1.0)},
                          g.with_values(wrapped_gaussian(g, 5.0, 1.0, L / 2)))
 
-        def peak(replicas):
+        def peak(replicas, threads):
             sim = SimConfig(dt=0.05, replicas=replicas, seed=3, chunk=500)
             tracemalloc.start()
             try:
-                run(spec, sim, 0.1, threads=2)
+                run(spec, sim, 0.1, threads=threads)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(4000), peak(16000)
+        small, large = peak(4000, 1), peak(16000, 1)
         assert large < 1.5 * small, (small, large)
+        two = peak(16000, 2)
+        assert two < 1.5 * 2 * small, (small, two)
 
     def test_reduction_equals_two_pass_over_chunk_stats(self):
         """run's fields and scalars equal, bit for bit, collecting every
