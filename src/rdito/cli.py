@@ -2,10 +2,11 @@
 
 Subcommands: derive-table, density, gf, fn, simulate, perturb, compare.
 Exit codes: 0 success, 1 comparison failure, 2 usage/config error, 3 runtime
-model error.  With --out, every output is written atomically (temp file +
-rename) and accompanied by a run manifest with the resolved configuration,
-seed, tool version, wall-clock time and output digests; without it, the
-output goes to stdout.
+model error, 4 internal error (any other exception, reported on one line).
+With --out, every output is written atomically (temp file + rename) and
+accompanied by a run manifest with the resolved configuration, seed, tool
+version, wall-clock time and output digests; without it, the output goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_COMPARE = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -554,6 +556,10 @@ def main(argv=None) -> int:
     except RuntimeModelError as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as e:
+        msg = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

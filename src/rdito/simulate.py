@@ -10,9 +10,9 @@ schedule and bit-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -39,6 +39,15 @@ class RadialKernel:
     cutoff: float
     samples: tuple[float, ...]
 
+    def __post_init__(self):
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise SimError(f"kernel cutoff must be finite and > 0, got {self.cutoff}")
+        vals = np.asarray(self.samples, float)
+        if vals.size == 0 or not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise SimError(
+                f"kernel samples must be non-empty, finite and >= 0, got {list(self.samples)}"
+            )
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         xs = np.linspace(0.0, self.cutoff, len(self.samples))
         return np.where(
@@ -48,18 +57,6 @@ class RadialKernel:
     @property
     def peak(self) -> float:
         return float(np.max(self.samples))
-
-    def integral(self, d: int) -> float:
-        """Integral of R over R^d (d = 1: both sides)."""
-        xs = np.linspace(0.0, self.cutoff, len(self.samples))
-        vals = np.asarray(self.samples, float)
-        if d == 1:
-            return 2.0 * float(np.trapezoid(vals, xs))
-        if d == 2:
-            return float(np.trapezoid(2 * np.pi * xs * vals, xs))
-        if d == 3:
-            return float(np.trapezoid(4 * np.pi * xs ** 2 * vals, xs))
-        raise SimError(f"kernel integral unsupported for d={d}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,12 @@ class SimConfig:
         )
 
     def check_box(self, box) -> None:
-        """SimError unless the kernel cutoff lies in (0, min(box)/2]; beyond
+        """SimError unless the kernel cutoff is at most min(box)/2; beyond
         half the box the minimum-image distance of a pair is ambiguous."""
         half = min(box) / 2
-        if self.kernel is not None and not 0 < self.kernel.cutoff <= half:
+        if self.kernel is not None and not self.kernel.cutoff <= half:
             raise SimError(
-                f"kernel cutoff must be > 0 and <= min(box)/2 = {half}, got {self.kernel.cutoff}"
+                f"kernel cutoff must be <= min(box)/2 = {half}, got {self.kernel.cutoff}"
             )
 
 
@@ -236,69 +233,55 @@ def _min_image(dx: np.ndarray, box) -> np.ndarray:
     return dx
 
 
-def _annihilation_step(ens: ParticleEnsemble, kernel: RadialKernel, dt, rng) -> None:
-    """Pairwise A+A -> phi: each unordered pair within the cutoff dies with
-    probability R(|p-q|) dt; cell lists keyed by (replica, cell)."""
-    _check_prob(kernel.peak * dt, "annihilation")
-    if ens.n == 0:
-        return
-    box = ens.box
-    d = len(box)
-    ncell = [max(1, int(b // max(kernel.cutoff, 1e-12))) for b in box]
-    cell = np.zeros(ens.n, dtype=np.int64)
-    for ax in range(d):
-        c = np.minimum(
-            (ens.positions[:, ax] / (box[ax] / ncell[ax])).astype(np.int64),
-            ncell[ax] - 1,
-        )
-        cell = cell * ncell[ax] + c
-    key = ens.replica * int(np.prod(ncell)) + cell
+def _candidate_pairs(ens: ParticleEnsemble, cutoff: float):
+    """Index arrays (i, j) of every same-replica pair in the same or adjacent
+    cells of a periodic cell grid at least `cutoff` wide, each pair once.
+
+    Particles are sorted once by the key replica * ncells + cell.  Per axis
+    the wrapped neighbour offsets are {0}, {0, 1} or {0, 1, n-1} for 1, 2 or
+    more cells, so at most 3^d - 1 offsets remain; each names one neighbour
+    cell per particle, kept where its key is above the particle's own, whose
+    members are one searchsorted range.  Pairs come ordered by the key of i,
+    then that of j (own cell first), then sorted position: the order the
+    random draws follow."""
+    ncell = [max(1, int(b // cutoff)) for b in ens.box]
+    coords = [
+        np.minimum((ens.positions[:, ax] / (b / n)).astype(np.int64), n - 1)
+        for ax, (b, n) in enumerate(zip(ens.box, ncell))
+    ]
+    base = ens.replica * math.prod(ncell)
+    key = base + np.ravel_multi_index(coords, ncell)
     order = np.argsort(key, kind="stable")
-    alive = np.ones(ens.n, dtype=bool)
-    # gather candidate pairs: same replica, same or neighboring cell
-    pos = ens.positions
-    pairs_i, pairs_j = [], []
-    # map (replica, cell-coords) -> member indices
-    members = defaultdict(list)
-    coords = np.zeros((ens.n, d), dtype=np.int64)
-    rem = cell.copy()
-    for ax in reversed(range(d)):
-        coords[:, ax] = rem % ncell[ax]
-        rem //= ncell[ax]
-    for i in order:
-        members[(int(ens.replica[i]), tuple(int(c) for c in coords[i]))].append(int(i))
-    offsets = np.array(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij")).reshape(d, -1).T
-    for (rep, cc), mem in members.items():
-        # pairs within the cell
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                pairs_i.append(mem[a])
-                pairs_j.append(mem[b])
-        # pairs with lexicographically greater neighbor cells (wrapping can
-        # alias offsets onto the same cell, so dedupe first)
-        nbs = {
-            tuple((cc[ax] + int(off[ax])) % ncell[ax] for ax in range(d))
-            for off in offsets
-            if np.any(off)
-        }
-        for nb in sorted(nbs):
-            if nb <= cc:
-                continue
-            other = members.get((rep, nb))
-            if not other:
-                continue
-            for a in mem:
-                for b in other:
-                    pairs_i.append(a)
-                    pairs_j.append(b)
-    if not pairs_i:
+    key, base = key[order], base[order]
+    coords = [c[order] for c in coords]
+    s = np.arange(len(key))
+    starts, stops = [s + 1], [np.searchsorted(key, key, side="right")]
+    for off in itertools.product(*[sorted({0, 1 % n, n - 1}) for n in ncell]):
+        if not any(off):
+            continue
+        nb = base + np.ravel_multi_index(
+            [(c + o) % n for c, o, n in zip(coords, off, ncell)], ncell)
+        lo = np.searchsorted(key, nb, side="left")
+        starts.append(lo)
+        stops.append(np.where(nb > key, np.searchsorted(key, nb, side="right"), lo))
+    start = np.concatenate(starts)
+    count = np.concatenate(stops) - start
+    a = np.repeat(np.tile(s, len(starts)), count)
+    b = np.arange(len(a)) + np.repeat(start - (np.cumsum(count) - count), count)
+    sel = np.lexsort((b, a, key[b], key[a]))
+    return order[a[sel]], order[b[sel]]
+
+
+def _annihilation_step(ens: ParticleEnsemble, kernel: RadialKernel, dt, rng) -> None:
+    """Pairwise A+A -> phi: each candidate pair dies with probability
+    R(|p-q|) dt, drawn in pair order; the first live pair of a particle wins."""
+    _check_prob(kernel.peak * dt, "annihilation")
+    pi, pj = _candidate_pairs(ens, kernel.cutoff)
+    if len(pi) == 0:
         return
-    pi = np.asarray(pairs_i)
-    pj = np.asarray(pairs_j)
-    dx = _min_image(pos[pi] - pos[pj], box)
-    r = np.sqrt(np.sum(dx ** 2, axis=1))
-    prob = kernel(r) * dt
-    hit = rng.random(len(pi)) < prob
+    dx = _min_image(ens.positions[pi] - ens.positions[pj], ens.box)
+    hit = rng.random(len(pi)) < kernel(np.sqrt(np.sum(dx ** 2, axis=1))) * dt
+    alive = np.ones(ens.n, dtype=bool)
     for a, b in zip(pi[hit], pj[hit]):
         if alive[a] and alive[b]:
             alive[a] = alive[b] = False

@@ -3,8 +3,8 @@
 Each test prints a single ``[NN/12] <name>: PASS|FAIL`` line (bypassing
 capture so the lines show up under a plain ``pytest -v``) and then asserts.
 The checks reuse only public APIs plus independent oracles (scipy
-quadrature/expm, brute-force combinatorics, closed forms); they do not
-reimplement any library internals.
+quadrature/expm, Gauss-Hermite cubature, brute-force combinatorics, closed
+forms); they do not reimplement any library internals.
 """
 
 import json
@@ -45,6 +45,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
+from third_order_oracle import third_order_continuum
 
 L, N = 10.0, 64
 
@@ -441,9 +442,10 @@ def test_criterion_10_perturbative_rules(capsys):
     got = simplex_time_factor(ExpProduct(rates), t3)
     ok &= abs(got - val) <= 1e-8 * abs(val)
 
-    # (c) third-order diagram vs brute-force continuum cubature
+    # (c) third-order diagram vs continuum Gauss-Hermite/expm oracle, on a
+    # box wide enough (4 pi) that periodic images are below 1e-12
     cR, sR, cv, sv, D, tt = 0.7, 1.0, 2.0, 0.8, 0.6, 0.5
-    g = FieldGrid((2 * math.pi,), np.zeros(16), POSITION)
+    g = FieldGrid((4 * math.pi,), np.zeros(32), POSITION)
     R = g.with_values(wrapped_gaussian(g, cR, sR, [0.0]))
     v = g.with_values(wrapped_gaussian(g, cv, sv, [0.0]))
     spec = ModelSpec("Annihilation", g.box, D,
@@ -451,43 +453,9 @@ def test_criterion_10_perturbative_rules(capsys):
     mg = momentum_grid(spec)
     kidx = 1
     term3 = third_order_term(mg, kidx, tt)
-
-    kv = mg.Rhat.kaxes()[0][kidx]
-    npts = 96
-    edges = np.linspace(-8.0, 8.0, npts + 1)
-    nodes = 0.5 * (edges[:-1] + edges[1:])
-    h = edges[1] - edges[0]
-    ll, mm, nn = (x.ravel() for x in np.meshgrid(nodes, nodes, nodes, indexing="ij"))
-    rh = lambda q: cR * np.exp(-sR ** 2 * q ** 2 / 2)
-    vh = lambda q: cv * np.exp(-sv ** 2 * q ** 2 / 2)
-    w = rh(ll) * rh(mm) * rh(nn) * vh(kv - mm - nn) * vh(mm) * vh(nn)
-    a3 = D * kv ** 2 * np.ones_like(ll)
-    a2 = D * ((kv - mm - nn + ll) ** 2 + (mm + nn - ll) ** 2)
-    a1 = D * ((kv - mm - nn + ll) ** 2 + (mm - ll) ** 2 + nn ** 2)
-    a0 = D * ((kv - mm - nn) ** 2 + mm ** 2 + nn ** 2)
-    q = 400
-    tau = np.linspace(0.0, tt, q + 1)
-    dtau = tau[1] - tau[0]
-
-    def cumtr(y):
-        out = np.zeros_like(y)
-        out[:, 1:] = np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]), axis=1) * dtau
-        return out
-
-    T = np.empty(ll.size)
-    for lo in range(0, ll.size, 8192):
-        sl = slice(lo, min(lo + 8192, ll.size))
-        F = np.exp(-a0[sl, None] * tau[None, :])
-        for a in (a1[sl], a2[sl]):
-            F = np.exp(-a[:, None] * tau[None, :]) * cumtr(
-                np.exp(a[:, None] * tau[None, :]) * F
-            )
-        T[sl] = np.exp(-a3[sl] * tt) * cumtr(
-            np.exp(a3[sl, None] * tau[None, :]) * F
-        )[:, -1]
-    oracle = -1.0 / (2.0 * 2.0 * math.pi) * h ** 3 * float(np.sum(w * T))
+    oracle = third_order_continuum(mg.Rhat.kaxes()[0][kidx], tt, D, cR, sR, cv, sv)
     rel3 = abs(term3 - oracle) / abs(oracle)
-    ok &= rel3 <= 1e-4
+    ok &= rel3 <= 1e-9
     report(capsys, 10, "perturbative rules (propagator, simplex, 3rd order)", ok,
            f"3rd-order rel err {rel3:.1e}")
 

@@ -388,6 +388,23 @@ class TestSimulate:
         assert flag in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("kernel", [
+        {"cutoff": 1.0, "samples": []}, {"cutoff": 1.0, "samples": [-1.0, -1.0]},
+        {"cutoff": 1.0, "samples": [math.nan, 1.0]}, {"cutoff": math.nan, "samples": [1.0, 0.0]},
+        {"cutoff": math.inf, "samples": [1.0, 0.0]}, {"cutoff": 0.0, "samples": [1.0, 0.0]},
+    ])
+    def test_malformed_kernel_usage_exit(self, tmp_path, capsys, kernel):
+        """An empty kernel ended in a traceback with exit 1, a negative one
+        never annihilated with exit 0, and a NaN sample asked to reduce dt."""
+        model = write_json(tmp_path / "m.json",
+                           model_obj("Annihilation", rates={}, v={"expr": "uniform", "const": 2.0}))
+        sim = write_json(tmp_path / "s.json",
+                         {"dt": 0.01, "replicas": 10, "seed": 1, "kernel": kernel})
+        assert main(["simulate", model, sim, "--t-end", "0.1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "kernel" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize("t_end, dt", [("0.3", 0.1), ("0.5", 0.01), ("0.2", 0.02)])
     def test_t_end_a_whole_number_of_steps_in_floating_point(self, tmp_path, t_end, dt):
         """0.3 / 0.1 is 2.9999999999999996: still three steps, not an error."""
@@ -509,6 +526,19 @@ class TestPerturb:
             code = main(["perturb", model, "--t-end", "2.0", "--steps", "2",
                          "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+
+def test_unexpected_exception_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    """A crash is not a failed comparison: it exits 4 with one line."""
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("injected\nfault")
+
+    monkeypatch.setattr("rdito.simulate.run", boom)
+    model = write_json(tmp_path / "m.json", model_obj())
+    sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+    assert main(["simulate", model, sim, "--t-end", "0.1", "--out", str(tmp_path / "x")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: injected fault\n"
 
 
 class TestCompare:

@@ -28,6 +28,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
+from third_order_oracle import third_order_continuum
 
 
 def gauss_fields(L=2 * math.pi, n=16, cR=0.7, sR=1.0, cv=2.0, sv=0.8, center=0.0):
@@ -273,57 +274,17 @@ class TestThirdOrder:
         spec = annih_spec(g, R, v.with_values(np.zeros(g.shape)), 0.6)
         assert third_order_term(momentum_grid(spec), 1, 0.5) == 0.0
 
-    def test_matches_brute_force_cubature(self):
-        """16-point d=1 grid vs dense continuum quadrature of the same diagram.
-
-        The oracle discretizes the three momentum integrals on an independent
-        (offset, finer) midpoint rule and does the time simplex by a nested
-        cumulative-trapezoid chain, nowhere touching partial fractions or the
-        grid's FFT indexing.
-        """
-        cR, sR, cv, sv, D, t = 0.7, 1.0, 2.0, 0.8, 0.6, 0.5
-        g, R, v = gauss_fields(cR=cR, sR=sR, cv=cv, sv=sv)
+    def test_matches_continuum_oracle(self):
+        """32-point d = 1 grid on a 4 pi box (periodic images below 1e-12) vs
+        the Gauss-Hermite/expm continuum oracle, at other (k, t) than
+        acceptance criterion 10."""
+        cR, sR, cv, sv, D, t = 0.7, 1.0, 2.0, 0.8, 0.6, 0.3
+        g, R, v = gauss_fields(L=4 * math.pi, n=32, cR=cR, sR=sR, cv=cv, sv=sv)
         mg = momentum_grid(annih_spec(g, R, v, D))
-        kidx = 1
+        kidx = 3
         got = third_order_term(mg, kidx, t)
-
-        kv = mg.Rhat.kaxes()[0][kidx]
-        npts = 96
-        edges = np.linspace(-8.0, 8.0, npts + 1)
-        nodes = 0.5 * (edges[:-1] + edges[1:])
-        h = edges[1] - edges[0]
-        ll, mm, nn = (x.ravel() for x in np.meshgrid(nodes, nodes, nodes, indexing="ij"))
-        rh = lambda k: cR * np.exp(-sR ** 2 * k ** 2 / 2)
-        vh = lambda k: cv * np.exp(-sv ** 2 * k ** 2 / 2)
-        w = rh(ll) * rh(mm) * rh(nn) * vh(kv - mm - nn) * vh(mm) * vh(nn)
-        a3 = D * kv ** 2 * np.ones_like(ll)
-        a2 = D * ((kv - mm - nn + ll) ** 2 + (mm + nn - ll) ** 2)
-        a1 = D * ((kv - mm - nn + ll) ** 2 + (mm - ll) ** 2 + nn ** 2)
-        a0 = D * ((kv - mm - nn) ** 2 + mm ** 2 + nn ** 2)
-
-        q = 400
-        tau = np.linspace(0.0, t, q + 1)
-        dtau = tau[1] - tau[0]
-
-        def cumtr(y):
-            out = np.zeros_like(y)
-            out[:, 1:] = np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]), axis=1) * dtau
-            return out
-
-        T = np.empty(ll.size)
-        for lo in range(0, ll.size, 8192):
-            sl = slice(lo, min(lo + 8192, ll.size))
-            F = np.exp(-a0[sl, None] * tau[None, :])
-            for a in (a1[sl], a2[sl]):
-                F = np.exp(-a[:, None] * tau[None, :]) * cumtr(
-                    np.exp(a[:, None] * tau[None, :]) * F
-                )
-            T[sl] = (
-                np.exp(-a3[sl] * t)
-                * cumtr(np.exp(a3[sl, None] * tau[None, :]) * F)[:, -1]
-            )
-        oracle = -1.0 / (2.0 * 2.0 * math.pi) * h ** 3 * float(np.sum(w * T))
-        assert got == pytest.approx(oracle, rel=1e-4)
+        oracle = third_order_continuum(mg.Rhat.kaxes()[0][kidx], t, D, cR, sR, cv, sv)
+        assert got == pytest.approx(oracle, rel=1e-9)
 
     def test_grid_too_coarse(self):
         # narrow position kernel -> wide transform -> fat boundary tail

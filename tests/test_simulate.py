@@ -1,5 +1,7 @@
 """Tests for the particle Monte Carlo against exact statistical oracles."""
 
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -27,6 +29,7 @@ from rdito.simulate import (
     SimConfig,
     SimError,
     StepTooLarge,
+    _candidate_pairs,
     _check_prob,
     _chunk_stats,
     run,
@@ -375,6 +378,10 @@ class TestRun:
         assert r1.scalars == r2.scalars
         assert r1.scalars["N"][0] < 30.0  # started at E N = 30, must decrease
 
+    def test_annihilation_2d_decays(self):
+        m, se = run(*_annihilation_2d()).scalars["N"]
+        assert m < 54.0 - 10 * se  # started at E N = 1.5 * 36
+
     def test_annihilation_needs_kernel(self):
         g = make_grid()
         spec = ModelSpec("Annihilation", (L,), 0.5, {}, g.with_values(np.ones(N)))
@@ -390,3 +397,92 @@ class TestRun:
         assert '"replicas": 32' in js
         csv = rep.grid_csv()
         assert csv.startswith("name,index,value")
+
+
+# ---------------------------------------------------------------------------
+# A+A pair search
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [
+    (1,), (2,), (3,), (7,), (1, 5), (2, 3), (5, 6), (1, 2, 3), (3, 3, 3), (2, 5, 1), (6, 4, 2),
+])
+def test_candidate_pairs_are_the_adjacent_cell_pairs(cells):
+    """Exactly the same-replica pairs whose cells differ by -1, 0 or 1 on
+    every axis (mod the cell count, so 1 and 2 cells alias offsets), each
+    unordered pair once, and every pair within the cutoff among them."""
+    rng = np.random.default_rng(len(cells) * 100 + sum(cells))
+    cutoff = 0.7
+    box = tuple(cutoff * (n + 0.6) for n in cells)
+    nrep, npart = 4, 90
+    pos = rng.random((npart, len(box))) * np.asarray(box)
+    rep = rng.integers(0, nrep, size=npart)
+    ens = ParticleEnsemble(box, pos, np.zeros(npart, dtype=np.int64), rep, nrep)
+    i, j = _candidate_pairs(ens, cutoff)
+    got = [frozenset(p) for p in zip(i.tolist(), j.tolist())]
+    assert all(len(p) == 2 for p in got) and len(set(got)) == len(got)
+
+    cell = (pos / (np.asarray(box) / cells)).astype(int)
+    dx = pos[:, None] - pos[None]
+    dist = np.linalg.norm(dx - box * np.round(dx / box), axis=-1)
+    adjacent, close = set(), set()
+    for a, b in itertools.combinations(range(npart), 2):
+        if rep[a] != rep[b]:
+            continue
+        if all((cell[a, ax] - cell[b, ax]) % n in {0, 1, n - 1} for ax, n in enumerate(cells)):
+            adjacent.add(frozenset((a, b)))
+        if dist[a, b] <= cutoff:
+            close.add(frozenset((a, b)))
+    assert set(got) == adjacent
+    assert close <= adjacent and len(close) > 0
+
+
+def test_candidate_pairs_of_an_empty_ensemble():
+    ens = ParticleEnsemble((3.0, 3.0), np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), 2)
+    i, j = _candidate_pairs(ens, 1.0)
+    assert len(i) == len(j) == 0
+
+
+def _criterion_11_mc(seed, replicas, t):
+    """Criterion 11's particle Monte Carlo (tests/test_acceptance.py)."""
+    cutoff, sigma = 1.5, 0.5
+    xs = np.linspace(0.0, cutoff, 31)
+    c = 0.5 / (sigma * math.sqrt(2 * math.pi) * math.erf(cutoff / (sigma * math.sqrt(2))))
+    kern = RadialKernel(cutoff, tuple(c * np.exp(-xs ** 2 / (2 * sigma ** 2))))
+    g = FieldGrid((L,), np.full(32, 2.0), POSITION)
+    x = g.axes()[0]
+    tab = np.asarray(kern(np.minimum(x, L - x)), float)
+    spec = ModelSpec("Annihilation", (L,), 1.0, {"R": Rate(const=1.0, table=tuple(tab))}, g)
+    return spec, SimConfig(dt=0.02, replicas=replicas, seed=seed, kernel=kern), t
+
+
+def _annihilation_2d():
+    g = FieldGrid((6.0, 6.0), np.full((16, 16), 1.5), POSITION)
+    spec = ModelSpec("Annihilation", g.box, 0.5, {}, g)
+    return spec, SimConfig(dt=0.01, replicas=200, seed=21,
+                           kernel=RadialKernel(1.0, (2.0, 2.0, 1.0, 0.0))), 0.2
+
+
+def _annihilation_3d():
+    """4, 2 and 2 cells per axis: the 2-cell axes alias the -1 and +1 offsets."""
+    g = FieldGrid((3.0, 1.5, 2.0), np.full((6, 3, 4), 2.0), POSITION)
+    spec = ModelSpec("Annihilation", g.box, 0.3, {}, g)
+    return spec, SimConfig(dt=0.01, replicas=40, seed=22, chunk=16,
+                           kernel=RadialKernel(0.7, (3.0, 2.0, 0.0))), 0.1
+
+
+@pytest.mark.parametrize("case, digest", [
+    (lambda: _criterion_11_mc(5, 3000, 0.2),
+     "e888d7358b8132ecb5bd405e0f1c8ed4f60cc999c9182f499eb7c755e5ea7342"),
+    (lambda: _criterion_11_mc(6, 1500, 1.5),
+     "da3a8f954077d457fa7d2f086cd22f211077c098050e1454c16e906b772fdf79"),
+    (_annihilation_2d, "0cc59debb746b95c3a274196372bdc4ff3f5966ac31d1909a51c2022e749468f"),
+    (_annihilation_3d, "1bffecac6ad58a6da1965c22f1af0accf2e097c206cc1bb911647b1b7c75006d"),
+], ids=["crit11-seed5", "crit11-seed6", "2d", "3d"])
+def test_seeded_annihilation_output_is_pinned(case, digest):
+    """SHA-256 of the serialized report, as recorded from the dict-and-loop
+    cell list this pair search replaced: same pairs, same order, same draws."""
+    rep = run(*case())
+    text = rep.scalars_json() + rep.grid_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
