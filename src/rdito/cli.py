@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,13 +46,15 @@ class RuntimeModelError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def atomic_write(path: str, text: str, chunks: Iterable[str] = ()) -> None:
+    """Write text, then each of chunks as it comes, to path via a temp file
+    in the same directory + rename."""
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rdito-tmp-")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,15 +116,21 @@ def _check_times(flag: str, times, positive: bool = False) -> None:
             raise UsageError(f"{flag} must be finite and {'>' if positive else '>='} 0, got {t}")
 
 
+def _chunks(body: str | Iterable[str]) -> Iterator[str]:
+    return iter([body] if isinstance(body, str) else body)
+
+
 def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
-    """Write outputs ({path suffix: text}) next to --out, atomically, plus the
-    run manifest; without --out, print the first output instead."""
+    """Write outputs ({path suffix: text, or an iterable of text chunks})
+    next to --out, atomically, plus the run manifest; without --out, print
+    the first output instead.  Chunks are written as they come."""
     if not args.out:
-        sys.stdout.write(next(iter(outputs.values())))
+        sys.stdout.writelines(_chunks(next(iter(outputs.values()))))
         return
     paths = []
-    for suffix, text in outputs.items():
-        atomic_write(args.out + suffix, text)
+    for suffix, body in outputs.items():
+        chunks = _chunks(body)
+        atomic_write(args.out + suffix, next(chunks, ""), chunks)
         paths.append(args.out + suffix)
     write_manifest(args.out, command, config, seed, paths)
 
@@ -341,7 +350,7 @@ def cmd_perturb(args) -> int:
     _emit(args, "perturb",
           {"model": json.loads(model_text), "t_end": args.t_end, "steps": args.steps,
            "method": args.method},
-          {"": series.csv()})
+          {"": series.csv_chunks()})
     return EXIT_OK
 
 

@@ -6,7 +6,10 @@ The momentum representation uses the physicists' convention
     vhat(k) = sum_x v(x) e^{-i k.x} dV,      k = 2 pi m / L,
 
 so that vhat(0) approximates the integral of v over the box and the inverse
-carries the 1/(2 pi)^d in its measure.
+carries the 1/(2 pi)^d in its measure.  FieldGrid keeps full complex spectra,
+so it can hold any momentum field.  Solvers whose fields are real work on the
+half spectrum instead (last axis k >= 0, since X(-k) = conj X(k)) through one
+unnormalized transform pair, half_fft and half_ifft.
 """
 
 from __future__ import annotations
@@ -99,6 +102,42 @@ class FieldGrid:
 
     def with_values(self, values: np.ndarray) -> "FieldGrid":
         return FieldGrid(self.box, values, self.rep)
+
+
+def half_spectrum(a: np.ndarray) -> np.ndarray:
+    """The k >= 0 half of the last axis of a full (fftfreq-layout) array:
+    its first n // 2 + 1 points, the layout of half_fft's output."""
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+def half_fft(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DFT of a real array over all its axes, on the half
+    spectrum: rfft on the last axis, then fft on each other axis.
+
+    The 1-D calls skip the n-D wrappers (fftn, rfftn), whose per-call
+    overhead dominates at the small grids of the tree-level solvers.
+    """
+    out = np.fft.rfft(x)
+    for ax in range(x.ndim - 1):
+        out = np.fft.fft(out, axis=ax)
+    return out
+
+
+def half_ifft(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of half_fft over the last len(shape) axes of `xh`: the real
+    array of grid `shape` whose half spectrum is `xh`, for each leading index."""
+    for ax in range(-len(shape), -1):
+        xh = np.fft.ifft(xh, axis=ax)
+    return np.fft.irfft(xh, n=shape[-1])
+
+
+def full_spectrum(xh: np.ndarray, n: int) -> np.ndarray:
+    """Full spectrum of a real array from its half spectrum `xh` (last axis
+    of full length n), completed by X(-k) = conj X(k)."""
+    m = xh.shape[-1]
+    neg = [(-np.arange(s)) % s for s in xh.shape[:-1]]
+    tail = xh[np.ix_(*neg, np.arange(n - m, 0, -1))]
+    return np.concatenate([xh, tail.conj()], axis=-1)
 
 
 def point_labels(axes, sep: str = ",") -> list[str]:

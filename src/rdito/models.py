@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import FieldGrid, MOMENTUM, POSITION, point_labels, table_rows
+from .grid import FieldGrid, POSITION, point_labels, table_rows
+from .grid import half_fft, half_ifft, half_spectrum
 
 
 class ModelError(Exception):
@@ -299,9 +300,8 @@ def heat_kernel(d: int, D: float, x, t: float, box=None) -> float:
 
 def diffuse(grid: FieldGrid, D: float, t: float) -> FieldGrid:
     """Heat semigroup e^{t D Lap} applied spectrally (exact on the grid)."""
-    gh = grid.to_momentum()
-    vals = gh.values * np.exp(-D * t * gh.ksquared())
-    return FieldGrid(grid.box, vals, MOMENTUM).to_position()
+    heat = np.exp(-D * t * half_spectrum(grid.ksquared()))
+    return grid.with_values(half_ifft(heat * half_fft(grid.values), grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,7 @@ def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) 
     if steps is None:
         steps = max(200, int(math.ceil(q.t * 4000)))
     dt = q.t / steps
-    ksq = g.ksquared()
-    half = np.exp(-spec.D * (dt / 2) * ksq)
+    heat = np.exp(-spec.D * (dt / 2) * half_spectrum(g.ksquared()))
     decay = math.exp(-mu * dt)
     w = q.u.values.astype(float).copy()
 
@@ -442,9 +441,9 @@ def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) 
         return w * decay / denom
 
     for _ in range(steps):
-        w = np.fft.ifftn(np.fft.fftn(w) * half).real
+        w = half_ifft(half_fft(w) * heat, g.shape)
         w = react(w)
-        w = np.fft.ifftn(np.fft.fftn(w) * half).real
+        w = half_ifft(half_fft(w) * heat, g.shape)
     return float(np.sum(g.values * (w - 1.0)) * dV)
 
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
+from .grid import full_spectrum, half_fft, half_ifft, half_spectrum
 
 # Equal-time propagator value theta(0); isolated here as a convention.
 THETA0 = 1.0
@@ -58,7 +60,7 @@ class MomentumGrid:
 
     ``Rhat`` must be the transform of a real even (radial) kernel, so it is
     real and even on the grid; ``vhat`` is the transform of a nonnegative
-    initial intensity.
+    initial intensity, so it is Hermitian, vhat(-k) = conj vhat(k).
     """
 
     Rhat: FieldGrid
@@ -77,9 +79,12 @@ class MomentumGrid:
         if np.max(np.abs(np.imag(r))) > 1e-10 * scale:
             raise PerturbError("kernel transform must be real (kernel radial)")
         rr = np.real(r)
-        flip = rr[tuple(np.ix_(*[(-np.arange(n)) % n for n in rr.shape]))]
-        if np.max(np.abs(rr - flip)) > 1e-10 * scale:
+        if np.max(np.abs(rr - _reflect(rr))) > 1e-10 * scale:
             raise PerturbError("kernel transform must be even")
+        v = self.vhat.values
+        scale = max(float(np.max(np.abs(v))), 1.0)
+        if np.max(np.abs(v - np.conj(_reflect(v)))) > 1e-10 * scale:
+            raise PerturbError("intensity transform must be Hermitian (intensity real)")
 
     @property
     def d(self) -> int:
@@ -96,6 +101,11 @@ class MomentumGrid:
     @property
     def dk(self) -> tuple[float, ...]:
         return tuple(2.0 * math.pi / b for b in self.box)
+
+
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """a(-k): every axis index i mapped to -i modulo the axis length."""
+    return a[np.ix_(*[(-np.arange(n)) % n for n in a.shape])]
 
 
 def kernel_field(spec) -> FieldGrid:
@@ -295,23 +305,20 @@ class TimeSeries:
     def final(self) -> FieldGrid:
         return self.fields[-1]
 
-    def csv(self) -> str:
-        """Rows ``t,coordinate...,value`` over all sample points and times."""
+    def csv_chunks(self) -> Iterator[str]:
+        """The csv() table in pieces: the header line, then the rows of one
+        time step each, so a writer never holds the whole table."""
         g = self.fields[0]
         pos = g.rep == POSITION
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
         labels = point_labels(g.axes() if pos else g.kaxes())
-        lines = [f"t,{cols},value"]
+        yield f"t,{cols},value\n"
         for t, f in zip(self.times, self.fields):
-            lines += table_rows(repr(float(t)), labels, np.real(f.values))
-        return "\n".join(lines) + "\n"
+            yield "\n".join(table_rows(repr(float(t)), labels, np.real(f.values))) + "\n"
 
-
-def _collision_hat(xhat: np.ndarray, rhat: np.ndarray, dV: float) -> np.ndarray:
-    """Transform of x (R*x) given the transforms of x and R."""
-    x = np.fft.ifftn(xhat) / dV
-    rx = np.fft.ifftn(rhat * xhat) / dV
-    return np.fft.fftn(x * rx) * dV
+    def csv(self) -> str:
+        """Rows ``t,coordinate...,value`` over all sample points and times."""
+        return "".join(self.csv_chunks())
 
 
 def dyson_tree_density(
@@ -324,18 +331,33 @@ def dyson_tree_density(
     The propagator factorizes as e^{-D(t-s)k^2} = e^{-D dt k^2} e^{-D(t-dt-s)k^2},
     so the trapezoid history sum is carried forward one step at a time: the
     cost is O(steps) in time and O(grid) in history memory.
+
+    The density is real, so the recursion runs on the half spectrum (last
+    axis k >= 0); each step's field is completed to the full spectrum by
+    X(-k) = conj X(k) as it is stored.
     """
     if steps < 1:
         raise PerturbError("steps must be >= 1")
     dt = t_end / steps
-    k2 = grid.Rhat.ksquared()
-    rhat = np.real(grid.Rhat.values)
+    shape = grid.shape
+    k2 = half_spectrum(grid.Rhat.ksquared())
+    rhat = half_spectrum(np.real(grid.Rhat.values))
     dV = grid.Rhat.cell_volume
-    vhat = np.asarray(grid.vhat.values, complex)
+    vhat = half_spectrum(np.asarray(grid.vhat.values, complex))
     step_prop = np.exp(-grid.D * dt * k2)
+    pair = np.empty((2, *vhat.shape), complex)
 
-    xs = [vhat]
-    coll = _collision_hat(vhat, rhat, dV)
+    def collision(xh):
+        """Half spectrum of x (R*x) given that of x: one inverse transform of
+        x and R*x together, one forward transform of their product."""
+        pair[0] = xh
+        np.multiply(rhat, xh, out=pair[1])
+        x, rx = half_ifft(pair, shape)
+        return half_fft(x * rx) / dV
+
+    out = np.empty((steps + 1, *shape), complex)
+    out[0] = grid.vhat.values
+    coll = collision(vhat)
     hist = np.zeros_like(vhat)
     for i in range(1, steps + 1):
         # trapezoid weight 1/2 on the s = 0 end of the history
@@ -344,7 +366,7 @@ def dyson_tree_density(
         # first-order guess for the implicit endpoint term
         x = base - 0.5 * dt * step_prop * coll
         for _ in range(sweeps):
-            xn = base - 0.5 * dt * _collision_hat(x, rhat, dV)
+            xn = base - 0.5 * dt * collision(x)
             corr = float(np.max(np.abs(xn - x)))
             x = xn
             if corr < tol:
@@ -353,10 +375,10 @@ def dyson_tree_density(
             raise NonConvergence(
                 f"fixed point stalled at correction {corr:.3e} (step {i})"
             )
-        coll = _collision_hat(x, rhat, dV)
-        xs.append(x)
+        coll = collision(x)
+        out[i] = full_spectrum(x, shape[-1])
     times = tuple(i * dt for i in range(steps + 1))
-    fields = tuple(FieldGrid(grid.box, x, MOMENTUM) for x in xs)
+    fields = tuple(FieldGrid(grid.box, x, MOMENTUM) for x in out)
     return TimeSeries(times, fields)
 
 
@@ -364,33 +386,34 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     """Integrate dX/dt = D lap X - X (R*X) by Strang splitting.
 
     Diffusion half-steps are exact (spectral); the reaction substep advances
-    the coupled local ODE with classical RK4.
+    the coupled local ODE with classical RK4.  Every transform is of a real
+    field, so all of them run on the half spectrum.
     """
     if steps < 1:
         raise PerturbError("steps must be >= 1")
     g = spec.grid()
-    rhat = np.fft.fftn(kernel_field(spec).values) * g.cell_volume
-    k2 = g.ksquared()
+    shape = g.shape
+    rhat = half_fft(kernel_field(spec).values) * g.cell_volume
     dt = t_end / steps
-    half = np.exp(-spec.D * k2 * dt / 2.0)
+    heat = np.exp(-spec.D * half_spectrum(g.ksquared()) * dt / 2.0)
 
-    def conv(x):
-        return np.real(np.fft.ifftn(rhat * np.fft.fftn(x)))
+    def diffuse_half_step(x):
+        return half_ifft(heat * half_fft(x), shape)
 
     def rhs(x):
-        return -x * conv(x)
+        return -x * half_ifft(rhat * half_fft(x), shape)
 
     x = np.asarray(g.values, float)
     times = [0.0]
     fields = [g]
     for i in range(1, steps + 1):
-        x = np.real(np.fft.ifftn(half * np.fft.fftn(x)))
+        x = diffuse_half_step(x)
         k1 = rhs(x)
-        k2_ = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2_)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
         k4 = rhs(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2_ + 2 * k3 + k4)
-        x = np.real(np.fft.ifftn(half * np.fft.fftn(x)))
+        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = diffuse_half_step(x)
         times.append(i * dt)
         fields.append(g.with_values(x))
     return TimeSeries(tuple(times), tuple(fields))

@@ -486,6 +486,16 @@ class TestPerturb:
         model = write_json(tmp_path / "m.json", model_obj())
         assert main(["perturb", model, "--t-end", "0.1", "--steps", "10"]) == 2
 
+    @pytest.mark.parametrize("method", ["dyson", "meanfield"])
+    def test_stdout_is_the_out_file(self, tmp_path, capsysbinary, method):
+        """Without --out, perturb streams exactly the bytes --out writes."""
+        model = self.annih_model(tmp_path)
+        argv = ["perturb", model, "--t-end", "0.1", "--steps", "10", "--method", method]
+        assert main(argv + ["--out", str(tmp_path / "p.csv")]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == (tmp_path / "p.csv").read_bytes()
+
     @pytest.mark.parametrize("method, t_end, steps, flag", [
         ("meanfield", "-1", "10", "--t-end"), ("meanfield", "nan", "10", "--t-end"),
         ("dyson", "nan", "10", "--t-end"), ("dyson", "inf", "10", "--t-end"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, stats
 
-from rdito.grid import FieldGrid, POSITION
+from rdito.grid import POSITION, FieldGrid, full_spectrum, half_fft, half_ifft, half_spectrum
 from rdito.models import (
     KINDS,
     DegenerateTime,
@@ -72,6 +72,19 @@ class TestFieldGrid:
             assert np.max(np.abs(back.values - g.values)) < 1e-12 * max(
                 1.0, np.max(np.abs(g.values))
             )
+
+    @pytest.mark.parametrize("shape", [(64,), (63,), (1,), (24, 24), (25, 18), (4, 3, 5)])
+    def test_half_spectrum_pair(self, shape):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape)
+        full = np.fft.fftn(x)
+        xh = half_fft(x)
+        assert np.max(np.abs(xh - half_spectrum(full))) < 1e-12
+        assert np.max(np.abs(full_spectrum(xh, shape[-1]) - full)) < 1e-12
+        assert np.max(np.abs(half_ifft(xh, shape) - x)) < 1e-14
+        # a leading axis is a batch of independent fields
+        both = half_ifft(np.stack([xh, 2 * xh]), shape)
+        assert np.max(np.abs(both - np.stack([x, 2 * x]))) < 1e-13
 
     def test_momentum_zero_mode_is_integral(self):
         g = sample_function((10.0,), (64,), lambda x: np.exp(-((x - 5) ** 2)))

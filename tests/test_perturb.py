@@ -73,6 +73,44 @@ def direct_sum_dyson(grid, t_end, steps):
     return np.array(xs)
 
 
+def full_spectrum_mean_field(spec, t_end, steps):
+    """Reference mean-field PDE on full complex spectra (np.fft.fftn/ifftn):
+    the Strang splitting and RK4 of mean_field_pde without the half-spectrum
+    transforms; returns the (steps+1, *grid) position fields."""
+    g = spec.grid()
+    rhat = np.fft.fftn(kernel_field(spec).values) * g.cell_volume
+    dt = t_end / steps
+    heat = np.exp(-spec.D * g.ksquared() * dt / 2.0)
+
+    def diffuse(x):
+        return np.real(np.fft.ifftn(heat * np.fft.fftn(x)))
+
+    def rhs(x):
+        return -x * np.real(np.fft.ifftn(rhat * np.fft.fftn(x)))
+
+    xs = [np.asarray(g.values, float)]
+    for _ in range(steps):
+        x = diffuse(xs[-1])
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        xs.append(diffuse(x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return np.array(xs)
+
+
+def gauss_spec_nd(box, shape, center, D=0.7):
+    """Annihilation spec: kernel of mass 0.8 and width 0.6 at the origin,
+    intensity of mass 8 and width 1 at `center`.  Centred at 0 or L/2 on
+    every axis, the intensity is even on the grid and so is its transform,
+    and a mirror X(-k) = conj X(k) that forgot to negate k would pass; other
+    centres give transforms that are not even."""
+    g = FieldGrid(box, np.zeros(shape), POSITION)
+    R = g.with_values(wrapped_gaussian(g, 0.8, 0.6, [0.0] * len(box)))
+    v = g.with_values(wrapped_gaussian(g, 8.0, 1.0, center))
+    return annih_spec(g, R, v, D)
+
+
 def memory_form_density(spec, t_end, steps):
     """Density under the literal memory-kernel collision term.
 
@@ -379,14 +417,13 @@ class TestDyson:
             im, _ = integrate.quad(lambda s: part(s, False), 0, t, epsabs=1e-13)
             assert abs(first[ik] - (-(re + 1j * im))) < 1e-8
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_direct_history_sum(self, d):
-        """The carried-forward history equals the direct trapezoid sum."""
-        L, n = 10.0, 32 if d == 1 else 12
-        g = FieldGrid((L,) * d, np.zeros((n,) * d), POSITION)
-        R = g.with_values(wrapped_gaussian(g, 0.8, 0.6, [0.0] * d))
-        v = g.with_values(wrapped_gaussian(g, 8.0, 1.0, [5.0] * d))
-        mg = momentum_grid(annih_spec(g, R, v, 0.7))
+    @pytest.mark.parametrize("shape, center", [
+        ((32,), (5.0,)), ((12, 12), (5.0, 5.0)), ((25, 18), (3.7, 6.1)),
+    ], ids=["1", "2", "2-odd"])
+    def test_matches_direct_history_sum(self, shape, center):
+        """The carried-forward history on the half spectrum equals the direct
+        trapezoid sum on full spectra; odd last axes exercise the mirror."""
+        mg = momentum_grid(gauss_spec_nd((10.0,) * len(shape), shape, center))
         got = np.array([f.values for f in dyson_tree_density(mg, 0.4, 200).fields])
         assert np.max(np.abs(got - direct_sum_dyson(mg, 0.4, 200))) <= 1e-12
 
@@ -414,6 +451,15 @@ class TestMeanField:
         k2 = g.ksquared()
         exact = np.real(np.fft.ifftn(np.exp(-1.3 * 0.7 * k2) * np.fft.fftn(v.values)))
         assert np.max(np.abs(series.final.values - exact)) < 1e-10
+
+    @pytest.mark.parametrize("shape, center", [
+        ((64,), (3.7,)), ((63,), (3.7,)), ((24, 24), (2.2, 3.9)), ((25, 18), (2.2, 3.9)),
+    ])
+    def test_matches_full_spectrum_reference(self, shape, center):
+        """The half-spectrum transforms change the fields only at roundoff."""
+        spec = gauss_spec_nd((10.0,) if len(shape) == 1 else (6.0, 6.0), shape, center)
+        got = np.array([f.values for f in mean_field_pde(spec, 0.4, 100).fields])
+        assert np.max(np.abs(got - full_spectrum_mean_field(spec, 0.4, 100))) <= 1e-12
 
     def test_logistic_uniform(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
@@ -486,6 +532,14 @@ class TestPlumbing:
             MomentumGrid(Rhat=odd.to_momentum(), vhat=v.to_momentum(), D=1.0)
         with pytest.raises(PerturbError):
             MomentumGrid(Rhat=R.to_momentum(), vhat=v, D=1.0)
+
+    def test_non_hermitian_intensity_rejected(self):
+        """The transform of a complex intensity is not Hermitian; the
+        half-spectrum solver would silently drop its anti-Hermitian part."""
+        g, R, v = gauss_fields()
+        vhat = np.fft.fftn(v.values + 1j * R.values) * g.cell_volume
+        with pytest.raises(PerturbError, match="Hermitian"):
+            MomentumGrid(Rhat=R.to_momentum(), vhat=FieldGrid(g.box, vhat, MOMENTUM), D=1.0)
 
     def test_kernel_field_from_spec(self):
         g, R, v = gauss_fields()
