@@ -69,8 +69,8 @@ class RegionMismatch(AlgebraError):
 FULL = "full"
 INF = "inf"
 
-# Cap on brute-force canonical relabelling; above this terms are labelled by
-# first appearance only (sums stay correct, merging may be incomplete).
+# Cap on brute-force canonical relabelling (7! orders above it); derive_table
+# needs at most 4 bound variables.
 _MAX_PERM_VARS = 6
 
 
@@ -261,40 +261,22 @@ def canonical_term(t: OperatorTerm) -> OperatorTerm:
     expression merging is a dictionary lookup.
     """
     bvars = [v for v, _, _ in t.bound]
-    if len(bvars) <= _MAX_PERM_VARS:
-        best = None
-        for perm in itertools.permutations(range(len(bvars))):
-            subs = {bvars[i]: f".{perm[i]}" for i in range(len(bvars))}
-            cand = t.rename(subs)
-            cand = OperatorTerm(
-                CoeffKernel(cand.coeff.numeric, cand.coeff.canonical_factors()),
-                _sorted_ops(cand.ops),
-                tuple(sorted(cand.bound)),
-            )
-            k = _canonical_key(cand)
-            if best is None or k < best[0]:
-                best = (k, cand)
-        return best[1]
-    # fallback: first-appearance labelling
-    ordered = _sorted_ops(t.ops)
-    seen: list[str] = []
-    for op in ordered:
-        if op.var in bvars and op.var not in seen:
-            seen.append(op.var)
-    for _, args in t.coeff.factors:
-        for v in args:
-            if v in bvars and v not in seen:
-                seen.append(v)
-    for v in bvars:
-        if v not in seen:
-            seen.append(v)
-    subs = {v: f".{i}" for i, v in enumerate(seen)}
-    out = t.rename(subs)
-    return OperatorTerm(
-        CoeffKernel(out.coeff.numeric, out.coeff.canonical_factors()),
-        _sorted_ops(out.ops),
-        tuple(sorted(out.bound)),
-    )
+    if len(bvars) > _MAX_PERM_VARS:
+        raise AlgebraError(f"term has {len(bvars)} bound variables; canonical "
+                           f"relabelling is limited to {_MAX_PERM_VARS}")
+    best = None
+    for perm in itertools.permutations(range(len(bvars))):
+        subs = {bvars[i]: f".{perm[i]}" for i in range(len(bvars))}
+        cand = t.rename(subs)
+        cand = OperatorTerm(
+            CoeffKernel(cand.coeff.numeric, cand.coeff.canonical_factors()),
+            _sorted_ops(cand.ops),
+            tuple(sorted(cand.bound)),
+        )
+        k = _canonical_key(cand)
+        if best is None or k < best[0]:
+            best = (k, cand)
+    return best[1]
 
 
 class OperatorExpr:

@@ -338,6 +338,8 @@ def cmd_perturb(args) -> int:
     model_text, spec = _load_model(args.model)
     if spec.kind != "Annihilation":
         raise UsageError(f"perturb needs an Annihilation model, got {spec.kind}")
+    if "R" not in spec.rates:
+        raise UsageError(f"perturb needs the reaction kernel, rate 'R', in {args.model}")
     try:
         if args.method == "dyson":
             series = perturb.dyson_tree_density(

@@ -204,8 +204,9 @@ class ModelSpec:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if not (math.isfinite(self.D) and self.D >= 0):
             raise ModelError(f"D must be finite and >= 0, got {self.D}")
-        if self.vb is not None and self.kind != "ConvertAB":
-            raise ModelError(f"initial intensity vb is for ConvertAB only, not {self.kind}")
+        if self.vb is not None and not KINDS[self.kind].converts:
+            kinds = ", ".join(k for k, c in KINDS.items() if c.converts)
+            raise ModelError(f"initial intensity vb is for {kinds} only, not {self.kind}")
         for name, f in (("v", self.v), ("vb", self.vb)):
             if f is not None and not _finite_nonneg(getattr(f, "values", f)):
                 raise ModelError(f"initial intensity {name} must be finite and >= 0")
@@ -229,32 +230,27 @@ class ModelSpec:
     def from_json(cls, text: str) -> "ModelSpec":
         obj = json.loads(text)
         kind = obj["kind"]
+        rates = {k: Rate.from_json(rv) for k, rv in obj.get("rates", {}).items()}
         if kind == "DiscreteDeath":
-            return cls(
-                kind=kind,
-                box=(),
-                D=0.0,
-                rates={k: Rate.from_json(v) for k, v in obj.get("rates", {}).items()},
-                v=float(obj["v"]),
-            )
-        box = tuple(float(b) for b in obj["box"])
-        if not all(math.isfinite(b) and b > 0 for b in box):
-            raise ModelError(f"box lengths must be finite and > 0, got {obj['box']!r}")
-        shape = tuple(as_int(n, "shape entry") for n in obj["shape"])
-        if min(shape, default=1) < 1:
-            raise ModelError(f"shape entries must be >= 1, got {obj['shape']!r}")
-        if len(box) != int(obj.get("d", len(box))):
-            raise ModelError("d does not match box length")
-        v = _field_from_json(obj["v"], box, shape)
-        vb = _field_from_json(obj["vb"], box, shape) if "vb" in obj else None
-        return cls(
-            kind=kind,
-            box=box,
-            D=float(obj.get("D", 0.0)),
-            rates={k: Rate.from_json(rv) for k, rv in obj.get("rates", {}).items()},
-            v=v,
-            vb=vb,
-        )
+            spec = cls(kind=kind, box=(), D=0.0, rates=rates, v=float(obj["v"]))
+        else:
+            box = tuple(float(b) for b in obj["box"])
+            if not all(math.isfinite(b) and b > 0 for b in box):
+                raise ModelError(f"box lengths must be finite and > 0, got {obj['box']!r}")
+            shape = tuple(as_int(n, "shape entry") for n in obj["shape"])
+            if min(shape, default=1) < 1:
+                raise ModelError(f"shape entries must be >= 1, got {obj['shape']!r}")
+            if len(box) != int(obj.get("d", len(box))):
+                raise ModelError("d does not match box length")
+            vb = _field_from_json(obj["vb"], box, shape) if "vb" in obj else None
+            spec = cls(kind=kind, box=box, D=float(obj.get("D", 0.0)), rates=rates,
+                       v=_field_from_json(obj["v"], box, shape), vb=vb)
+        names = [name for name, _ in KINDS[kind].reactions]
+        optional = KINDS[kind].optional
+        if not set(names) - set(optional) <= set(rates) <= set(names):
+            raise ModelError(f"model {kind} takes rates {names} ({list(optional) or 'none'} "
+                             f"optional), got {sorted(rates)}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -392,15 +388,6 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
-def _e1_symbol(h: np.ndarray, t: float) -> np.ndarray:
-    """e1(H, t) = H^{-1}(e^{-tH} - 1) on the spectral symbol; -t at H=0."""
-    out = np.empty_like(h, dtype=float)
-    small = np.abs(h) < 1e-12
-    hs = np.where(small, 1.0, h)
-    out = (np.exp(-t * hs) - 1.0) / hs
-    return np.where(small, -t, out)
-
-
 def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) -> float:
     """Normalized log GF for A -> A+A with diffusion.
 
@@ -448,7 +435,7 @@ def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) 
 
 
 def brownian_tree_density(spec: ModelSpec, t: float, kmax: int = 500) -> FieldGrid:
-    """X = sum_k (k+1) e^{-tH} (-mu e1(mu,t))^k v, H = mu - D Lap.
+    """X = sum_k (k+1) e^{-tH} (1 - e^{-mu t})^k v, H = mu - D Lap.
 
     The k-th term is the contribution of lineages with exactly k fission
     events: the geometric birth-count weight e^{-mu t}(1-e^{-mu t})^k is
@@ -461,7 +448,7 @@ def brownian_tree_density(spec: ModelSpec, t: float, kmax: int = 500) -> FieldGr
     if spec.D == 0:
         return g.with_values(g.values * math.exp(mu * t))
     base = diffuse(g, spec.D, t).values * math.exp(-mu * t)
-    ratio = -mu * _e1_symbol(np.array(mu), t)  # = 1 - e^{-mu t}
+    ratio = -math.expm1(-mu * t)
     if ratio >= 1:
         raise SeriesDivergence("geometric ratio >= 1")
     total = np.zeros(g.shape)
@@ -590,28 +577,44 @@ def discrete_death_mean(v: float, mu: float, t: float) -> float:
 
 
 class Kind(NamedTuple):
-    """A model kind's closed forms, None where it has none: density(spec, t)
-    and log_gf(spec, u, t), the normalized log GF at test function u."""
+    """A model kind: its closed forms density(spec, t) and log_gf(spec, u, t),
+    the normalized log GF at test function u, None where it has none; its
+    reactions, (rate name, event) pairs in the order simulate.step applies
+    them, each on species A: "death" A -> 0, "branching" A -> A + A,
+    "conversion" A -> B, "immigration" 0 -> A, "pair" A + A -> 0; and the
+    rates a model file may leave out."""
 
     density: Callable | None
     log_gf: Callable | None
+    reactions: tuple
+    optional: tuple = ()
+
+    @property
+    def converts(self) -> bool:
+        return any(event == "conversion" for _, event in self.reactions)
 
 
 # Every model kind ModelSpec accepts.  Each entry looks its function up in
 # this module when it is called, so a wrapper installed on the module
-# attribute (perfbench/spans.py times calls that way) sees every call.
+# attribute (perfbench/spans.py times calls that way) sees every call.  An
+# absent BirthDeathTimeDep rate is 0; the Annihilation Monte Carlo takes its
+# kernel from the simulation config, so only `perturb` needs R.
 KINDS = {
     "DeathDiffusion": Kind(lambda s, t: death_diffusion_density(s, t),
-                           lambda s, u, t: death_diffusion_log_gf(s, GFQuery(u, t))),
+                           lambda s, u, t: death_diffusion_log_gf(s, GFQuery(u, t)),
+                           (("mu", "death"),)),
     "BrownianTree": Kind(lambda s, t: brownian_tree_density(s, t),
-                         lambda s, u, t: brownian_tree_log_gf(s, GFQuery(u, t))),
-    "ConvertAB": Kind(lambda s, t: convert_ab_densities(s, t), None),
-    "SpontBirth": Kind(lambda s, t: spont_birth_density(s, t), None),
-    "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None),
+                         lambda s, u, t: brownian_tree_log_gf(s, GFQuery(u, t)),
+                         (("mu", "branching"),)),
+    "ConvertAB": Kind(lambda s, t: convert_ab_densities(s, t), None, (("mu", "conversion"),)),
+    "SpontBirth": Kind(lambda s, t: spont_birth_density(s, t), None, (("mu", "immigration"),)),
+    "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None,
+                              (("nu", "death"), ("mu", "immigration")), ("nu", "mu")),
     "DiscreteDeath": Kind(
         lambda s, t: discrete_death_mean(s.v, s.rate("mu").const, t),
-        lambda s, u, t: discrete_death_log_gf(s.v, s.rate("mu").const, t, u)),
-    "Annihilation": Kind(None, None),
+        lambda s, u, t: discrete_death_log_gf(s.v, s.rate("mu").const, t, u),
+        (("mu", "death"),)),
+    "Annihilation": Kind(None, None, (("R", "pair"),), ("R",)),
 }
 
 

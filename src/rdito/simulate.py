@@ -1,11 +1,14 @@
 """Particle-based Monte Carlo for the local models and A+A -> phi.
 
 Independent replicas of an interacting particle system on the torus:
-Gaussian diffusion steps, unary reactions by thinning against rate * dt,
-spontaneous births from an intensity field, and pairwise annihilation with a
-radial kernel.  Replicas are batched into chunks; each chunk owns an rng
-seeded from (seed, chunk index), so results are independent of the thread
-schedule and bit-identical across runs.
+Gaussian diffusion steps, then the reactions of the model kind
+(models.KINDS).  A unary event fires within a step with the exact
+probability 1 - exp(-integral of its rate over the step) (Gillespie's
+waiting-time law); spontaneous births are Poisson with the exact integral
+of the intensity; A+A pairs react through a radial kernel.  Replicas are
+batched into chunks; each chunk owns an rng seeded from (seed, chunk
+index), so results are independent of the thread schedule and
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import ModelSpec, Rate, as_int
+from .models import KINDS, ModelSpec, Rate, as_int
 
 MAX_EVENT_PROB = 0.1
+_ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
 
 
 class SimError(Exception):
@@ -210,13 +214,14 @@ def _cell_index(ens: ParticleEnsemble, grid: FieldGrid):
     )
 
 
-def _rate_at(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float):
-    """Per-particle rate value (nearest-cell lookup for spatial tables)."""
-    base = rate.const * rate.temporal(t)
+def _event_prob(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float, dt: float):
+    """Probability 1 - exp(-integral of the rate over [t, t + dt]) that a
+    particle's event fires within the step: per particle from its cell
+    (nearest-cell lookup) for a spatial table, else one scalar."""
+    hazard = rate.const * rate.temporal_integral(t, t + dt)
     if rate.table is None:
-        return np.full(ens.n, base)
-    tab = np.asarray(rate.table, float)
-    return base * tab[_cell_index(ens, grid)]
+        return -math.expm1(-hazard)
+    return -np.expm1(-hazard * np.asarray(rate.table, float)[_cell_index(ens, grid)])
 
 
 def _check_prob(p, what: str) -> None:
@@ -272,9 +277,13 @@ def _candidate_pairs(ens: ParticleEnsemble, cutoff: float):
     return order[a[sel]], order[b[sel]]
 
 
-def _annihilation_step(ens: ParticleEnsemble, kernel: RadialKernel, dt, rng) -> None:
+def _pair(ens, grid, rate, t, sim, rng) -> None:
     """Pairwise A+A -> phi: each candidate pair dies with probability
-    R(|p-q|) dt, drawn in pair order; the first live pair of a particle wins."""
+    R(|p-q|) dt, R the sim config's kernel, drawn in pair order; the first
+    live pair of a particle wins."""
+    kernel, dt = sim.kernel, sim.dt
+    if kernel is None:
+        raise SimError("Annihilation model needs a SimConfig kernel")
     _check_prob(kernel.peak * dt, "annihilation")
     pi, pj = _candidate_pairs(ens, kernel.cutoff)
     if len(pi) == 0:
@@ -288,13 +297,45 @@ def _annihilation_step(ens: ParticleEnsemble, kernel: RadialKernel, dt, rng) -> 
     ens.select(alive)
 
 
+def _death(ens, grid, rate, t, sim, rng) -> None:
+    p = _event_prob(rate, ens, grid, t, sim.dt)
+    _check_prob(p, "death")
+    ens.select(rng.random(ens.n) >= p)
+
+
+def _branching(ens, grid, rate, t, sim, rng) -> None:
+    """Each particle leaves Geometric(1 - p) - 1 offspring at its place: the
+    Yule law of one ancestor over the step."""
+    p = _event_prob(rate, ens, grid, t, sim.dt)
+    _check_prob(p, "branching")
+    kids = np.repeat(np.arange(ens.n), rng.geometric(1.0 - p, size=ens.n) - 1)
+    ens.append(ens.positions[kids], ens.species[kids], ens.replica[kids])
+
+
+def _conversion(ens, grid, rate, t, sim, rng) -> None:
+    """A -> B; B (species 1) does not react, so its cells do not bound dt."""
+    p = np.where(ens.species == 0, _event_prob(rate, ens, grid, t, sim.dt), 0.0)
+    _check_prob(p, "conversion")
+    ens.species = np.where(rng.random(ens.n) < p, 1, ens.species)
+
+
+def _immigration(ens, grid, rate, t, sim, rng) -> None:
+    profile = np.broadcast_to(rate.spatial(grid.shape), grid.shape)
+    lam = float(np.sum(profile) * grid.cell_volume) * rate.temporal_integral(t, t + sim.dt)
+    if lam > 0:
+        _add_poisson(ens, grid, profile, lam, 0, rng)
+
+
+_MOVES = {"death": _death, "branching": _branching, "conversion": _conversion,
+          "immigration": _immigration, "pair": _pair}
+
+
 def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
-    """Advance the ensemble by one time step dt (in place)."""
+    """Advance the ensemble by one time step dt (in place): diffusion, then
+    the model kind's reactions in table order."""
     dt = sim.dt
     g = spec.grid()
     t = ens.time
-    kind = spec.kind
-    # diffusion
     if spec.D > 0 and ens.n:
         pos = ens.positions + rng.normal(
             0.0, math.sqrt(2 * spec.D * dt), size=ens.positions.shape
@@ -302,36 +343,10 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
         box = np.asarray(ens.box)
         pos -= box * np.floor(pos / box)
         ens.positions = pos
-    if kind == "DeathDiffusion":
-        p = _rate_at(spec.rate("mu"), ens, g, t) * dt
-        _check_prob(p, "death")
-        ens.select(rng.random(ens.n) >= p)
-    elif kind == "BrownianTree":
-        p = _rate_at(spec.rate("mu"), ens, g, t) * dt
-        _check_prob(p, "birth")
-        born = rng.random(ens.n) < p
-        ens.append(ens.positions[born], ens.species[born], ens.replica[born])
-    elif kind == "ConvertAB":
-        isa = ens.species == 0
-        p = _rate_at(spec.rate("mu"), ens, g, t) * dt
-        _check_prob(p[isa] if np.any(isa) else 0.0, "conversion")
-        flip = isa & (rng.random(ens.n) < p)
-        ens.species = np.where(flip, 1, ens.species)
-    elif kind in ("SpontBirth", "BirthDeathTimeDep"):
-        if kind == "BirthDeathTimeDep" and "nu" in spec.rates:
-            p = _rate_at(spec.rates["nu"], ens, g, t) * dt
-            _check_prob(p, "death")
-            ens.select(rng.random(ens.n) >= p)
-        mu = spec.rates.get("mu")
-        if mu is not None:
-            profile = np.broadcast_to(mu.spatial(g.shape), g.shape)
-            lam = float(np.sum(profile) * g.cell_volume) * mu.temporal(t) * dt
-            if lam > 0:
-                _add_poisson(ens, g, profile, lam, 0, rng)
-    elif kind == "Annihilation":
-        if sim.kernel is None:
-            raise SimError("Annihilation model needs a SimConfig kernel")
-        _annihilation_step(ens, sim.kernel, dt, rng)
+    kind = KINDS[spec.kind]
+    for name, event in kind.reactions:
+        rate = spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)
+        _MOVES[event](ens, g, rate, t, sim, rng)
     ens.time = t + dt
 
 
@@ -354,10 +369,8 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
     flat = np.ravel_multi_index(_cell_index(ens, g), g.shape)
     key = ens.replica * ncells + flat
     stats = {}
-    for s in (0, 1):
+    for s in (0, 1) if KINDS[spec.kind].converts else (0,):
         sel = ens.species == s
-        if s == 1 and not np.any(sel) and spec.kind != "ConvertAB":
-            continue
         stats[f"counts{s}"] = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
     n_per_rep = np.bincount(ens.replica, minlength=nrep)
     stats["N"] = n_per_rep.astype(float)
@@ -406,16 +419,13 @@ def run(
         added in chunk order (a scalar tally gives floats, a cell tally arrays)."""
         s = s2 = 0.0
         for res in results:
-            if key in res:
-                s += res[key][0]
-                s2 += res[key][1]
+            s += res[key][0]
+            s2 += res[key][1]
         mean = s / R
         se = np.sqrt(np.maximum(s2 / R - mean ** 2, 0.0) / max(R - 1, 1))
         return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
 
-    for s in (0, 1):
-        if not any(f"counts{s}" in res for res in results):
-            continue
+    for s in (0, 1) if KINDS[spec.kind].converts else (0,):
         mean, se = reduce(f"counts{s}")
         name = "density" if s == 0 else "density_b"
         fields[name] = FieldGrid(g.box, (mean / dV).reshape(g.shape), POSITION)

@@ -11,6 +11,7 @@ from rdito.algebra import (
     OperatorExpr,
     OperatorTerm,
     UnboundVariable,
+    _MAX_PERM_VARS,
     _apply_matching,
     a,
     adag,
@@ -380,3 +381,16 @@ class TestScalarEvaluation:
         p = ito_product(fam("A").instance(["f"]), fam("Adag").instance(["g"]))
         with pytest.raises(AlgebraError):
             evaluate_scalar(p, {"f": 1.0})
+
+
+def test_canonical_term_refuses_more_bound_variables_than_it_permutes():
+    """Past _MAX_PERM_VARS the old first-appearance labelling was not
+    canonical: with 7 bound variables, expr(t) - expr(t renamed) kept 2 terms
+    and was not zero.  Such a term is refused rather than merged wrongly."""
+    names = [f"p{i}" for i in range(_MAX_PERM_VARS + 1)]
+    t = term([adag(v) for v in names], bound=[(v, FULL, v) for v in names])
+    with pytest.raises(AlgebraError, match="bound variables"):
+        expr(t)
+    six = names[:-1]
+    t6 = term([adag(v) for v in six], bound=[(v, FULL, v) for v in six])
+    assert (expr(t6) - expr(t6.rename(dict(zip(six, six[3:] + six[:3]))))).is_zero()

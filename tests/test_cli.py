@@ -206,6 +206,23 @@ class TestDensity:
         assert len(errors) == 4 and all(e.startswith("error: ") and flag in e for e in errors)
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("kind, rates", [
+        ("BirthDeathTimeDep", {"mu": 1.0, "Nu": 5.0}), ("DeathDiffusion", {}),
+        ("DeathDiffusion", {"mu": 1.0, "nu": 1.0}), ("SpontBirth", {}), ("ConvertAB", {}),
+    ])
+    def test_rates_the_kind_does_not_take_usage_exit(self, tmp_path, capsys, kind, rates):
+        """A BirthDeathTimeDep "Nu" was dropped without a word, so density read
+        v + mu t and simulate ran without deaths, both with exit 0; simulate on
+        a DeathDiffusion without rates exited 4 (`internal error: ModelError`)."""
+        model = write_json(tmp_path / "m.json",
+                           model_obj(kind, rates=rates, v={"expr": "uniform", "const": 1.0}))
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        for argv in (["density", model, "--t", "1.0"],
+                     ["simulate", model, sim, "--t-end", "0.1", "--out", str(tmp_path / "x")]):
+            assert main(argv) == 2
+            assert f"model {kind} takes rates" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
     def test_cell_average_of_tabulated_rate_usage_exit(self, tmp_path, capsys):
         """--cell-average refines the grid, which a rate table cannot follow."""
         model = write_json(tmp_path / "m.json", model_obj(
@@ -525,6 +542,16 @@ class TestPerturb:
                 manifests.append(m)
         assert manifests[:2] == manifests[2:]
 
+    @pytest.mark.parametrize("method", ["dyson", "meanfield"])
+    def test_missing_kernel_usage_exit(self, tmp_path, capsys, method):
+        """An Annihilation model may leave R out, since its Monte Carlo takes
+        the kernel from the sim config; perturb then exited 4 on a ModelError."""
+        model = write_json(tmp_path / "m.json", model_obj(
+            "Annihilation", rates={}, v={"expr": "uniform", "const": 1.5}))
+        assert main(["perturb", model, "--t-end", "0.1", "--steps", "10",
+                     "--method", method]) == 2
+        assert "rate 'R'" in one_line_error(capsys)
+
     def test_nonconvergence_runtime_exit(self, tmp_path, capsys):
         model = write_json(
             tmp_path / "m.json",
@@ -659,6 +686,22 @@ def test_image_sum_returns_on_kernels_far_narrower_or_wider_than_the_box(tmp_pat
     narrow, narrow_sum, wide = res.stdout.split("\n")[:3]
     assert (narrow, narrow_sum) == ("0.0", "[0.0, 0.0]")
     assert float(wide) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_readme_model_example_is_a_valid_model(tmp_path, capsys):
+    """The README's model file example once had a field spec `density`
+    refused with exit 2; its t = 0 density holds the stated mass."""
+    blocks = re.findall(r"```json\n(.*?)```", (SRC.parent / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    obj = json.loads(blocks[0])
+    model = tmp_path / "m.json"
+    model.write_text(blocks[0])
+    assert main(["density", str(model), "--t", "0.0", "0.5"]) == 0
+    values = [float(ln.split(",")[-1]) for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("0.0,")]
+    dx = obj["box"][0] / obj["shape"][0]
+    assert len(values) == obj["shape"][0]
+    assert sum(values) * dx == pytest.approx(obj["v"]["mass"], rel=1e-10)
 
 
 def test_no_scipy_on_the_startup_path(tmp_path):
