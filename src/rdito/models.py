@@ -210,6 +210,15 @@ class ModelSpec:
         for name, f in (("v", self.v), ("vb", self.vb)):
             if f is not None and not _finite_nonneg(getattr(f, "values", f)):
                 raise ModelError(f"initial intensity {name} must be finite and >= 0")
+        shape = self.v.shape if isinstance(self.v, FieldGrid) else None
+        for name, r in self.rates.items():
+            if r.table is None:
+                continue
+            if shape is None:
+                raise ModelError(f"rate {name!r} has a table, but a {self.kind} model has no grid")
+            if np.shape(r.table) != shape:
+                raise ModelError(
+                    f"rate {name!r} table shape {np.shape(r.table)} != grid {shape}")
 
     @property
     def d(self) -> int:
@@ -230,7 +239,10 @@ class ModelSpec:
     def from_json(cls, text: str) -> "ModelSpec":
         obj = json.loads(text)
         kind = obj["kind"]
-        rates = {k: Rate.from_json(rv) for k, rv in obj.get("rates", {}).items()}
+        rates = obj.get("rates", {})
+        if not isinstance(rates, dict):
+            raise ModelError(f"rates must be an object of named rates, got {json.dumps(rates)}")
+        rates = {k: Rate.from_json(rv) for k, rv in rates.items()}
         if kind == "DiscreteDeath":
             spec = cls(kind=kind, box=(), D=0.0, rates=rates, v=float(obj["v"]))
         else:

@@ -2,7 +2,14 @@
 
 Independent replicas of an interacting particle system on the torus:
 Gaussian diffusion steps, then the reactions of the model kind
-(models.KINDS).  A unary event fires within a step with the exact
+(models.KINDS).  A step only accrues its diffusion variance 2 D dt; the
+displacement is drawn for every particle at once when positions are next
+read (by a spatial rate table, the A+A pair search, branching, immigration
+or the end-of-run estimators; see ParticleEnsemble), which is the same law.
+Annihilation and tabulated-rate runs read every step and draw as they did
+when each step drew; the seeded outputs of constant-rate DeathDiffusion,
+ConvertAB, BrownianTree, SpontBirth and BirthDeathTimeDep runs changed when
+the draw was deferred.  A unary event fires within a step with the exact
 probability 1 - exp(-integral of its rate over the step) (Gillespie's
 waiting-time law); spontaneous births are Poisson with the exact integral
 of the intensity; A+A pairs react through a radial kernel.  Replicas are
@@ -113,27 +120,46 @@ class SimConfig:
 
 @dataclass
 class ParticleEnsemble:
-    """Batched particle state across a chunk of replicas."""
+    """Batched particle state across a chunk of replicas.
+
+    Diffusion is drawn when positions are read, not when it happens: every
+    particle carries the same accrued but undrawn Gaussian variance per axis,
+    `pending`.  Brownian increments compose, so the first read of `positions`
+    draws it all at once with `rng` and wraps onto the torus; `n` and
+    `select` work on the undrawn array.  `append` reads first, so newborns
+    never inherit displacement they did not have."""
 
     box: tuple[float, ...]
-    positions: np.ndarray  # (n, d)
+    _positions: np.ndarray  # (n, d), `pending` not yet drawn
     species: np.ndarray  # (n,)
     replica: np.ndarray  # (n,)
     nreplicas: int
     time: float = 0.0
+    rng: np.random.Generator | None = None
+    pending: float = 0.0
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self.pending:
+            pos = self._positions + self.rng.normal(
+                0.0, math.sqrt(self.pending), size=self._positions.shape)
+            box = np.asarray(self.box)
+            pos -= box * np.floor(pos / box)
+            self._positions, self.pending = pos, 0.0
+        return self._positions
 
     @property
     def n(self) -> int:
-        return len(self.positions)
+        return len(self._positions)
 
     def select(self, keep: np.ndarray) -> None:
         idx = np.flatnonzero(keep)
-        self.positions = self.positions.take(idx, axis=0)
+        self._positions = self._positions.take(idx, axis=0)
         self.species = self.species.take(idx)
         self.replica = self.replica.take(idx)
 
     def append(self, positions, species, replica) -> None:
-        self.positions = np.concatenate([self.positions, positions])
+        self._positions = np.concatenate([self.positions, positions])
         self.species = np.concatenate([self.species, species])
         self.replica = np.concatenate([self.replica, replica])
 
@@ -197,10 +223,11 @@ def _add_poisson(ens: ParticleEnsemble, grid: FieldGrid, weights: np.ndarray, me
 
 
 def sample_initial(spec: ModelSpec, rng, replicas: int = 1) -> ParticleEnsemble:
-    """Poisson(integral v) particles per replica, i.i.d. with density v (vb: species 1)."""
+    """Poisson(integral v) particles per replica, i.i.d. with density v (vb:
+    species 1); the ensemble draws its diffusion with the same `rng`."""
     g = spec.grid()
     empty = np.zeros(0, dtype=np.int64)
-    ens = ParticleEnsemble(g.box, np.zeros((0, g.dim)), empty, empty, replicas)
+    ens = ParticleEnsemble(g.box, np.zeros((0, g.dim)), empty, empty, replicas, rng=rng)
     _add_poisson(ens, g, g.values * g.cell_volume, g.integral(), 0, rng)
     if spec.vb is not None:
         _add_poisson(ens, g, spec.vb.values * g.cell_volume, spec.vb.integral(), 1, rng)
@@ -331,18 +358,13 @@ _MOVES = {"death": _death, "branching": _branching, "conversion": _conversion,
 
 
 def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
-    """Advance the ensemble by one time step dt (in place): diffusion, then
-    the model kind's reactions in table order."""
+    """Advance the ensemble by one time step dt (in place): diffusion (its
+    variance accrued, drawn at the next read of positions), then the model
+    kind's reactions in table order."""
     dt = sim.dt
     g = spec.grid()
     t = ens.time
-    if spec.D > 0 and ens.n:
-        pos = ens.positions + rng.normal(
-            0.0, math.sqrt(2 * spec.D * dt), size=ens.positions.shape
-        )
-        box = np.asarray(ens.box)
-        pos -= box * np.floor(pos / box)
-        ens.positions = pos
+    ens.pending += 2 * spec.D * dt
     kind = KINDS[spec.kind]
     for name, event in kind.reactions:
         rate = spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)

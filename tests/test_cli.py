@@ -223,6 +223,40 @@ class TestDensity:
             assert f"model {kind} takes rates" in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("rates", [[1.0], None], ids=["list", "null"])
+    def test_rates_not_an_object_usage_exit(self, tmp_path, capsys, rates):
+        """A list or null "rates" ended in `internal error: AttributeError`."""
+        model = write_json(tmp_path / "m.json", model_obj(rates=rates))
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert f"rates must be an object of named rates, got {json.dumps(rates)}" in \
+            one_line_error(capsys)
+
+    @pytest.mark.parametrize("kind, cmd, cells", [
+        ("DeathDiffusion", "simulate", 16), ("DeathDiffusion", "simulate", 4),
+        ("ConvertAB", "density", 4),
+    ])
+    def test_rate_table_of_the_wrong_shape_usage_exit(self, tmp_path, capsys, kind, cmd, cells):
+        """On an 8-cell grid a 16-entry mu table ran on its first 8 entries with
+        exit 0, a 4-entry one ended in an IndexError from the step and, for
+        ConvertAB density, a broadcast ValueError (both exit 4)."""
+        obj = {**model_obj(kind, rates={"mu": {"table": [1.0] * cells}},
+                           v={"expr": "uniform", "const": 1.0}), "shape": [8]}
+        model = write_json(tmp_path / "m.json", obj)
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        argv = {"density": ["density", model, "--t", "0.1"],
+                "simulate": ["simulate", model, sim, "--t-end", "0.1",
+                             "--out", str(tmp_path / "x")]}[cmd]
+        assert main(argv) == 2
+        assert f"rate 'mu' table shape ({cells},) != grid (8,)" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
+    def test_rate_table_on_discrete_death_usage_exit(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", {
+            "kind": "DiscreteDeath", "rates": {"mu": {"const": 2.0, "table": [1.0]}}, "v": 3.0})
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert "rate 'mu' has a table, but a DiscreteDeath model has no grid" in \
+            one_line_error(capsys)
+
     def test_cell_average_of_tabulated_rate_usage_exit(self, tmp_path, capsys):
         """--cell-average refines the grid, which a rate table cannot follow."""
         model = write_json(tmp_path / "m.json", model_obj(

@@ -16,6 +16,7 @@ from rdito.models import (
     birth_death_timedep_density,
     density,
     brownian_tree_density,
+    brownian_tree_log_gf,
     convert_ab_densities,
     death_diffusion_density,
     death_diffusion_log_gf,
@@ -182,16 +183,59 @@ class TestStep:
         box = (10.0, 4.0)
         v = FieldGrid(box, np.full((16, 8), 50.0), POSITION)
         D, dt = 20000.0, 0.01
-        spec = ModelSpec("DeathDiffusion", box, D, {"mu": Rate(const=1e-6)}, v)
+        # a tabulated mu reads positions first, so the step's first draw is the noise
+        spec = ModelSpec("DeathDiffusion", box, D,
+                         {"mu": Rate(const=1e-6, table=tuple(map(tuple, np.ones((16, 8)))))}, v)
         rng = np.random.default_rng(11)
         ens = sample_initial(spec, rng)
         shadow = np.random.default_rng()
         shadow.bit_generator.state = rng.bit_generator.state
         noise = shadow.normal(0.0, math.sqrt(2 * D * dt), size=ens.positions.shape)
         assert np.mean(np.abs(noise) > np.asarray(box)) > 0.5
+        start = ens.positions.copy()
         step(ens, spec, SimConfig(dt=dt, replicas=1, seed=0), rng)
+        assert np.allclose(ens.positions, (start + noise) % np.asarray(box))
         assert ens.n > 0
         assert np.all(ens.positions >= 0.0) and np.all(ens.positions <= np.asarray(box))
+
+
+class TestDeferredDiffusion:
+    """A step accrues its diffusion variance; the first read of positions
+    draws it (see ParticleEnsemble)."""
+
+    def spec(self, D=0.5):
+        return ModelSpec("DeathDiffusion", (L,), D, {"mu": Rate(const=0.0)},
+                         make_grid(np.full(N, 50_000 / L)))
+
+    def test_a_second_read_draws_nothing(self):
+        spec = self.spec()
+        rng = np.random.default_rng(17)
+        ens = sample_initial(spec, rng)
+        for _ in range(3):
+            step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
+        before = rng.bit_generator.state
+        first = ens.positions.copy()
+        drawn = rng.bit_generator.state
+        assert drawn != before
+        assert np.array_equal(ens.positions, first)
+        assert rng.bit_generator.state == drawn
+
+    @pytest.mark.parametrize("read_every_step", [True, False])
+    def test_msd_does_not_depend_on_when_positions_are_read(self, read_every_step):
+        D, dt, steps = 0.5, 0.01, 20
+        spec = self.spec(D)
+        rng = np.random.default_rng(19)
+        ens = sample_initial(spec, rng)
+        start = ens.positions.copy()
+        sim = SimConfig(dt=dt, replicas=1, seed=0)
+        for _ in range(steps):
+            step(ens, spec, sim, rng)
+            if read_every_step:
+                assert ens.positions.shape == start.shape
+        dx = ens.positions - start
+        dx -= L * np.round(dx / L)
+        se = float(np.std(dx ** 2, ddof=1) / math.sqrt(ens.n))
+        assert abs(float(np.mean(dx ** 2)) - 2 * D * dt * steps) < 3 * se
 
 
 class TestRun:
@@ -335,6 +379,17 @@ class TestRun:
         assert np.mean(np.abs(z) > 3) <= 0.02
         m, s = rep.scalars["N"]
         assert abs(m - brownian_tree_density(spec, t).integral()) < 3 * s
+
+    def test_brownian_tree_gf_matches_closed_form(self):
+        """Offspring share their parent's displacement up to the branching;
+        drawn at a read after it, siblings would move independently, which
+        leaves the density as it is but moves this GF by about 10 SE."""
+        spec = gauss_spec(kind="BrownianTree", mu=2.0, D=1.0, mass=2.0)
+        t = 0.5
+        u = make_grid(np.where(np.abs(make_grid().axes()[0] - L / 2) < 1.0, 0.2, 1.0))
+        rep = run(spec, SimConfig(dt=0.01, replicas=30_000, seed=1, chunk=4096), t, u=u)
+        mean, se = rep.scalars["gf"]
+        assert abs(mean - math.exp(brownian_tree_log_gf(spec, GFQuery(u=u, t=t)))) < 4 * se
 
     def test_convert_ab(self):
         g = make_grid()
