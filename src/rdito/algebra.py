@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "AlgebraError",
@@ -45,7 +45,7 @@ __all__ = [
     "derive_table",
     "doi_shift",
     "evaluate_scalar",
-    "STANDARD_FAMILIES",
+    "MAX_OPS",
     "make_family",
 ]
 
@@ -68,6 +68,9 @@ class RegionMismatch(AlgebraError):
 
 FULL = "full"
 INF = "inf"
+
+# Cap on the operators in one term that normal ordering will expand.
+MAX_OPS = 16
 
 # Cap on brute-force canonical relabelling (7! orders above it); derive_table
 # needs at most 4 bound variables.
@@ -469,7 +472,7 @@ def simplify(e: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(t for t in e.terms if not _vanishes_by_parts(t))
 
 
-def normal_order(e: OperatorExpr, max_ops: int = 16, free: Iterable[str] | None = None) -> OperatorExpr:
+def normal_order(e: OperatorExpr, free: Iterable[str] | None = None) -> OperatorExpr:
     """Sum of normal-ordered terms over all Wick contraction choices.
 
     Equals the input under the canonical commutation relations: each
@@ -480,9 +483,9 @@ def normal_order(e: OperatorExpr, max_ops: int = 16, free: Iterable[str] | None 
     for t in e.terms:
         if free is not None:
             t.validate(free)
-        if len(t.ops) > max_ops:
+        if len(t.ops) > MAX_OPS:
             raise ContractionOverflow(
-                f"term has {len(t.ops)} operators (cap {max_ops})"
+                f"term has {len(t.ops)} operators (cap {MAX_OPS})"
             )
         for m in _matchings(_contractible_pairs(t)):
             out.append(_apply_matching(t, m))
@@ -498,26 +501,12 @@ def count_contractions(t: OperatorTerm) -> int:
 # Ito products
 # ---------------------------------------------------------------------------
 
-_FRESH = itertools.count()
-
-
-def _freshen(e: OperatorExpr) -> list[OperatorTerm]:
-    # raw terms, not an OperatorExpr: the expression constructor would
-    # re-canonicalize the bound names and undo the freshening
-    out = []
-    for t in e.terms:
-        subs = {v: f"w{next(_FRESH)}" for v, _, _ in t.bound}
-        out.append(t.rename(subs))
-    return out
-
 
 def _base_order(e: OperatorExpr) -> int:
     return min(t.order() for t in e.terms)
 
 
-def ito_product(
-    x: OperatorExpr, y: OperatorExpr, *, on_distinct: str = "zero", max_ops: int = 16
-) -> OperatorExpr:
+def ito_product(x: OperatorExpr, y: OperatorExpr, *, on_distinct: str = "zero") -> OperatorExpr:
     """Leading-order product of two differentials on one infinitesimal box.
 
     The operands are multiplied exactly as written (the right operand's
@@ -540,13 +529,14 @@ def ito_product(
             raise RegionMismatch(f"distinct regions {sorted(sx)} vs {sorted(sy)}")
         return OperatorExpr()
     base = _base_order(x) + _base_order(y)
-    yf = _freshen(y)
-    xf = _freshen(x)
-    prods = []
-    for tx in xf:
-        for ty in yf:
-            prods.append(OperatorTerm(tx.coeff * ty.coeff, tx.ops + ty.ops, tx.bound + ty.bound))
-    no = normal_order(OperatorExpr(prods), max_ops=max_ops)
+    # both operands are canonical, their bound variables named .0, .1, ...;
+    # priming the right operand's names keeps them apart from the left's
+    yp = [ty.rename({v: v + "'" for v, _, _ in ty.bound}) for ty in y.terms]
+    prods = [
+        OperatorTerm(tx.coeff * ty.coeff, tx.ops + ty.ops, tx.bound + ty.bound)
+        for tx in x.terms for ty in yp
+    ]
+    no = normal_order(OperatorExpr(prods))
     if no.is_zero():
         return no
     m = min(t.order() for t in no.terms)
@@ -560,241 +550,121 @@ def ito_product(
 # ---------------------------------------------------------------------------
 
 
+# name -> (arity, terms): each term is (numeric, ops), each op is (dagger,
+# species, variable index); _Ci and _Ai create and annihilate species 0 on
+# variable i.  An instance binds every variable on one infinitesimal box
+# and puts each kernel over all of them.  B(m) is the B entry with its
+# creator raised to the m-th power.
+_C0, _C1, _A0, _A1 = (True, 0, 0), (True, 0, 1), (False, 0, 0), (False, 0, 1)
+_FAMILIES = {
+    "A": (1, ((1, (_A0,)),)),
+    "Adag": (1, ((1, (_C0,)),)),
+    "Lambda": (1, ((1, (_C0, _A0)),)),
+    "dt": (0, ((1, ()),)),
+    "B": (1, ((1, (_C0, _A0)),)),
+    "Xi": (1, ((Fraction(1, 2), (_C0, _C1, _A0, _A1)),)),
+    "Omega": (1, ((1, (_C0, _A0, _A1)),)),
+    "M": (1, ((1, ((True, 1, 0), _A0)),)),
+    "X": (1, ((1, (_C0,)), (-1, ()))),
+    "Y": (1, ((1, (_A0,)), (-1, (_C0, _A0)))),
+}
+
+
 @dataclass(frozen=True)
 class NoiseFamily:
-    """A named differential family; ``build`` instantiates the template with
-    concrete kernel symbol names on an infinitesimal box ``site``."""
+    """A named differential family, as one ``_FAMILIES`` template."""
 
     name: str
     arity: int
-    build: Callable[[Sequence[str], str], OperatorExpr] = field(compare=False)
+    terms: tuple  # ((numeric, ((dagger, species, variable index), ...)), ...)
     param: int | None = None  # creator multiplicity for the B family
 
+    @property
+    def label(self) -> str:
+        return self.name if self.param is None else f"{self.name}({self.param})"
+
     def instance(self, kernels: Sequence[str] = (), site: str = "p") -> OperatorExpr:
+        """The template with concrete kernel symbol names on the
+        infinitesimal box ``site``."""
         if len(kernels) != self.arity:
             raise AlgebraError(
                 f"{self.name} expects {self.arity} kernel(s), got {len(kernels)}"
             )
-        return self.build(tuple(kernels), site)
-
-
-def _v(site: str, i: int) -> str:
-    return f"{site}{i}"
-
-
-def _fam_A(k, site):
-    v = _v(site, 0)
-    return expr(term([a(v)], factors=[(k[0], [v])], bound=[(v, INF, site)]))
-
-
-def _fam_Adag(k, site):
-    v = _v(site, 0)
-    return expr(term([adag(v)], factors=[(k[0], [v])], bound=[(v, INF, site)]))
-
-
-def _fam_Lambda(k, site):
-    v = _v(site, 0)
-    return expr(term([adag(v), a(v)], factors=[(k[0], [v])], bound=[(v, INF, site)]))
-
-
-def _fam_dt(k, site):
-    v = _v(site, 0)
-    return expr(term([], bound=[(v, INF, site)]))
-
-
-def _fam_B(m: int):
-    def build(k, site):
-        v = _v(site, 0)
-        return expr(
-            term([adag(v)] * m + [a(v)], factors=[(k[0], [v])], bound=[(v, INF, site)])
-        )
-
-    return build
-
-
-def _fam_Xi(k, site):
-    v0, v1 = _v(site, 0), _v(site, 1)
-    return expr(
-        term(
-            [adag(v0), adag(v1), a(v0), a(v1)],
-            numeric=Fraction(1, 2),
-            factors=[(k[0], [v0, v1])],
-            bound=[(v0, INF, site), (v1, INF, site)],
-        )
-    )
-
-
-def _fam_Omega(k, site):
-    v0, v1 = _v(site, 0), _v(site, 1)
-    return expr(
-        term(
-            [adag(v0), a(v0), a(v1)],
-            factors=[(k[0], [v0, v1])],
-            bound=[(v0, INF, site), (v1, INF, site)],
-        )
-    )
-
-
-def _fam_M(k, site):
-    v = _v(site, 0)
-    return expr(
-        term([adag(v, species=1), a(v, species=0)], factors=[(k[0], [v])], bound=[(v, INF, site)])
-    )
-
-
-def _fam_X(k, site):
-    v = _v(site, 0)
-    return expr(
-        term([adag(v)], factors=[(k[0], [v])], bound=[(v, INF, site)]),
-        term([], numeric=-1, factors=[(k[0], [v])], bound=[(v, INF, site)]),
-    )
-
-
-def _fam_Y(k, site):
-    v = _v(site, 0)
-    return expr(
-        term([a(v)], factors=[(k[0], [v])], bound=[(v, INF, site)]),
-        term([adag(v), a(v)], numeric=-1, factors=[(k[0], [v])], bound=[(v, INF, site)]),
-    )
+        n = 1 + max((i for _, ops in self.terms for _, _, i in ops), default=0)
+        vs = [f"{site}{i}" for i in range(n)]
+        return expr(*(
+            term([FieldOp(d, sp, vs[i]) for d, sp, i in ops], numeric=c,
+                 factors=[(k, vs) for k in kernels], bound=[(v, INF, site) for v in vs])
+            for c, ops in self.terms
+        ))
 
 
 def make_family(name: str, param: int | None = None) -> NoiseFamily:
     """Look up a standard family by name; ``B`` takes the creator power."""
+    if name not in _FAMILIES:
+        raise AlgebraError(f"unknown noise family {name!r}")
+    arity, terms = _FAMILIES[name]
     if name == "B":
         if param is None or param < 1:
             raise AlgebraError("family B requires a positive creator power")
-        return NoiseFamily("B", 1, _fam_B(param), param=param)
-    builders = {
-        "A": (1, _fam_A),
-        "Adag": (1, _fam_Adag),
-        "Lambda": (1, _fam_Lambda),
-        "dt": (0, _fam_dt),
-        "Xi": (1, _fam_Xi),
-        "Omega": (1, _fam_Omega),
-        "M": (1, _fam_M),
-        "X": (1, _fam_X),
-        "Y": (1, _fam_Y),
-    }
-    if name not in builders:
-        raise AlgebraError(f"unknown noise family {name!r}")
-    arity, build = builders[name]
-    return NoiseFamily(name, arity, build)
-
-
-STANDARD_FAMILIES = ("A", "Adag", "Lambda", "dt", "B", "Xi", "Omega", "M", "X", "Y")
+        ((c, (create, *rest)),) = terms
+        terms = ((c, (create,) * param + tuple(rest)),)
+    return NoiseFamily(name, arity, terms, param)
 
 
 @dataclass(frozen=True)
 class TableEntry:
     kind: str  # "zero" | "scalar_dt" | "family" | "unrecognized"
-    family: str | None = None
-    param: int | None = None
+    fam: NoiseFamily | None = None  # the recognized family
     scale: Fraction = Fraction(1)
     kernels: tuple[str, ...] = ()
     raw: OperatorExpr | None = None
 
+    @property
+    def family(self) -> str | None:
+        return self.fam.name if self.fam else None
+
     def render(self) -> str:
+        pre = "" if self.scale == 1 else f"{self.scale}*"
         if self.kind == "zero":
             return "0"
         if self.kind == "scalar_dt":
-            pre = "" if self.scale == 1 else f"{self.scale}*"
             return f"{pre}<{','.join(self.kernels)}> dt"
         if self.kind == "family":
-            pre = "" if self.scale == 1 else f"{self.scale}*"
-            name = self.family if self.param is None else f"{self.family}({self.param})"
-            ker = "".join(self.kernels)
-            return f"{pre}d{name}[{ker}]"
+            return f"{pre}d{self.fam.label}[{''.join(self.kernels)}]"
         return f"?[{self.raw}]"
 
 
-def _match_instance(result: OperatorExpr, fam: NoiseFamily, params: Iterable[int]):
-    """Try to read ``result`` as scale * fam_{kernel product}; returns
-    (param, scale, kernels) or None."""
-    for param in params:
-        f = fam if fam.name != "B" else make_family("B", param)
-        slot = "?slot"
-        templ = f.instance([slot] * f.arity, site="p") if f.arity else f.instance((), site="p")
-        if len(templ.terms) != len(result.terms) or not result.terms:
-            continue
-        # both sides are canonical; pair terms in order and solve for the
-        # common scale and kernel product substituted into the slot
-        scale = None
-        kernels: tuple[str, ...] | None = None
-        ok = True
-        for tt, rt in zip(templ.terms, result.terms):
-            if len(tt.ops) != len(rt.ops) or tt.bound != rt.bound:
-                ok = False
-                break
-            if any(
-                (o1.dagger, o1.species, o1.var) != (o2.dagger, o2.species, o2.var)
-                for o1, o2 in zip(tt.ops, rt.ops)
-            ):
-                ok = False
-                break
-            # template factors: slot occurrences plus fixed ones (none fixed
-            # in the standard families)
-            slot_args = [args for n, args in tt.coeff.factors if n == slot]
-            if len(slot_args) != f.arity and f.arity > 0:
-                ok = False
-                break
-            if f.arity == 0:
-                if rt.coeff.factors:
-                    ok = False
-                    break
-                ks: tuple[str, ...] = ()
-            else:
-                args = slot_args[0]
-                if any(set(a2) != set(args) for n2, a2 in rt.coeff.factors):
-                    ok = False
-                    break
-                ks = tuple(n2 for n2, _ in rt.coeff.factors)
-            sc = rt.coeff.numeric / tt.coeff.numeric
-            if scale is None:
-                scale, kernels = sc, ks
-            elif scale != sc or kernels != ks:
-                ok = False
-                break
-        if ok and scale is not None:
-            return param, scale, kernels
-    return None
+def _match(result: OperatorExpr, family: NoiseFamily) -> TableEntry | None:
+    """``result`` read as scale * family[kernels], or None.
 
-
-def _recognize(result: OperatorExpr, families: Sequence[NoiseFamily]) -> TableEntry:
-    if result.is_zero():
-        return TableEntry("zero")
-    # pure scalar-dt form: single term, no operators, one infinitesimal var
-    if (
-        len(result.terms) == 1
-        and not result.terms[0].ops
-        and result.terms[0].order() == 1
-        and result.terms[0].coeff.factors
-    ):
-        t = result.terms[0]
-        return TableEntry(
-            "scalar_dt",
-            scale=t.coeff.numeric,
-            kernels=tuple(n for n, _ in t.coeff.factors),
-        )
-    seen = set()
-    cands: list[NoiseFamily] = []
-    for f in families:
-        if f.name not in seen:
-            seen.add(f.name)
-            cands.append(f)
-    max_creators = max((sum(op.dagger for op in t.ops) for t in result.terms), default=0)
-    for f in cands:
-        params = range(1, max_creators + 1) if f.name == "B" else [None]
-        got = _match_instance(result, f, params)
-        if got:
-            param, scale, kernels = got
-            return TableEntry(
-                "family",
-                family=f.name,
-                param=param if f.name == "B" else None,
-                scale=scale,
-                kernels=kernels,
-            )
-    return TableEntry("unrecognized", raw=result)
+    Both sides are canonical, so the family's placeholder-kernel instance is
+    paired with the result term by term: the operators and bound variables
+    agree, every result factor lies on the placeholder's arguments, and all
+    terms share one scale and one tuple of kernel names.  B(m) has one term
+    with m creators, so B is tried only at the power that can match: the
+    result's largest creator count.
+    """
+    if family.name == "B":
+        m = max(sum(op.dagger for op in t.ops) for t in result.terms)
+        if m < 1:
+            return None
+        family = make_family("B", m)
+    templ = family.instance(["?slot"] * family.arity)
+    if len(templ.terms) != len(result.terms):
+        return None
+    reads = set()
+    for tt, rt in zip(templ.terms, result.terms):
+        args = {v for _, vs in tt.coeff.factors for v in vs}
+        if tt.ops != rt.ops or tt.bound != rt.bound or any(
+            set(vs) != args for _, vs in rt.coeff.factors
+        ):
+            return None
+        reads.add((rt.coeff.numeric / tt.coeff.numeric, tuple(n for n, _ in rt.coeff.factors)))
+    if len(reads) != 1:
+        return None
+    ((scale, kernels),) = reads
+    return TableEntry("family", family, scale, kernels)
 
 
 @dataclass(frozen=True)
@@ -808,11 +678,8 @@ class ItoTable:
                 return e
         raise KeyError((row, col))
 
-    def _label(self, f: NoiseFamily) -> str:
-        return f.name if f.param is None else f"{f.name}({f.param})"
-
     def render_text(self) -> str:
-        labels = [self._label(f) for f in self.families]
+        labels = [f.label for f in self.families]
         cells = {
             (r, c): e.render() for (r, c), e in self.entries
         }
@@ -829,7 +696,7 @@ class ItoTable:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        labels = [self._label(f) for f in self.families]
+        labels = [f.label for f in self.families]
         data = {
             "families": labels,
             "entries": [
@@ -845,17 +712,28 @@ class ItoTable:
 
 def derive_table(families: Sequence[NoiseFamily]) -> ItoTable:
     """Pairwise Ito products of fresh instances, recognized back into family
-    instances where possible.  Row kernels are named F, column kernels G."""
+    instances where possible.  Row kernels are named F, column kernels G.
+
+    A product of one infinitesimal variable, no operators and a kernel
+    product is a scalar dt; otherwise the first family given under each name
+    is tried, in order, and the first that matches names the product."""
+    firsts: dict[str, NoiseFamily] = {}
+    for f in families:
+        firsts.setdefault(f.name, f)
     entries = []
     for fr in families:
         for fc in families:
-            x = fr.instance(["F"] * fr.arity, site="p")
-            y = fc.instance(["G"] * fc.arity, site="p")
-            prod = ito_product(x, y)
-            e = _recognize(prod, list(families))
-            rl = fr.name if fr.param is None else f"{fr.name}({fr.param})"
-            cl = fc.name if fc.param is None else f"{fc.name}({fc.param})"
-            entries.append(((rl, cl), e))
+            prod = ito_product(fr.instance(["F"] * fr.arity), fc.instance(["G"] * fc.arity))
+            t = prod.terms[0] if len(prod.terms) == 1 else None
+            if prod.is_zero():
+                e = TableEntry("zero")
+            elif t and not t.ops and t.order() == 1 and t.coeff.factors:
+                e = TableEntry("scalar_dt", scale=t.coeff.numeric,
+                               kernels=tuple(n for n, _ in t.coeff.factors))
+            else:
+                e = next(filter(None, (_match(prod, f) for f in firsts.values())),
+                         TableEntry("unrecognized", raw=prod))
+            entries.append(((fr.label, fc.label), e))
     return ItoTable(tuple(families), tuple(entries))
 
 

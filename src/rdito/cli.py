@@ -140,11 +140,21 @@ def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# every table holds B(m)·B(m), which has 2m + 2 operators
+_MAX_B = (algebra.MAX_OPS - 2) // 2
+
+
 def _parse_family(name: str) -> algebra.NoiseFamily:
     base = name
     param = None
-    if name.startswith("B") and name[1:].isdigit():
-        base, param = "B", int(name[1:])
+    if name.startswith("B") and name[1:].isdecimal():
+        # checked before B(m) is built with its m operators, and on the digit
+        # count first, so that no m is too long for int()
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_B)) or int(digits) > _MAX_B:
+            raise UsageError(f"family B<m> takes m <= {_MAX_B}: B(m)*B(m) has 2m + 2 "
+                             f"operators and the cap is {algebra.MAX_OPS}")
+        base, param = "B", int(digits)
     try:
         return algebra.make_family(base, param)
     except algebra.AlgebraError as e:
@@ -492,7 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dt = sub.add_parser("derive-table", parents=[common],
                         help="derive an Ito product table for noise families")
     dt.add_argument("families", nargs="+",
-                    help="family names (A, Adag, Lambda, dt, B<m>, Xi, Omega, M, X, Y)")
+                    help="family names (" + ", ".join(
+                        "B<m>" if n == "B" else n for n in algebra._FAMILIES) + ")")
     dt.add_argument("--allow-unrecognized", action="store_true")
     dt.set_defaults(fn=cmd_derive_table)
 

@@ -299,6 +299,25 @@ class TestTables:
         yy = table.entry("Y", "Y")
         assert (yy.family, yy.scale) == ("Y", Fraction(-1))
 
+    def test_omega_and_xi_against_b(self):
+        """Products no other test reaches; in each the two-point kernel of
+        Omega or Xi is read on the diagonal, F(p,p), as F."""
+        table = derive_table([fam("Lambda"), fam("Omega"), fam("Xi"), fam("B", 2), fam("B", 3)])
+        # a_x and a_y of Omega each contract with one of the two a+_z of B(2),
+        # in 2 ways, leaving a+ a: a Lambda
+        assert table.entry("Omega", "B(2)").render() == "2*dLambda[FG]"
+        # the same two annihilators take two of the three a+_z in 3*2 ways
+        assert table.entry("Omega", "B(3)").render() == "6*dB(2)[FG]"
+        # 1/2 from Xi times the 2 ways to pair a_x, a_y with the a+_z a+_z
+        assert table.entry("Xi", "B(2)").render() == "dB(2)[FG]"
+
+    def test_equal_differentials_take_the_first_name_given(self):
+        # B(1) = Lambda: the product reads as whichever was listed first
+        lam = derive_table([fam("Lambda"), fam("B", 1)])
+        assert lam.entry("Lambda", "Lambda").render() == "dLambda[FG]"
+        b1 = derive_table([fam("B", 1), fam("Lambda")])
+        assert b1.entry("Lambda", "Lambda").render() == "dB(1)[FG]"
+
     def test_idempotent_rederivation(self):
         fams = [fam("Lambda"), fam("A"), fam("Adag"), fam("dt")]
         t1 = derive_table(fams)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, artifacts, manifests."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -86,6 +87,37 @@ class TestDeriveTable:
     def test_stdout_when_no_out(self, capsys):
         assert main(["derive-table", "A", "Adag"]) == 0
         assert "dAdag" in capsys.readouterr().out
+
+    def test_all_families_output_is_pinned(self, tmp_path):
+        """SHA-256 of both tables for every family, as recorded from the
+        per-family builders that the template table replaced."""
+        out = tmp_path / "all"
+        names = ["A", "Adag", "Lambda", "dt", "B1", "B2", "B3", "Xi", "Omega", "M", "X", "Y"]
+        assert main(["derive-table", *names, "--allow-unrecognized", "--out", str(out)]) == 0
+        digests = {sfx: hashlib.sha256((tmp_path / f"all{sfx}").read_bytes()).hexdigest()
+                   for sfx in (".txt", ".json")}
+        assert digests == {
+            ".txt": "51d68c31ab39741eae98e8ae092926816d85fc83e40434d098b4ab36bf10345a",
+            ".json": "a23bb14be1b938bd4d8d01ba401272b524fa25dda87eeda80086e5fedb837ca7",
+        }
+
+    @pytest.mark.parametrize("name", ["B8", "B1000", "B99999999", "B" + "9" * 5000],
+                             ids=["B8", "B1000", "B99999999", "B-5000-digits"])
+    def test_b_past_the_operator_cap_usage_exit(self, capsys, name):
+        # B(m)·B(m) has 2m + 2 operators: m = 8 is past the cap of 16
+        assert main(["derive-table", name]) == 2
+        assert f"the cap is {algebra.MAX_OPS}" in one_line_error(capsys)
+
+    def test_b_with_a_digit_that_is_not_decimal_usage_exit(self, capsys):
+        # "²".isdigit() holds, but int("²") raises
+        assert main(["derive-table", "B²"]) == 2
+        assert "unknown noise family" in one_line_error(capsys)
+
+    def test_largest_b_under_the_cap(self, capsys):
+        assert main(["derive-table", "B7"]) == 0
+        # B(m)·B(n) = n dB(m+n-1): each creator of the right B may take the
+        # annihilator of the left one
+        assert "7*dB(13)[FG]" in capsys.readouterr().out
 
 
 class TestDensity:
