@@ -1,8 +1,9 @@
 """Command-line entry point tying the toolkit together.
 
 Subcommands: derive-table, density, gf, fn, simulate, perturb, compare.
-Exit codes: 0 success, 1 comparison failure, 2 usage/config error, 3 runtime
-model error, 4 internal error (any other exception, reported on one line).
+Exit codes, set by `main` alone: 0 success, 1 comparison failure, 2 usage error
+or a model that cannot answer the command, 3 runtime model error, 4 any other
+exception (an internal error, reported on one line).
 With --out, every output is written atomically (temp file + rename) and
 accompanied by a run manifest with the resolved configuration, seed, tool
 version, wall-clock time and output digests; without it, the output goes to
@@ -34,10 +35,6 @@ EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
-    pass
-
-
-class RuntimeModelError(Exception):
     pass
 
 
@@ -85,7 +82,8 @@ def write_manifest(base: str, command: str, config: dict, seed, outputs) -> str:
     return path
 
 
-def _read_json_file(path: str, label: str) -> str:
+def _load(path: str, label: str, parse=models.ModelSpec.from_json):
+    """A JSON input file's text and what `parse` makes of it; UsageError if either fails."""
     try:
         with open(path) as f:
             text = f.read()
@@ -97,16 +95,10 @@ def _read_json_file(path: str, label: str) -> str:
         raise UsageError(
             f"malformed JSON in {label} {path}: line {e.lineno} column {e.colno}: {e.msg}"
         )
-    return text
-
-
-def _load_model(path: str) -> tuple[str, models.ModelSpec]:
-    """The model file's text and the spec parsed from it."""
-    text = _read_json_file(path, "model config")
     try:
-        return text, models.ModelSpec.from_json(text)
-    except (models.ModelError, KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"invalid model config {path}: {e}")
+        return text, parse(text)
+    except (models.ModelError, simulate.SimError, KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"invalid {label} {path}: {e}")
 
 
 def _check_times(flag: str, times, positive: bool = False) -> None:
@@ -215,26 +207,23 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
 
 def cmd_density(args) -> int:
     _check_times("--t", args.t)
-    model_text, spec = _load_model(args.model)
-    try:
-        if args.cell_average:
-            text = _cell_averaged_csv(model_text, spec, args.t, args.refine)
-        else:
-            text = models.density_csv(spec, args.t)
-    except models.ModelError as e:
-        raise RuntimeModelError(str(e))
+    model_text, spec = _load(args.model, "model config")
+    if args.cell_average:
+        text = _cell_averaged_csv(model_text, spec, args.t, args.refine)
+    else:
+        text = models.density_csv(spec, args.t)
     _emit(args, "density", {"model": json.loads(model_text), "t": args.t}, {"": text})
     return EXIT_OK
 
 
 def _test_function(spec: models.ModelSpec, text: str | None):
-    if spec.kind == "DiscreteDeath":
+    if not isinstance(spec.v, models.FieldGrid):
         try:
             u = float(text) if text is not None else 1.0
         except ValueError:
-            raise UsageError(f"--u for DiscreteDeath must be a number, got {text!r}")
+            raise UsageError(f"--u for {spec.kind} must be a number, got {text!r}")
         if not math.isfinite(u):
-            raise UsageError(f"--u for DiscreteDeath must be finite, got {text!r}")
+            raise UsageError(f"--u for {spec.kind} must be finite, got {text!r}")
         return u
     g = spec.grid()
     if text is None:
@@ -254,15 +243,10 @@ def _test_function(spec: models.ModelSpec, text: str | None):
 
 def cmd_gf(args) -> int:
     _check_times("--t", args.t)
-    model_text, spec = _load_model(args.model)
+    model_text, spec = _load(args.model, "model config")
+    log_gf = models.closed_form(spec, "log_gf")
     u = _test_function(spec, args.u)
-    log_gf = models.KINDS[spec.kind].log_gf
-    if log_gf is None:
-        raise UsageError(f"no generating functional for kind {spec.kind}")
-    try:
-        rows = [f"{float(t)!r},{float(log_gf(spec, u, t))!r}" for t in args.t]
-    except models.ModelError as e:
-        raise RuntimeModelError(str(e))
+    rows = [f"{float(t)!r},{float(log_gf(spec, u, t))!r}" for t in args.t]
     _emit(args, "gf", {"model": json.loads(model_text), "t": args.t, "u": args.u},
           {"": "\n".join(["t,log_gf"] + rows) + "\n"})
     return EXIT_OK
@@ -286,17 +270,10 @@ def _parse_points(text: str, d: int) -> list[list[float]]:
 
 def cmd_fn(args) -> int:
     _check_times("--t", args.t)
-    model_text, spec = _load_model(args.model)
-    if spec.kind != "DeathDiffusion":
-        raise UsageError(f"n-point density is implemented for DeathDiffusion, not {spec.kind}")
+    model_text, spec = _load(args.model, "model config")
+    fn = models.closed_form(spec, "fn")
     points = _parse_points(args.points, spec.d)
-    lines = ["t,value"]
-    try:
-        for t in args.t:
-            val = models.death_diffusion_fn(spec, points, t)
-            lines.append(f"{float(t)!r},{float(val)!r}")
-    except models.ModelError as e:
-        raise RuntimeModelError(str(e))
+    lines = ["t,value"] + [f"{float(t)!r},{float(fn(spec, points, t))!r}" for t in args.t]
     _emit(args, "fn", {"model": json.loads(model_text), "t": args.t, "points": args.points},
           {"": "\n".join(lines) + "\n"})
     return EXIT_OK
@@ -308,28 +285,23 @@ def cmd_fn(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.out is None:
+        raise UsageError("simulate requires --out")
     _check_times("--t-end", [args.t_end])
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    model_text, spec = _load_model(args.model)
-    if spec.kind == "DiscreteDeath":
-        raise UsageError("DiscreteDeath is non-spatial; simulate needs a grid model")
-    sim_text = _read_json_file(args.sim, "simulation config")
-    try:
-        sim = simulate.SimConfig.from_json(sim_text)
-        if args.seed is not None:
-            sim = dataclasses.replace(sim, seed=args.seed)
-        sim.check_box(spec.box)
-    except (simulate.SimError, KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"invalid simulation config {args.sim}: {e}")
+    model_text, spec = _load(args.model, "model config")
+
+    def parse_sim(text):
+        sim = simulate.SimConfig.from_json(text)
+        return sim if args.seed is None else dataclasses.replace(sim, seed=args.seed)
+
+    sim_text, sim = _load(args.sim, "simulation config", parse_sim)
     steps = args.t_end / sim.dt
     if not math.isclose(steps, round(steps), rel_tol=1e-9):
         raise UsageError(f"--t-end {args.t_end} is not a whole number of dt = {sim.dt} steps")
     u = _test_function(spec, args.u) if args.u else None
-    try:
-        report = simulate.run(spec, sim, args.t_end, u=u, threads=args.threads)
-    except simulate.SimError as e:
-        raise RuntimeModelError(str(e))
+    report = simulate.run(spec, sim, args.t_end, u=u, threads=args.threads)
     _emit(
         args,
         "simulate",
@@ -345,20 +317,14 @@ def cmd_perturb(args) -> int:
     _check_times("--t-end", [args.t_end], positive=True)
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    model_text, spec = _load_model(args.model)
-    if spec.kind != "Annihilation":
-        raise UsageError(f"perturb needs an Annihilation model, got {spec.kind}")
-    if "R" not in spec.rates:
-        raise UsageError(f"perturb needs the reaction kernel, rate 'R', in {args.model}")
-    try:
-        if args.method == "dyson":
-            series = perturb.dyson_tree_density(
-                perturb.momentum_grid(spec), args.t_end, args.steps
-            )
-        else:
-            series = perturb.mean_field_pde(spec, args.t_end, args.steps)
-    except perturb.PerturbError as e:
-        raise RuntimeModelError(str(e))
+    model_text, spec = _load(args.model, "model config")
+    if not models.KINDS[spec.kind].pairs:
+        kinds = ", ".join(k for k, c in models.KINDS.items() if c.pairs)
+        raise UsageError(f"perturb needs a model with a pair reaction ({kinds}), got {spec.kind}")
+    if args.method == "dyson":
+        series = perturb.dyson_tree_density(perturb.momentum_grid(spec), args.t_end, args.steps)
+    else:
+        series = perturb.mean_field_pde(spec, args.t_end, args.steps)
     _emit(args, "perturb",
           {"model": json.loads(model_text), "t_end": args.t_end, "steps": args.steps,
            "method": args.method},
@@ -567,15 +533,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fn", None) is cmd_simulate and args.out is None:
-        print("error: simulate requires --out", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, models.Unsupported) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeModelError as e:
+    except (models.ModelError, simulate.SimError, perturb.PerturbError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as e:

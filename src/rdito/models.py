@@ -27,7 +27,11 @@ class DegenerateTime(ModelError):
     pass
 
 
-class NonconstantRate(ModelError):
+class Unsupported(ModelError):
+    """The model cannot answer: no such closed form, or its assumptions fail."""
+
+
+class NonconstantRate(Unsupported):
     pass
 
 
@@ -227,7 +231,7 @@ class ModelSpec:
     def rate(self, name: str) -> Rate:
         r = self.rates.get(name)
         if r is None:
-            raise ModelError(f"model {self.kind} needs rate {name!r}")
+            raise Unsupported(f"model {self.kind} needs rate {name!r}")
         return r
 
     def grid(self) -> FieldGrid:
@@ -247,8 +251,8 @@ class ModelSpec:
             spec = cls(kind=kind, box=(), D=0.0, rates=rates, v=float(obj["v"]))
         else:
             box = tuple(float(b) for b in obj["box"])
-            if not all(math.isfinite(b) and b > 0 for b in box):
-                raise ModelError(f"box lengths must be finite and > 0, got {obj['box']!r}")
+            if not box or not all(math.isfinite(b) and b > 0 for b in box):
+                raise ModelError(f"box must hold lengths finite and > 0, got {obj['box']!r}")
             shape = tuple(as_int(n, "shape entry") for n in obj["shape"])
             if min(shape, default=1) < 1:
                 raise ModelError(f"shape entries must be >= 1, got {obj['shape']!r}")
@@ -322,6 +326,13 @@ def _const_rate(spec: ModelSpec, name: str) -> float:
     if not r.is_const:
         raise NonconstantRate(f"{spec.kind} closed form needs constant {name}")
     return r.const
+
+
+def _static_grid(spec: ModelSpec) -> FieldGrid:
+    """The grid of a model whose closed form leaves diffusion out."""
+    if spec.D != 0:
+        raise Unsupported(f"{spec.kind} closed form holds at D = 0 only, got D = {spec.D}")
+    return spec.grid()
 
 
 def death_diffusion_density(spec: ModelSpec, t: float) -> FieldGrid:
@@ -446,7 +457,10 @@ def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) 
     return float(np.sum(g.values * (w - 1.0)) * dV)
 
 
-def brownian_tree_density(spec: ModelSpec, t: float, kmax: int = 500) -> FieldGrid:
+_SERIES_TERMS = 500  # most terms of the brownian_tree_density series
+
+
+def brownian_tree_density(spec: ModelSpec, t: float) -> FieldGrid:
     """X = sum_k (k+1) e^{-tH} (1 - e^{-mu t})^k v, H = mu - D Lap.
 
     The k-th term is the contribution of lineages with exactly k fission
@@ -465,14 +479,14 @@ def brownian_tree_density(spec: ModelSpec, t: float, kmax: int = 500) -> FieldGr
         raise SeriesDivergence("geometric ratio >= 1")
     total = np.zeros(g.shape)
     term = base
-    for k in range(kmax + 1):
+    for k in range(_SERIES_TERMS + 1):
         add = (k + 1) * term
         total = total + add
         if np.max(np.abs(add)) < 1e-12 * max(float(np.max(np.abs(total))), 1e-300):
             break
         term = term * ratio
     else:
-        raise SeriesDivergence(f"no convergence in {kmax} terms", partial=total)
+        raise SeriesDivergence(f"no convergence in {_SERIES_TERMS} terms", partial=total)
     return g.with_values(total)
 
 
@@ -482,11 +496,11 @@ def brownian_tree_density(spec: ModelSpec, t: float, kmax: int = 500) -> FieldGr
 
 
 def convert_ab_densities(spec: ModelSpec, t: float) -> tuple[FieldGrid, FieldGrid]:
-    """X_a = v_a e^{-mu(p) t}; X_b = v_b + v_a (1 - e^{-mu(p) t})."""
-    g = spec.grid()
-    mu = spec.rate("mu").spatial(g.shape)
+    """X_a = v_a e^{-M}; X_b = v_b + v_a (1 - e^{-M}), M(p) = int_0^t mu(p, s) ds."""
+    g = _static_grid(spec)
+    mu = spec.rate("mu")
     vb = spec.vb.values if spec.vb is not None else np.zeros(g.shape)
-    decay = np.exp(-mu * t)
+    decay = np.exp(-mu.spatial(g.shape) * mu.temporal_integral(0.0, t))
     xa = g.values * decay
     xb = vb + g.values * (1 - decay)
     return g.with_values(xa), g.with_values(xb)
@@ -499,7 +513,7 @@ def convert_ab_densities(spec: ModelSpec, t: float) -> tuple[FieldGrid, FieldGri
 
 def spont_birth_density(spec: ModelSpec, t: float) -> FieldGrid:
     """X = v + g(p) * integral_0^t h(s) ds for separable birth rate g*h."""
-    g = spec.grid()
+    g = _static_grid(spec)
     mu = spec.rate("mu")
     cum = mu.temporal_integral(0.0, t)
     return g.with_values(g.values + mu.spatial(g.shape) * cum)
@@ -511,7 +525,7 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     Separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s); the outer
     integral is taken once per distinct spatial value, all values at a time.
     """
-    g = spec.grid()
+    g = _static_grid(spec)
     mu = spec.rates.get("mu", Rate(const=0.0))
     nu = spec.rates.get("nu", Rate(const=0.0))
     gmu = np.broadcast_to(mu.spatial(g.shape), g.shape)
@@ -589,21 +603,26 @@ def discrete_death_mean(v: float, mu: float, t: float) -> float:
 
 
 class Kind(NamedTuple):
-    """A model kind: its closed forms density(spec, t) and log_gf(spec, u, t),
-    the normalized log GF at test function u, None where it has none; its
-    reactions, (rate name, event) pairs in the order simulate.step applies
-    them, each on species A: "death" A -> 0, "branching" A -> A + A,
-    "conversion" A -> B, "immigration" 0 -> A, "pair" A + A -> 0; and the
-    rates a model file may leave out."""
+    """What a model kind can answer: closed forms density(spec, t), log_gf(spec,
+    u, t) (the normalized log GF at test function u) and fn(spec, points, t)
+    (the n-point density), None where it has none; reactions, (rate name,
+    event) pairs in the order simulate.step applies them, each on species A:
+    "death" A -> 0, "branching" A -> A + A, "conversion" A -> B, "immigration"
+    0 -> A, "pair" A + A -> 0; and the rates a model file may leave out."""
 
     density: Callable | None
     log_gf: Callable | None
     reactions: tuple
     optional: tuple = ()
+    fn: Callable | None = None
 
     @property
     def converts(self) -> bool:
         return any(event == "conversion" for _, event in self.reactions)
+
+    @property
+    def pairs(self) -> bool:
+        return any(event == "pair" for _, event in self.reactions)
 
 
 # Every model kind ModelSpec accepts.  Each entry looks its function up in
@@ -614,7 +633,8 @@ class Kind(NamedTuple):
 KINDS = {
     "DeathDiffusion": Kind(lambda s, t: death_diffusion_density(s, t),
                            lambda s, u, t: death_diffusion_log_gf(s, GFQuery(u, t)),
-                           (("mu", "death"),)),
+                           (("mu", "death"),),
+                           fn=lambda s, points, t: death_diffusion_fn(s, points, t)),
     "BrownianTree": Kind(lambda s, t: brownian_tree_density(s, t),
                          lambda s, u, t: brownian_tree_log_gf(s, GFQuery(u, t)),
                          (("mu", "branching"),)),
@@ -623,19 +643,27 @@ KINDS = {
     "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None,
                               (("nu", "death"), ("mu", "immigration")), ("nu", "mu")),
     "DiscreteDeath": Kind(
-        lambda s, t: discrete_death_mean(s.v, s.rate("mu").const, t),
-        lambda s, u, t: discrete_death_log_gf(s.v, s.rate("mu").const, t, u),
+        lambda s, t: discrete_death_mean(
+            s.v, s.rate("mu").const, s.rate("mu").temporal_integral(0.0, t)),
+        lambda s, u, t: discrete_death_log_gf(
+            s.v, s.rate("mu").const, s.rate("mu").temporal_integral(0.0, t), u),
         (("mu", "death"),)),
     "Annihilation": Kind(None, None, (("R", "pair"),), ("R",)),
 }
 
 
+def closed_form(spec: ModelSpec, what: str) -> Callable:
+    """The kind's closed form `what`: "density", "log_gf" or "fn"; Unsupported if none."""
+    evaluate = getattr(KINDS[spec.kind], what)
+    if evaluate is None:
+        kinds = ", ".join(k for k, c in KINDS.items() if getattr(c, what) is not None)
+        raise Unsupported(f"no closed-form {what} for kind {spec.kind}, only for {kinds}")
+    return evaluate
+
+
 def density(spec: ModelSpec, t: float):
     """Model-appropriate density evaluation (grid, or tuple for ConvertAB)."""
-    evaluate = KINDS[spec.kind].density
-    if evaluate is None:
-        raise ModelError(f"no closed-form density for kind {spec.kind}")
-    return evaluate(spec, t)
+    return closed_form(spec, "density")(spec, t)
 
 
 def density_table(

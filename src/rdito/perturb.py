@@ -36,6 +36,9 @@ THETA0 = 1.0
 # confluent cluster in simplex_time_factor.
 CONFLUENT_TOL = 1e-9
 
+FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves it less
+FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
+
 
 class PerturbError(Exception):
     """Base class for perturbation-solver failures."""
@@ -321,9 +324,7 @@ class TimeSeries:
         return "".join(self.csv_chunks())
 
 
-def dyson_tree_density(
-    grid: MomentumGrid, t_end: float, steps: int, *, tol: float = 1e-10, sweeps: int = 50
-) -> TimeSeries:
+def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeries:
     """Tree-level density by time-stepped fixed point of the Dyson recursion.
 
     Trapezoid rule in the interaction time, FFT circular convolution over the
@@ -365,11 +366,11 @@ def dyson_tree_density(
         base = np.exp(-grid.D * (i * dt) * k2) * vhat - dt * hist
         # first-order guess for the implicit endpoint term
         x = base - 0.5 * dt * step_prop * coll
-        for _ in range(sweeps):
+        for _ in range(FIXED_POINT_SWEEPS):
             xn = base - 0.5 * dt * collision(x)
             corr = float(np.max(np.abs(xn - x)))
             x = xn
-            if corr < tol:
+            if corr < FIXED_POINT_TOL:
                 break
         else:
             raise NonConvergence(

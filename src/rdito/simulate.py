@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import KINDS, ModelSpec, Rate, as_int
+from .models import KINDS, ModelSpec, Rate, Unsupported, as_int
 
 MAX_EVENT_PROB = 0.1
 _ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
@@ -41,6 +41,10 @@ class SimError(Exception):
 
 class StepTooLarge(SimError):
     pass
+
+
+class Unfit(SimError, Unsupported):
+    """A simulation config that does not fit the model; refused before any step."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +112,18 @@ class SimConfig:
             chunk=as_int(obj.get("chunk", 256), "chunk"),
         )
 
-    def check_box(self, box) -> None:
-        """SimError unless the kernel cutoff is at most min(box)/2; beyond
-        half the box the minimum-image distance of a pair is ambiguous."""
-        half = min(box) / 2
+    def check(self, spec: ModelSpec) -> None:
+        """Unfit unless the model has a grid, the kernel cutoff is at most
+        min(box)/2 (beyond half the box the minimum-image distance of a pair
+        is ambiguous), and a kernel is given exactly when the kind pairs."""
+        if not isinstance(spec.v, FieldGrid):
+            raise Unfit(f"a {spec.kind} model has no grid to simulate on")
+        half = min(spec.box) / 2
         if self.kernel is not None and not self.kernel.cutoff <= half:
-            raise SimError(
-                f"kernel cutoff must be <= min(box)/2 = {half}, got {self.kernel.cutoff}"
-            )
+            raise Unfit(f"kernel cutoff must be <= min(box)/2 = {half}, got {self.kernel.cutoff}")
+        if KINDS[spec.kind].pairs != (self.kernel is not None):
+            need = "needs a" if self.kernel is None else "takes no"
+            raise Unfit(f"a {spec.kind} model {need} kernel in the simulation config")
 
 
 @dataclass
@@ -309,8 +317,6 @@ def _pair(ens, grid, rate, t, sim, rng) -> None:
     R(|p-q|) dt, R the sim config's kernel, drawn in pair order; the first
     live pair of a particle wins."""
     kernel, dt = sim.kernel, sim.dt
-    if kernel is None:
-        raise SimError("Annihilation model needs a SimConfig kernel")
     _check_prob(kernel.peak * dt, "annihilation")
     pi, pj = _candidate_pairs(ens, kernel.cutoff)
     if len(pi) == 0:
@@ -413,8 +419,8 @@ def run(
 ) -> EstimatorReport:
     """Replica-averaged estimators; deterministic for fixed (seed, config),
     whatever the number of worker threads running the chunks."""
+    sim.check(spec)
     g = spec.grid()
-    sim.check_box(g.box)
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
 
     def chunk(ci):

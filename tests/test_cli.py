@@ -197,6 +197,16 @@ class TestDensity:
         err = one_line_error(capsys)
         assert "box" in err or "shape" in err
 
+    @pytest.mark.parametrize("cmd", ["density", "gf", "simulate"])
+    def test_empty_box_usage_exit(self, tmp_path, capsys, cmd):
+        """A model with no box axis loaded, and density, gf and simulate
+        ended in `internal error: IndexError` or `ValueError` (exit 4)."""
+        model = write_json(tmp_path / "m.json", {**model_obj(v={"expr": "uniform", "const": 1.0}),
+                                                 "box": [], "shape": []})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        assert main(command_argv(cmd, model, sim, str(tmp_path / "x"))) == 2
+        assert "box must hold lengths" in one_line_error(capsys)
+
     @pytest.mark.parametrize("mu", ["fast", [2.0]])
     def test_non_numeric_rate_usage_exit(self, tmp_path, capsys, mu):
         model = write_json(tmp_path / "m.json", model_obj(rates={"mu": mu}))
@@ -292,7 +302,7 @@ class TestDensity:
     def test_cell_average_of_tabulated_rate_usage_exit(self, tmp_path, capsys):
         """--cell-average refines the grid, which a rate table cannot follow."""
         model = write_json(tmp_path / "m.json", model_obj(
-            "BirthDeathTimeDep", v={"expr": "uniform", "const": 1.0},
+            "BirthDeathTimeDep", D=0.0, v={"expr": "uniform", "const": 1.0},
             rates={"mu": {"const": 2.0, "expr": "sin2", "table": [1.0 + (i % 3) for i in range(N)]}}))
         assert main(["density", model, "--t", "0.8", "--cell-average", "--refine", "2"]) == 2
         assert "tabulated rate" in one_line_error(capsys)
@@ -631,6 +641,124 @@ class TestPerturb:
         assert code == 3
 
 
+# The rates of one small valid model per kind, all at D = 0; None for the
+# grid-less DiscreteDeath.
+KIND_MODELS = {
+    "DeathDiffusion": {"mu": 1.0}, "BrownianTree": {"mu": 0.5}, "ConvertAB": {"mu": 1.0},
+    "SpontBirth": {"mu": 1.0}, "BirthDeathTimeDep": {"mu": 1.0, "nu": 1.0},
+    "DiscreteDeath": None, "Annihilation": {"R": 0.1},
+}
+COMMANDS = ("density", "gf", "fn", "simulate", "perturb")
+
+
+def kind_model(kind):
+    if KIND_MODELS[kind] is None:
+        return {"kind": kind, "rates": {"mu": 1.0}, "v": 3.0}
+    obj = {**model_obj(kind, D=0.0, rates=KIND_MODELS[kind],
+                       v={"expr": "uniform", "const": 1.0}), "shape": [8]}
+    if kind == "ConvertAB":
+        obj["vb"] = {"expr": "uniform", "const": 0.5}
+    return obj
+
+
+def served(kind):
+    """The commands a kind answers, read from models.KINDS; simulate needs a grid."""
+    from rdito.models import KINDS, ModelSpec
+
+    entry = KINDS[kind]
+    has_grid = ModelSpec.from_json(json.dumps(kind_model(kind))).d > 0
+    return {cmd for cmd, ok in [("density", entry.density), ("gf", entry.log_gf),
+                                ("fn", entry.fn), ("simulate", has_grid),
+                                ("perturb", entry.pairs)] if ok}
+
+
+def command_argv(cmd, model, sim, out):
+    return {"density": ["density", model, "--t", "0.1"],
+            "gf": ["gf", model, "--t", "0.1"],
+            "fn": ["fn", model, "--t", "0.1", "--points", "5.0"],
+            "simulate": ["simulate", model, sim, "--t-end", "0.1"],
+            "perturb": ["perturb", model, "--t-end", "0.1", "--steps", "5"]}[cmd] + ["--out", out]
+
+
+class TestRefusals:
+    """A model that cannot answer a command exits 2 with one line, and
+    writes nothing, whatever the command and whatever the reason."""
+
+    @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_every_command_on_every_kind(self, tmp_path, capsys, cmd, kind):
+        model = write_json(tmp_path / "m.json", kind_model(kind))
+        kernel = {"kernel": {"cutoff": 1.0, "samples": [1.0, 0.0]}} if kind == "Annihilation" else {}
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1, **kernel})
+        code = main(command_argv(cmd, model, sim, str(tmp_path / "x")))
+        if cmd in served(kind):
+            assert code == 0, capsys.readouterr().err
+        else:
+            assert code == 2
+            assert one_line_error(capsys)
+            assert not list(tmp_path.glob("x*"))
+
+    def test_every_kind_serves_a_command(self):
+        assert all(served(kind) for kind in KIND_MODELS)
+        assert set().union(*map(served, KIND_MODELS)) == set(COMMANDS)
+
+    @pytest.mark.parametrize("kind", ["ConvertAB", "SpontBirth", "BirthDeathTimeDep"])
+    def test_static_closed_form_with_diffusion_usage_exit(self, tmp_path, capsys, kind):
+        """These closed forms leave diffusion out: at D = 1 they gave about
+        twice the Monte Carlo peak with exit 0.  simulate still runs them."""
+        model = write_json(tmp_path / "m.json", {**kind_model(kind), "D": 1.0})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        for cell_average in ([], ["--cell-average"]):
+            assert main(["density", model, "--t", "0.5", "--out", str(tmp_path / "x"),
+                         *cell_average]) == 2
+            assert "D = 0 only" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+        assert main(command_argv("simulate", model, sim, str(tmp_path / "mc"))) == 0
+
+    @pytest.mark.parametrize("cmd", ["density", "gf", "fn"])
+    @pytest.mark.parametrize("mu", [{"const": 1.0, "expr": "sin2"},
+                                    {"table": [1.0] * 8}], ids=["sin2", "table"])
+    def test_rate_the_closed_form_needs_constant_usage_exit(self, tmp_path, capsys, cmd, mu):
+        """A NonconstantRate exited 3, as if the computation had failed."""
+        model = write_json(tmp_path / "m.json",
+                           {**kind_model("DeathDiffusion"), "rates": {"mu": mu}, "D": 1.0})
+        assert main(command_argv(cmd, model, None, str(tmp_path / "x"))) == 2
+        assert "constant mu" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
+    def test_kernel_on_a_kind_that_does_not_pair_usage_exit(self, tmp_path, capsys):
+        """The kernel was ignored with exit 0."""
+        model = write_json(tmp_path / "m.json", kind_model("DeathDiffusion"))
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1,
+                                               "kernel": {"cutoff": 1.0, "samples": [1.0]}})
+        assert main(command_argv("simulate", model, sim, str(tmp_path / "x"))) == 2
+        assert "DeathDiffusion model takes no kernel" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("t_end", ["0", "0.1"])
+    def test_annihilation_without_a_kernel_usage_exit(self, tmp_path, capsys, t_end):
+        """Exit 0 at --t-end 0, where no step ran to notice, and 3 otherwise."""
+        model = write_json(tmp_path / "m.json", kind_model("Annihilation"))
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        assert main(["simulate", model, sim, "--t-end", t_end,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "Annihilation model needs a kernel" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("kind, rates, argv, message", [
+        ("BrownianTree", {"mu": 1.0}, ["gf", "--t", "1.0", "--u", "2.0"], "geometric factor"),
+        ("BirthDeathTimeDep", {"mu": 1.0, "nu": 1e5}, ["density", "--t", "1.0"],
+         "birth integral"),
+    ])
+    def test_runtime_failure_exit(self, tmp_path, capsys, kind, rates, argv, message):
+        """A model that can answer, but whose computation fails, still exits 3."""
+        model = write_json(tmp_path / "m.json", {**kind_model(kind), "rates": rates})
+        assert main([argv[0], model, *argv[1:], "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and message in err and err.count("\n") == 1
+        assert not list(tmp_path.glob("x*"))
+
+
 def test_unexpected_exception_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     """A crash is not a failed comparison: it exits 4 with one line."""
     def boom(*args, **kwargs):
@@ -768,6 +896,18 @@ def test_readme_model_example_is_a_valid_model(tmp_path, capsys):
     dx = obj["box"][0] / obj["shape"][0]
     assert len(values) == obj["shape"][0]
     assert sum(values) * dx == pytest.approx(obj["v"]["mass"], rel=1e-10)
+
+
+def test_readme_kinds_table_names_the_commands_each_kind_serves():
+    """The README's kinds table has a column of the commands each kind
+    answers, which must be what models.KINDS says."""
+    text = (SRC.parent / "README.md").read_text()
+    rows = [[c.strip() for c in ln.strip("|").split("|")] for ln in text.splitlines()
+            if ln.startswith("| `")]
+    header = next(ln for ln in text.splitlines() if ln.startswith("| kind |"))
+    col = [c.strip() for c in header.strip("|").split("|")].index("commands")
+    table = {row[0].strip("`"): {c.strip("` ") for c in row[col].split(",")} for row in rows}
+    assert table == {kind: served(kind) for kind in KIND_MODELS}
 
 
 def test_no_scipy_on_the_startup_path(tmp_path):

@@ -16,13 +16,16 @@ from rdito.models import (
     NonconstantRate,
     Rate,
     SeriesDivergence,
+    Unsupported,
     birth_death_timedep_density,
     brownian_tree_density,
     brownian_tree_log_gf,
+    closed_form,
     convert_ab_densities,
     death_diffusion_density,
     death_diffusion_fn,
     death_diffusion_log_gf,
+    density,
     density_csv,
     diffuse,
     discrete_death_gf,
@@ -457,6 +460,16 @@ class TestConvertAB:
         ref = spec.v.values * np.exp(-0.7 * prof * t)
         assert np.max(np.abs(xa.values - ref)) < 1e-12
 
+    def test_time_profile(self):
+        """The decay is e^{-int_0^t mu}: with mu = sin^2 and t = 1 it read
+        e^{-1}, where the integral is 1/2 - sin(2)/4."""
+        spec = self.spec(Rate(const=1.0, time="sin2"))
+        decay = math.exp(-(0.5 - math.sin(2.0) / 4))
+        xa, xb = convert_ab_densities(spec, 1.0)
+        assert np.allclose(xa.values, spec.v.values * decay, rtol=1e-12, atol=0)
+        assert np.allclose(xb.values, spec.vb.values + spec.v.values * (1 - decay),
+                           rtol=1e-12, atol=0)
+
 
 class TestTimeDependent:
     def base(self, rates):
@@ -575,6 +588,15 @@ class TestDiscreteDeath:
                 math.exp((u - 1) * v)
             )
 
+    def test_time_profile(self):
+        """v = 5 and mu = sin^2 at t = 1 gave 5 e^{-1} = 1.8394 for the mean;
+        it is 5 e^{-(1/2 - sin(2)/4)} = 3.8067."""
+        spec = ModelSpec("DiscreteDeath", (), 0.0, {"mu": Rate(const=1.0, time="sin2")}, 5.0)
+        mean = 5.0 * math.exp(-(0.5 - math.sin(2.0) / 4))
+        assert density(spec, 1.0) == pytest.approx(mean, rel=1e-12, abs=0)
+        assert KINDS["DiscreteDeath"].log_gf(spec, 0.3, 1.0) == pytest.approx(
+            -0.7 * mean, rel=1e-12, abs=0)
+
     def test_log_gf_has_no_underflow(self):
         """exp((u-1) v) underflows to 0 past (u-1) v = -745; its log does not."""
         spec = ModelSpec("DiscreteDeath", (), 0.0, {"mu": Rate(const=0.0)}, 1000.0)
@@ -622,6 +644,31 @@ class TestJsonAndCsv:
         assert {k for k, c in KINDS.items() if c.density is None} == {"Annihilation"}
         assert {k for k, c in KINDS.items() if c.log_gf is not None} == {
             "DeathDiffusion", "BrownianTree", "DiscreteDeath"}
+
+    def test_closed_form_refuses_what_the_kind_lacks(self):
+        g = position_grid((1.0,), np.ones(4))
+        for kind, entry in KINDS.items():
+            spec = ModelSpec(kind, (1.0,), 0.0, {}, g)
+            for what in ("density", "log_gf", "fn"):
+                if getattr(entry, what) is None:
+                    with pytest.raises(Unsupported, match=f"no closed-form {what} for kind {kind}"):
+                        closed_form(spec, what)
+                else:
+                    assert closed_form(spec, what) is getattr(entry, what)
+        assert {k for k, c in KINDS.items() if c.fn is not None} == {"DeathDiffusion"}
+        assert {k for k, c in KINDS.items() if c.pairs} == {"Annihilation"}
+
+    @pytest.mark.parametrize("kind, evaluate", [
+        ("ConvertAB", convert_ab_densities), ("SpontBirth", spont_birth_density),
+        ("BirthDeathTimeDep", birth_death_timedep_density),
+    ])
+    def test_static_closed_forms_refuse_diffusion(self, kind, evaluate):
+        """These closed forms leave diffusion out, so at D > 0 they would be
+        wrong: the peak of a width-0.5 bump twice the Monte Carlo one."""
+        g = position_grid((L,), np.ones(N))
+        spec = ModelSpec(kind, (L,), 1.0, {"mu": Rate(const=1.0)}, g)
+        with pytest.raises(Unsupported, match="D = 0 only"):
+            evaluate(spec, 0.5)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ModelError):

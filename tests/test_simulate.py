@@ -452,12 +452,12 @@ class TestRun:
         assert m < 54.0 - 10 * se  # started at E N = 1.5 * 36
 
     def test_annihilation_needs_kernel(self):
+        """Refused before any step, so also at t_end = 0, where no step runs."""
         g = make_grid()
         spec = ModelSpec("Annihilation", (L,), 0.5, {}, g.with_values(np.ones(N)))
-        rng = np.random.default_rng(0)
-        ens = sample_initial(spec, rng)
-        with pytest.raises(SimError):
-            step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
+        for t_end in (0.0, 0.01):
+            with pytest.raises(SimError, match="needs a kernel"):
+                run(spec, SimConfig(dt=0.01, replicas=1, seed=0), t_end)
 
     def test_report_serialization(self):
         spec = gauss_spec(mass=3.0)

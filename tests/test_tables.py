@@ -49,7 +49,7 @@ def test_density_csv_2d_rows():
 
 def test_density_csv_convert_ab_writes_both_species():
     rates = {"mu": {"const": 2.0, "table": np.linspace(0.1, 1.0, 15).reshape(SHAPE).tolist()}}
-    spec = spec_2d("ConvertAB", rates=rates, vb={"expr": "uniform", "const": 0.5})
+    spec = spec_2d("ConvertAB", D=0.0, rates=rates, vb={"expr": "uniform", "const": 0.5})
     _, rows = body(density_csv(spec, [0.3]), 2)
     xa, xb = convert_ab_densities(spec, 0.3)
     n = math.prod(SHAPE)
