@@ -21,9 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "AlgebraError",
-    "UnboundVariable",
     "ContractionOverflow",
-    "RegionMismatch",
     "FULL",
     "INF",
     "FieldOp",
@@ -54,16 +52,8 @@ class AlgebraError(Exception):
     """Base class for algebra failures."""
 
 
-class UnboundVariable(AlgebraError):
-    """A position variable is neither bound nor declared free."""
-
-
 class ContractionOverflow(AlgebraError):
     """A term exceeds the configured operator-count cap."""
-
-
-class RegionMismatch(AlgebraError):
-    """Differentials over distinct infinitesimal regions were combined."""
 
 
 FULL = "full"
@@ -189,19 +179,6 @@ class OperatorTerm:
     def bound_map(self) -> dict[str, tuple[str, str]]:
         return {v: (k, s) for v, k, s in self.bound}
 
-    @property
-    def vars(self) -> set[str]:
-        vs = {op.var for op in self.ops}
-        for _, args in self.coeff.factors:
-            vs.update(args)
-        return vs
-
-    def validate(self, free: Iterable[str]) -> None:
-        allowed = set(free) | {b[0] for b in self.bound}
-        missing = self.vars - allowed
-        if missing:
-            raise UnboundVariable(f"undeclared variables {sorted(missing)}")
-
     def order(self) -> int:
         """Number of infinitesimal bound variables (the power of dp)."""
         return sum(1 for _, kind, _ in self.bound if kind == INF)
@@ -215,15 +192,6 @@ class OperatorTerm:
             tuple(op.rename(subs) for op in self.ops),
             tuple((subs.get(v, v), k, s) for v, k, s in self.bound),
         )
-
-    def is_normal(self) -> bool:
-        for i, x in enumerate(self.ops):
-            if x.dagger:
-                continue
-            for y in self.ops[i + 1 :]:
-                if y.dagger and y.species == x.species:
-                    return False
-        return True
 
     def __str__(self) -> str:
         ops = " ".join(str(op) for op in self.ops) or "1"
@@ -472,7 +440,7 @@ def simplify(e: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(t for t in e.terms if not _vanishes_by_parts(t))
 
 
-def normal_order(e: OperatorExpr, free: Iterable[str] | None = None) -> OperatorExpr:
+def normal_order(e: OperatorExpr) -> OperatorExpr:
     """Sum of normal-ordered terms over all Wick contraction choices.
 
     Equals the input under the canonical commutation relations: each
@@ -481,8 +449,6 @@ def normal_order(e: OperatorExpr, free: Iterable[str] | None = None) -> Operator
     """
     out: list[OperatorTerm] = []
     for t in e.terms:
-        if free is not None:
-            t.validate(free)
         if len(t.ops) > MAX_OPS:
             raise ContractionOverflow(
                 f"term has {len(t.ops)} operators (cap {MAX_OPS})"
@@ -506,7 +472,7 @@ def _base_order(e: OperatorExpr) -> int:
     return min(t.order() for t in e.terms)
 
 
-def ito_product(x: OperatorExpr, y: OperatorExpr, *, on_distinct: str = "zero") -> OperatorExpr:
+def ito_product(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
     """Leading-order product of two differentials on one infinitesimal box.
 
     The operands are multiplied exactly as written (the right operand's
@@ -514,9 +480,8 @@ def ito_product(x: OperatorExpr, y: OperatorExpr, *, on_distinct: str = "zero") 
     exceeds the minimum surviving power of dp is discarded, and the product is
     Zero when no contraction reduces the measure at all.
 
-    Differentials on distinct boxes commute and their product is higher order;
-    by default this returns Zero, or raises RegionMismatch with
-    ``on_distinct="raise"``.
+    Differentials on distinct boxes commute and their product is higher
+    order, so it is Zero.
     """
     if x.is_zero() or y.is_zero():
         return OperatorExpr()
@@ -525,8 +490,6 @@ def ito_product(x: OperatorExpr, y: OperatorExpr, *, on_distinct: str = "zero") 
     if not sx or not sy:
         raise AlgebraError("ito_product operands must be infinitesimal differentials")
     if sx != sy:
-        if on_distinct == "raise":
-            raise RegionMismatch(f"distinct regions {sorted(sx)} vs {sorted(sy)}")
         return OperatorExpr()
     base = _base_order(x) + _base_order(y)
     # both operands are canonical, their bound variables named .0, .1, ...;

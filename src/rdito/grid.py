@@ -88,12 +88,6 @@ class FieldGrid:
         vhat = np.fft.fftn(self.values) * self.cell_volume
         return FieldGrid(self.box, vhat, MOMENTUM)
 
-    def to_position(self) -> "FieldGrid":
-        if self.rep == POSITION:
-            return self
-        v = np.fft.ifftn(self.values) / self.cell_volume
-        return FieldGrid(self.box, v.real, POSITION)
-
     def integral(self) -> float:
         """Integral over the box (position rep) or value at k=0 (momentum)."""
         if self.rep == POSITION:

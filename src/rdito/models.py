@@ -23,10 +23,6 @@ class ModelError(Exception):
     pass
 
 
-class DegenerateTime(ModelError):
-    pass
-
-
 class Unsupported(ModelError):
     """The model cannot answer: no such closed form, or its assumptions fail."""
 
@@ -107,6 +103,7 @@ class Rate:
             return cls(const=float(obj))
         if not isinstance(obj, dict):
             raise ModelError(f"a rate must be a number or an object, got {obj!r}")
+        check_keys(obj, ("const", "table", "expr"), "a rate")
         kwargs = {}
         if "const" in obj:
             kwargs["const"] = float(obj["const"])
@@ -124,6 +121,16 @@ def as_int(value, what: str) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_keys(obj, allowed, what: str) -> None:
+    """ValueError unless `obj` is a JSON object whose keys are all in
+    `allowed`: a misspelt key would otherwise read as an absent one."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}, which takes {sorted(allowed)}")
 
 
 def _freeze(nested):
@@ -164,12 +171,20 @@ def wrapped_gaussian(grid: FieldGrid, mass: float, width: float, center) -> np.n
     return mass * out
 
 
+# The keys of each form of field spec, by its "expr" ("table" when it has one).
+_FIELD_KEYS = {"table": ("table",), "uniform": ("expr", "const"),
+               "gaussian": ("expr", "mass", "width", "center")}
+
+
 def _field_from_json(obj, box, shape) -> FieldGrid:
     g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
     if isinstance(obj, (int, float)):
         return g.with_values(np.full(g.shape, float(obj)))
     if not isinstance(obj, dict):
         raise ModelError(f"cannot interpret field spec {obj!r}")
+    form = "table" if "table" in obj else obj.get("expr")
+    if form in _FIELD_KEYS:
+        check_keys(obj, _FIELD_KEYS[form], f"a {form} field")
     if "table" in obj:
         vals = np.asarray(obj["table"], float)
         if vals.shape != g.shape:
@@ -242,6 +257,7 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
         obj = json.loads(text)
+        check_keys(obj, ("kind", "d", "box", "shape", "D", "rates", "v", "vb"), "a model file")
         kind = obj["kind"]
         rates = obj.get("rates", {})
         if not isinstance(rates, dict):
@@ -269,45 +285,9 @@ class ModelSpec:
         return spec
 
 
-@dataclass(frozen=True)
-class GFQuery:
-    """Test function and time for a generating-functional evaluation."""
-
-    u: FieldGrid
-    t: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.u.values)):
-            raise ModelError("test function u must be finite")
-        if self.t < 0:
-            raise ModelError("t must be >= 0")
-
-
 # ---------------------------------------------------------------------------
-# Heat kernel
+# Heat semigroup
 # ---------------------------------------------------------------------------
-
-
-def heat_kernel(d: int, D: float, x, t: float, box=None) -> float:
-    """Point-source heat kernel; image-wrapped when a periodic box is given.
-
-    Phi(x;t) = (4 pi D t)^(-d/2) exp(-|x|^2 / 4Dt), separable per axis.
-    """
-    if t <= 0:
-        raise DegenerateTime("heat kernel needs t > 0")
-    if D <= 0:
-        raise DegenerateTime("heat kernel needs D > 0")
-    x = np.atleast_1d(np.asarray(x, float))
-    if len(x) != d:
-        raise ModelError(f"displacement has {len(x)} components, d={d}")
-    out = 1.0
-    for ax in range(d):
-        if box is None:
-            s = math.exp(-x[ax] ** 2 / (4 * D * t))
-        else:
-            s = image_sum(x[ax], box[ax], 4 * D * t)
-        out *= s / math.sqrt(4 * math.pi * D * t)
-    return out
 
 
 def diffuse(grid: FieldGrid, D: float, t: float) -> FieldGrid:
@@ -343,14 +323,14 @@ def death_diffusion_density(spec: ModelSpec, t: float) -> FieldGrid:
     return out.with_values(math.exp(-mu * t) * out.values)
 
 
-def death_diffusion_log_gf(spec: ModelSpec, q: GFQuery) -> float:
+def death_diffusion_log_gf(spec: ModelSpec, u: FieldGrid, t: float) -> float:
     """log GF = e^{-mu t} [ integral u (Phi*v) - integral v ]."""
     mu = _const_rate(spec, "mu")
     g = spec.grid()
-    conv = diffuse(g, spec.D, q.t) if q.t > 0 else g
+    conv = diffuse(g, spec.D, t) if t > 0 else g
     dV = g.cell_volume
-    return math.exp(-mu * q.t) * float(
-        np.sum(q.u.values * conv.values) * dV - np.sum(g.values) * dV
+    return math.exp(-mu * t) * float(
+        np.sum(u.values * conv.values) * dV - np.sum(g.values) * dV
     )
 
 
@@ -396,22 +376,8 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind via the triangular recurrence."""
-    if n < 0 or k < 0:
-        raise ModelError("stirling2 needs n, k >= 0")
-    if k > n:
-        return 0
-    row = [1] + [0] * k  # S(0, .)
-    for m in range(1, n + 1):
-        new = [0] * (k + 1)
-        for j in range(1, min(m, k) + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
-
-
-def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) -> float:
+def brownian_tree_log_gf(spec: ModelSpec, u: FieldGrid, t: float,
+                         steps: int | None = None) -> float:
     """Normalized log GF for A -> A+A with diffusion.
 
     The GF is Poisson-superposable, log GF = int v (w - 1) dp with w(x,t)
@@ -428,21 +394,21 @@ def brownian_tree_log_gf(spec: ModelSpec, q: GFQuery, steps: int | None = None) 
     mu = _const_rate(spec, "mu")
     g = spec.grid()
     dV = g.cell_volume
-    if spec.D == 0 or mu == 0 or q.t == 0:
-        w = q.u.values * (1 - math.exp(-mu * q.t))
+    if spec.D == 0 or mu == 0 or t == 0:
+        w = u.values * (1 - math.exp(-mu * t))
         if np.any(np.abs(w) >= 1):
             raise SeriesDivergence("geometric factor |u(1-e^{-mu t})| >= 1")
-        if spec.D > 0 and q.t > 0:
-            conv = diffuse(g, spec.D, q.t)  # mu == 0: pure diffusion
-            return float(np.sum(q.u.values * conv.values - g.values) * dV)
-        integrand = q.u.values * math.exp(-mu * q.t) / (1 - w) * g.values
+        if spec.D > 0 and t > 0:
+            conv = diffuse(g, spec.D, t)  # mu == 0: pure diffusion
+            return float(np.sum(u.values * conv.values - g.values) * dV)
+        integrand = u.values * math.exp(-mu * t) / (1 - w) * g.values
         return float(np.sum(integrand - g.values) * dV)
     if steps is None:
-        steps = max(200, int(math.ceil(q.t * 4000)))
-    dt = q.t / steps
+        steps = max(200, int(math.ceil(t * 4000)))
+    dt = t / steps
     heat = np.exp(-spec.D * (dt / 2) * half_spectrum(g.ksquared()))
     decay = math.exp(-mu * dt)
-    w = q.u.values.astype(float).copy()
+    w = u.values.astype(float).copy()
 
     def react(w):
         denom = 1.0 - w * (1.0 - decay)
@@ -589,10 +555,6 @@ def discrete_death_log_gf(v: float, mu: float, t: float, u: float) -> float:
     return (u - 1.0) * v * math.exp(-mu * t)
 
 
-def discrete_death_gf(v: float, mu: float, t: float, u: float) -> float:
-    return math.exp(discrete_death_log_gf(v, mu, t, u))
-
-
 def discrete_death_mean(v: float, mu: float, t: float) -> float:
     return v * math.exp(-mu * t)
 
@@ -632,11 +594,11 @@ class Kind(NamedTuple):
 # kernel from the simulation config, so only `perturb` needs R.
 KINDS = {
     "DeathDiffusion": Kind(lambda s, t: death_diffusion_density(s, t),
-                           lambda s, u, t: death_diffusion_log_gf(s, GFQuery(u, t)),
+                           lambda s, u, t: death_diffusion_log_gf(s, u, t),
                            (("mu", "death"),),
                            fn=lambda s, points, t: death_diffusion_fn(s, points, t)),
     "BrownianTree": Kind(lambda s, t: brownian_tree_density(s, t),
-                         lambda s, u, t: brownian_tree_log_gf(s, GFQuery(u, t)),
+                         lambda s, u, t: brownian_tree_log_gf(s, u, t),
                          (("mu", "branching"),)),
     "ConvertAB": Kind(lambda s, t: convert_ab_densities(s, t), None, (("mu", "conversion"),)),
     "SpontBirth": Kind(lambda s, t: spont_birth_density(s, t), None, (("mu", "immigration"),)),

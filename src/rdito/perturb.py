@@ -1,9 +1,8 @@
 """Perturbative machinery for pairwise annihilation with a non-local kernel.
 
-Momentum-space propagators, the simplex time factor of Feynman diagrams (via
-partial fractions of the Laplace transform), a direct evaluation of the
-third-order diagram, and the tree-level Dyson recursion together with its
-position-space mean-field limit
+The simplex time factor of Feynman diagrams (via partial fractions of the
+Laplace transform), a direct evaluation of the third-order diagram, and the
+tree-level Dyson recursion together with its position-space mean-field limit
 
     dX/dt = D lap X - X (R * X).
 
@@ -28,9 +27,6 @@ import numpy as np
 
 from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
 from .grid import full_spectrum, half_fft, half_ifft, half_spectrum
-
-# Equal-time propagator value theta(0); isolated here as a convention.
-THETA0 = 1.0
 
 # Rates closer than this (relative to the largest rate) are merged into one
 # confluent cluster in simplex_time_factor.
@@ -62,8 +58,9 @@ class MomentumGrid:
     """Reaction kernel and initial intensity in the momentum representation.
 
     ``Rhat`` must be the transform of a real even (radial) kernel, so it is
-    real and even on the grid; ``vhat`` is the transform of a nonnegative
-    initial intensity, so it is Hermitian, vhat(-k) = conj vhat(k).
+    real and even on the grid, as kernel_field ensures; ``vhat`` is the
+    transform of a nonnegative initial intensity, so it is Hermitian,
+    vhat(-k) = conj vhat(k).
     """
 
     Rhat: FieldGrid
@@ -77,13 +74,6 @@ class MomentumGrid:
             raise PerturbError("kernel and intensity grids must match")
         if self.D < 0:
             raise PerturbError("D must be >= 0")
-        r = self.Rhat.values
-        scale = max(float(np.max(np.abs(r))), 1.0)
-        if np.max(np.abs(np.imag(r))) > 1e-10 * scale:
-            raise PerturbError("kernel transform must be real (kernel radial)")
-        rr = np.real(r)
-        if np.max(np.abs(rr - _reflect(rr))) > 1e-10 * scale:
-            raise PerturbError("kernel transform must be even")
         v = self.vhat.values
         scale = max(float(np.max(np.abs(v))), 1.0)
         if np.max(np.abs(v - np.conj(_reflect(v)))) > 1e-10 * scale:
@@ -116,10 +106,15 @@ def kernel_field(spec) -> FieldGrid:
 
     The kernel is read from the model's "R" rate: constant times an optional
     grid-shaped table of samples R(x) at the grid offsets (periodically
-    wrapped, so entries near the far edge are negative offsets).
+    wrapped, so entries near the far edge are negative offsets).  PerturbError
+    unless it is even, R(x) = R(-x), as a radial kernel is: both tree-level
+    solvers take its transform to be real.
     """
     g = spec.grid()
-    return g.with_values(np.asarray(spec.rate("R").spatial(g.shape), float))
+    r = np.asarray(spec.rate("R").spatial(g.shape), float)
+    if np.max(np.abs(r - _reflect(r))) > 1e-10 * max(float(np.max(np.abs(r))), 1.0):
+        raise PerturbError("kernel R must be even, R(x) = R(-x)")
+    return g.with_values(r)
 
 
 def momentum_grid(spec) -> MomentumGrid:
@@ -132,38 +127,8 @@ def momentum_grid(spec) -> MomentumGrid:
 
 
 # ---------------------------------------------------------------------------
-# Propagator and simplex time factors
+# Simplex time factors
 # ---------------------------------------------------------------------------
-
-
-def propagator(k, t: float, s: float, D: float) -> float:
-    """Free propagator theta(t-s) exp(-(t-s) D |k|^2); theta(0) = THETA0."""
-    dt = t - s
-    if dt < 0:
-        return 0.0
-    if dt == 0:
-        return THETA0
-    k = np.atleast_1d(np.asarray(k, float))
-    return math.exp(-dt * D * float(k @ k))
-
-
-@dataclass(frozen=True)
-class ExpProduct:
-    """Product of interval exponentials over an ordered time simplex.
-
-    ``rates`` lists the decay rate of each consecutive interval, latest first:
-    with times t > tau_n > ... > tau_1 > 0 the represented integrand is
-    prod_i exp(-a_i (tau_{i+1} - tau_i)).
-    """
-
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(a) for a in self.rates))
-        if not self.rates:
-            raise PerturbError("ExpProduct needs at least one interval")
-        if any(a < 0 for a in self.rates):
-            raise PerturbError("interval rates must be >= 0")
 
 
 def _cluster_rates(rates) -> list[tuple[float, int]]:
@@ -179,15 +144,19 @@ def _cluster_rates(rates) -> list[tuple[float, int]]:
     return [(sum(c) / len(c), len(c)) for c in out]
 
 
-def simplex_time_factor(ep: ExpProduct, t: float) -> float:
-    """Iterated integral of the exponential product over the ordered simplex.
+def simplex_time_factor(rates, t: float) -> float:
+    """Iterated integral of a product of interval exponentials over the
+    ordered time simplex t > tau_n > ... > tau_1 > 0: prod_i exp(-a_i
+    (tau_{i+1} - tau_i)), with `rates` the a_i >= 0, latest interval first.
 
     Equals the (n-fold) convolution of the interval exponentials:
     sum_i e^{-a_i t} / prod_{j != i} (a_j - a_i) for distinct rates, with
     repeated (confluent) rates handled by polynomial-times-exponential
     residues from the Taylor expansion at the repeated pole.
     """
-    clusters = _cluster_rates(ep.rates)
+    if not rates or any(a < 0 for a in rates):
+        raise PerturbError(f"simplex_time_factor needs one or more rates >= 0, got {rates!r}")
+    clusters = _cluster_rates(rates)
     total = 0.0
     for ci, (a, m) in enumerate(clusters):
         # Taylor coefficients of prod_{other} (s + b)^{-mo} at s = -a.
@@ -270,7 +239,7 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
                 if w == 0:
                     continue
                 rates = third_order_rates(grid.D, kvec, lvec, mvec, nvec)
-                s = w * simplex_time_factor(ExpProduct(rates), t)
+                s = w * simplex_time_factor(rates, t)
                 total += s
                 total_abs += abs(s)
                 if any(
@@ -303,10 +272,6 @@ class TimeSeries:
     def __post_init__(self):
         if len(self.times) != len(self.fields):
             raise PerturbError("times and fields must have equal length")
-
-    @property
-    def final(self) -> FieldGrid:
-        return self.fields[-1]
 
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces: the header line, then the rows of one

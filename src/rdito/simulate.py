@@ -6,10 +6,7 @@ Gaussian diffusion steps, then the reactions of the model kind
 displacement is drawn for every particle at once when positions are next
 read (by a spatial rate table, the A+A pair search, branching, immigration
 or the end-of-run estimators; see ParticleEnsemble), which is the same law.
-Annihilation and tabulated-rate runs read every step and draw as they did
-when each step drew; the seeded outputs of constant-rate DeathDiffusion,
-ConvertAB, BrownianTree, SpontBirth and BirthDeathTimeDep runs changed when
-the draw was deferred.  A unary event fires within a step with the exact
+A unary event fires within a step with the exact
 probability 1 - exp(-integral of its rate over the step) (Gillespie's
 waiting-time law); spontaneous births are Poisson with the exact integral
 of the intensity; A+A pairs react through a radial kernel.  Replicas are
@@ -29,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import KINDS, ModelSpec, Rate, Unsupported, as_int
+from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, check_keys
 
 MAX_EVENT_PROB = 0.1
 _ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
@@ -95,11 +92,10 @@ class SimConfig:
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
         obj = json.loads(text)
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise SimError(f"unknown keys {unknown}")
+        check_keys(obj, [f.name for f in fields(cls)], "a simulation config")
         kern = None
         if "kernel" in obj:
+            check_keys(obj["kernel"], ("cutoff", "samples"), "a kernel")
             kern = RadialKernel(
                 cutoff=float(obj["kernel"]["cutoff"]),
                 samples=tuple(float(x) for x in obj["kernel"]["samples"]),
@@ -177,14 +173,6 @@ class EstimatorReport:
     fields: dict  # name -> FieldGrid (mean and se per species)
     scalars: dict  # name -> (mean, standard error)
     replicas: int
-
-    @property
-    def mean_field(self) -> FieldGrid:
-        return self.fields["density"]
-
-    @property
-    def se_field(self) -> FieldGrid:
-        return self.fields["density_se"]
 
     def scalars_json(self) -> str:
         obj = {

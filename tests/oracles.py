@@ -1,0 +1,93 @@
+"""Reference functions that the tests compare the package against.
+
+No command runs these, so they live with the tests: the point-source heat
+kernel, Stirling numbers of the second kind, the discrete-death generating
+function, the free propagator, a normal-order predicate for operator terms,
+and the inverse transform of a momentum field.
+"""
+
+import math
+
+import numpy as np
+
+from rdito.grid import POSITION, FieldGrid
+from rdito.models import ModelError, discrete_death_log_gf, image_sum
+
+
+class DegenerateTime(ModelError):
+    pass
+
+
+def heat_kernel(d: int, D: float, x, t: float, box=None) -> float:
+    """Point-source heat kernel; image-wrapped when a periodic box is given.
+
+    Phi(x;t) = (4 pi D t)^(-d/2) exp(-|x|^2 / 4Dt), separable per axis.
+    """
+    if t <= 0:
+        raise DegenerateTime("heat kernel needs t > 0")
+    if D <= 0:
+        raise DegenerateTime("heat kernel needs D > 0")
+    x = np.atleast_1d(np.asarray(x, float))
+    if len(x) != d:
+        raise ModelError(f"displacement has {len(x)} components, d={d}")
+    out = 1.0
+    for ax in range(d):
+        if box is None:
+            s = math.exp(-x[ax] ** 2 / (4 * D * t))
+        else:
+            s = image_sum(x[ax], box[ax], 4 * D * t)
+        out *= s / math.sqrt(4 * math.pi * D * t)
+    return out
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind via the triangular recurrence."""
+    if n < 0 or k < 0:
+        raise ModelError("stirling2 needs n, k >= 0")
+    if k > n:
+        return 0
+    row = [1] + [0] * k  # S(0, .)
+    for m in range(1, n + 1):
+        new = [0] * (k + 1)
+        for j in range(1, min(m, k) + 1):
+            new[j] = j * row[j] + row[j - 1]
+        row = new
+    return row[k]
+
+
+def discrete_death_gf(v: float, mu: float, t: float, u: float) -> float:
+    return math.exp(discrete_death_log_gf(v, mu, t, u))
+
+
+# Equal-time propagator value theta(0); isolated here as a convention.
+THETA0 = 1.0
+
+
+def propagator(k, t: float, s: float, D: float) -> float:
+    """Free propagator theta(t-s) exp(-(t-s) D |k|^2); theta(0) = THETA0."""
+    dt = t - s
+    if dt < 0:
+        return 0.0
+    if dt == 0:
+        return THETA0
+    k = np.atleast_1d(np.asarray(k, float))
+    return math.exp(-dt * D * float(k @ k))
+
+
+def is_normal(t) -> bool:
+    """Whether no annihilator of an OperatorTerm stands left of a creator of
+    its species."""
+    for i, x in enumerate(t.ops):
+        if x.dagger:
+            continue
+        for y in t.ops[i + 1 :]:
+            if y.dagger and y.species == x.species:
+                return False
+    return True
+
+
+def to_position(fg: FieldGrid) -> FieldGrid:
+    """The position field of a momentum FieldGrid: the inverse of
+    FieldGrid.to_momentum."""
+    v = np.fft.ifftn(fg.values) / fg.cell_volume
+    return FieldGrid(fg.box, v.real, POSITION)

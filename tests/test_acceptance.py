@@ -20,7 +20,6 @@ from rdito import algebra as alg
 from rdito import cli, models, perturb, simulate
 from rdito.grid import FieldGrid, POSITION
 from rdito.models import (
-    GFQuery,
     ModelSpec,
     Rate,
     birth_death_timedep_density,
@@ -29,22 +28,20 @@ from rdito.models import (
     convert_ab_densities,
     death_diffusion_density,
     death_diffusion_log_gf,
-    discrete_death_gf,
+    discrete_death_log_gf,
     discrete_death_mean,
-    stirling2,
     wrapped_gaussian,
 )
 from rdito.perturb import (
-    ExpProduct,
     dyson_tree_density,
     mean_field_pde,
     momentum_grid,
-    propagator,
     simplex_time_factor,
     third_order_rates,
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
+from oracles import propagator, stirling2, to_position
 from third_order_oracle import third_order_continuum
 
 L, N = 10.0, 64
@@ -85,10 +82,10 @@ def cell_averaged(kind, t, refine=8, mu=1.0, D=1.0, mass=20.0):
 
 def density_zscores(rep, ref):
     """Per-cell z with an SE floor from the analytic Poisson prediction."""
-    dV = rep.mean_field.cell_volume
+    dV = rep.fields["density"].cell_volume
     pred = np.sqrt(np.maximum(ref, 0) * dV / rep.replicas) / dV
-    se = np.maximum(rep.se_field.values, pred)
-    return (rep.mean_field.values - ref) / np.maximum(se, 1e-300)
+    se = np.maximum(rep.fields["density_se"].values, pred)
+    return (rep.fields["density"].values - ref) / np.maximum(se, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def test_criterion_10_perturbative_rules(capsys):
 
     val, _ = integrate.tplquad(integrand, 0.0, t3, 0.0, lambda a: a,
                                0.0, lambda a, b: b, epsabs=1e-13, epsrel=1e-12)
-    got = simplex_time_factor(ExpProduct(rates), t3)
+    got = simplex_time_factor(rates, t3)
     ok &= abs(got - val) <= 1e-8 * abs(val)
 
     # (c) third-order diagram vs continuum Gauss-Hermite/expm oracle, on a
@@ -475,7 +472,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     spec_log = ModelSpec("Annihilation", (L,), 1.0,
                          {"R": Rate(const=1.0, table=tuple(tab))}, g)
     series = dyson_tree_density(momentum_grid(spec_log), tlog, 1000)
-    xlog = series.final.to_position().values
+    xlog = to_position(series.fields[-1]).values
     ok &= np.max(np.abs(xlog - v0 / (1.0 + Rbar * v0 * tlog))) < 1e-6
 
     # smooth kernel: resummed series equals the mean-field PDE to 1e-6
@@ -487,7 +484,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     t2, steps = 0.4, 800
     dy = dyson_tree_density(momentum_grid(spec2), t2, steps)
     mf2 = mean_field_pde(spec2, t2, steps)
-    sup = float(np.max(np.abs(dy.final.to_position().values - mf2.final.values)))
+    sup = float(np.max(np.abs(to_position(dy.fields[-1]).values - mf2.fields[-1].values)))
     ok &= sup < 1e-6
 
     # the same in 2-D, on an even square grid and an odd non-square one
@@ -500,8 +497,8 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
                           {"R": Rate(const=1.0, table=tuple(R3.values))}, v3)
         dy3 = dyson_tree_density(momentum_grid(spec3), 0.4, 400)
         mf3 = mean_field_pde(spec3, 0.4, 400)
-        sups2d.append(float(np.max(np.abs(dy3.final.to_position().values
-                                          - mf3.final.values))))
+        sups2d.append(float(np.max(np.abs(to_position(dy3.fields[-1]).values
+                                          - mf3.fields[-1].values))))
     ok &= max(sups2d) < 1e-6
 
     # early-time particle MC within 3 SE of mean field (Rvt <= 0.2)
@@ -516,21 +513,21 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     tabm = np.asarray(kern(np.minimum(x, L - x)), float)
     specm = ModelSpec("Annihilation", (L,), D,
                       {"R": Rate(const=1.0, table=tuple(tabm))}, gm)
-    mfv = mean_field_pde(specm, tmc, 200).final.values
+    mfv = mean_field_pde(specm, tmc, 200).fields[-1].values
     rep = run(specm, SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern), tmc)
-    dV = rep.mean_field.cell_volume
+    dV = rep.fields["density"].cell_volume
     pred = np.sqrt(np.maximum(mfv, 0) * dV / rep.replicas) / dV
-    se = np.maximum(rep.se_field.values, pred)
-    z = (rep.mean_field.values - mfv) / se
+    se = np.maximum(rep.fields["density_se"].values, pred)
+    z = (rep.fields["density"].values - mfv) / se
     frac = float(np.mean(np.abs(z) > 3))
     ok &= frac <= 2.0 / n
     ok &= float(np.mean(mfv)) < 0.9 * v0mc  # the decay is material
 
     # qualitative, non-gated: at later times fluctuations slow the decay
     tlate = 1.5
-    mflate = float(np.mean(mean_field_pde(specm, tlate, 600).final.values))
+    mflate = float(np.mean(mean_field_pde(specm, tlate, 600).fields[-1].values))
     replate = run(specm, SimConfig(dt=0.02, replicas=1500, seed=6, kernel=kern), tlate)
-    mclate = float(np.mean(replate.mean_field.values))
+    mclate = float(np.mean(replate.fields["density"].values))
     with capsys.disabled():
         print(f"        note: t={tlate} mean density MC/mean-field = "
               f"{mclate / mflate:.3f} (fluctuation slowdown, not gated)", flush=True)
@@ -552,13 +549,13 @@ def test_criterion_12_gf_conservation(capsys):
     g = spec_dd.grid()
     u1 = g.with_values(np.ones(N))
     for t in times:
-        ok &= abs(death_diffusion_log_gf(spec_dd, GFQuery(u=u1, t=float(t)))) <= 1e-12
+        ok &= abs(death_diffusion_log_gf(spec_dd, u1, float(t))) <= 1e-12
 
     spec_bt = gauss_spec(kind="BrownianTree", mu=0.5, mass=5.0)
     for t in times:
-        val = brownian_tree_log_gf(spec_bt, GFQuery(u=u1, t=float(t)), steps=40)
+        val = brownian_tree_log_gf(spec_bt, u1, float(t), steps=40)
         ok &= abs(val) <= 1e-9
 
     for t in times:
-        ok &= abs(math.log(discrete_death_gf(5.0, 0.7, float(t), 1.0))) <= 1e-12
+        ok &= abs(discrete_death_log_gf(5.0, 0.7, float(t), 1.0)) <= 1e-12
     report(capsys, 12, "GF normalization at u == 1", ok)

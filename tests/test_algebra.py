@@ -10,7 +10,6 @@ from rdito.algebra import (
     INF,
     OperatorExpr,
     OperatorTerm,
-    UnboundVariable,
     _MAX_PERM_VARS,
     _apply_matching,
     a,
@@ -26,6 +25,7 @@ from rdito.algebra import (
     normal_order,
     term,
 )
+from oracles import is_normal
 
 
 def normal_order_by_commutators(e: OperatorExpr, max_steps: int = 200_000) -> OperatorExpr:
@@ -122,12 +122,6 @@ class TestNormalOrder:
         with pytest.raises(ContractionOverflow):
             normal_order(e)
 
-    def test_unbound_variable(self):
-        e = expr(term([a("p"), adag("q")], bound=[("p", FULL, "p")]))
-        with pytest.raises(UnboundVariable):
-            normal_order(e, free=[])
-        normal_order(e, free=["q"])  # declared free is fine
-
     def test_contraction_count_matches_partial_matchings(self):
         # k fully contractible (a, a+) pairs: number of partial matchings of
         # the complete bipartite pairing, by brute force over pair subsets
@@ -190,7 +184,7 @@ class TestWickVsCommutatorOracle:
         for _ in range(20):
             t, _ = _random_term(rng, rng.randint(2, 6), 3)
             for out in normal_order(expr(t)).terms:
-                assert out.is_normal()
+                assert is_normal(out)
 
 
 class TestItoProduct:
@@ -240,10 +234,6 @@ class TestItoProduct:
         y = fam("Lambda").instance(["G"], site="q")
         assert ito_product(x, y).is_zero()
         assert ito_product(y, x).is_zero()
-        from rdito.algebra import RegionMismatch
-
-        with pytest.raises(RegionMismatch):
-            ito_product(x, y, on_distinct="raise")
 
     def test_non_associativity_witness(self):
         # (dLambda dB2) dB2 != dLambda (dB2 dB2): 4 vs 6

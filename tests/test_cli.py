@@ -187,6 +187,21 @@ class TestDensity:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         assert flag in res.stderr.split("m.json: ")[-1]
 
+    @pytest.mark.parametrize("change, key", [
+        ({"D": None, "Diffusion": 1.0}, "Diffusion"),
+        ({"v": {"expr": "gaussian", "mas": 20.0, "width": 1.0, "center": [L / 2]}}, "mas"),
+        ({"v": {"table": [1.0] * N, "expr": "uniform"}}, "expr"),
+        ({"rates": {"mu": {"const": 1.0, "expression": "sin2"}}}, "expression"),
+    ], ids=["model", "gaussian", "table", "rate"])
+    def test_unknown_key_usage_exit(self, tmp_path, capsys, change, key):
+        """A key the format does not have read as an absent one: "Diffusion"
+        for "D" ran density at D = 0, and a gaussian's "mas" gave mass 1,
+        both with exit 0."""
+        obj = {k: v for k, v in {**model_obj(), **change}.items() if v is not None}
+        model = write_json(tmp_path / "m.json", obj)
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert f"unknown keys ['{key}']" in one_line_error(capsys)
+
     @pytest.mark.parametrize("box, shape", [
         ([L], [0]), ([L], [2.5]), ([L], [True]), ([0.0], [N]), ([-L], [N]),
     ])
@@ -354,6 +369,7 @@ class TestGfFn:
         ("DeathDiffusion", '{"expr": "gaussian", "mass": "x"}'),
         ("DeathDiffusion", "NaN"), ("DeathDiffusion", '{"expr": "uniform", "const": Infinity}'),
         ("DiscreteDeath", "nan"), ("DiscreteDeath", "inf"),
+        ("DeathDiffusion", '{"expr": "uniform", "cosnt": 0.5}'),
     ])
     def test_gf_bad_u_usage_exit(self, tmp_path, capsys, kind, u):
         obj = model_obj() if kind == "DeathDiffusion" else {
@@ -485,6 +501,7 @@ class TestSimulate:
         {"cutoff": 1.0, "samples": []}, {"cutoff": 1.0, "samples": [-1.0, -1.0]},
         {"cutoff": 1.0, "samples": [math.nan, 1.0]}, {"cutoff": math.nan, "samples": [1.0, 0.0]},
         {"cutoff": math.inf, "samples": [1.0, 0.0]}, {"cutoff": 0.0, "samples": [1.0, 0.0]},
+        {"cutoff": 1.0, "samples": [1.0, 0.0], "peak": 2.0},
     ])
     def test_malformed_kernel_usage_exit(self, tmp_path, capsys, kernel):
         """An empty kernel ended in a traceback with exit 1, a negative one
@@ -627,6 +644,19 @@ class TestPerturb:
         assert main(["perturb", model, "--t-end", "0.1", "--steps", "10",
                      "--method", method]) == 2
         assert "rate 'R'" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("method", ["dyson", "meanfield"])
+    def test_odd_kernel_runtime_exit(self, tmp_path, capsys, method):
+        """R is 1 at offset +h only, so R(x) != R(-x): dyson refused it (its
+        transform is not real) and the mean field ran it, with exit 0."""
+        tab = [0.0] * 16
+        tab[1] = 1.0
+        model = write_json(tmp_path / "m.json", {**model_obj(
+            "Annihilation", rates={"R": {"table": tab}}, v={"expr": "uniform", "const": 1.0}),
+            "shape": [16]})
+        assert main(["perturb", model, "--t-end", "0.1", "--steps", "10",
+                     "--method", method]) == 3
+        assert capsys.readouterr().err == "runtime error: kernel R must be even, R(x) = R(-x)\n"
 
     def test_nonconvergence_runtime_exit(self, tmp_path, capsys):
         model = write_json(
@@ -870,7 +900,9 @@ def test_image_sum_returns_on_kernels_far_narrower_or_wider_than_the_box(tmp_pat
     needed some 1e10 image pairs.  Both ran for good."""
     res = fresh_python(
         "import numpy as np\n"
-        "from rdito.models import heat_kernel, image_sum\n"
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from oracles import heat_kernel\n"
+        "from rdito.models import image_sum\n"
         "print(heat_kernel(1, 1.0, [0.5], 1e-7, box=(1.0,)))\n"
         "print(image_sum(np.array([0.5, 0.3]), 1.0, 4e-7).tolist())\n"
         "print(heat_kernel(1, 1.0, [0.5], 1e18, box=(1.0,)))\n",
@@ -960,6 +992,37 @@ def test_no_module_imports_scipy():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n == "scipy" or n.startswith("scipy.")]
     assert found == []
+
+
+def test_every_public_name_is_named_by_the_package_or_the_benchmark():
+    """A public function, class, method or property of grid, models, perturb,
+    simulate or cli that no code in src/rdito/ or perfbench/ names serves the
+    tests only, and belongs with them (tests/oracles.py).  Identifiers and
+    string constants both count, since perfbench/spans.py names the
+    attributes it wraps as strings.  algebra is exempt: its public API is the
+    symbolic library that the README documents."""
+    paths = sorted((SRC / "rdito").glob("*.py")) + sorted((SRC.parent / "perfbench").glob("*.py"))
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    public = []
+    for module in ("grid", "models", "perturb", "simulate", "cli"):
+        for node in ast.parse((SRC / "rdito" / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                public.append(f"{module}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    public += [f"{module}.{node.name}.{m.name}" for m in node.body
+                               if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+    unnamed = [p for p in public if p.rsplit(".", 1)[1] not in named]
+    assert not unnamed, f"named only by the tests: {unnamed}"
 
 
 def test_scipy_is_only_a_test_dependency():

@@ -9,8 +9,6 @@ from scipy import integrate, linalg, stats
 from rdito.grid import POSITION, FieldGrid, full_spectrum, half_fft, half_ifft, half_spectrum
 from rdito.models import (
     KINDS,
-    DegenerateTime,
-    GFQuery,
     ModelError,
     ModelSpec,
     NonconstantRate,
@@ -28,14 +26,12 @@ from rdito.models import (
     density,
     density_csv,
     diffuse,
-    discrete_death_gf,
     discrete_death_mean,
-    heat_kernel,
     image_sum,
     spont_birth_density,
-    stirling2,
     wrapped_gaussian,
 )
+from oracles import DegenerateTime, discrete_death_gf, heat_kernel, stirling2, to_position
 
 L, N = 10.0, 64
 
@@ -63,7 +59,7 @@ def unit_query(spec, t, bump=None, eps=0.0):
     u = np.ones(g.shape)
     if bump is not None:
         u[bump] += eps / g.cell_volume
-    return GFQuery(u=g.with_values(u), t=t)
+    return g.with_values(u), t
 
 
 class TestFieldGrid:
@@ -71,7 +67,7 @@ class TestFieldGrid:
         rng = np.random.default_rng(7)
         for shape, box in [((64,), (10.0,)), ((16, 24), (4.0, 6.0))]:
             g = FieldGrid(box, rng.normal(size=shape), POSITION)
-            back = g.to_momentum().to_position()
+            back = to_position(g.to_momentum())
             assert np.max(np.abs(back.values - g.values)) < 1e-12 * max(
                 1.0, np.max(np.abs(g.values))
             )
@@ -245,14 +241,14 @@ class TestDeathDiffusion:
         spec = gaussian_spec()
         rng = np.random.default_rng(3)
         u = spec.grid().with_values(1 + 0.3 * rng.random(N))
-        got = death_diffusion_log_gf(spec, GFQuery(u=u, t=0.0))
+        got = death_diffusion_log_gf(spec, u, 0.0)
         ref = np.sum((u.values - 1) * spec.grid().values) * spec.grid().cell_volume
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_probability_conservation(self):
         spec = gaussian_spec()
         for t in np.linspace(0, 3, 20):
-            assert abs(death_diffusion_log_gf(spec, unit_query(spec, t))) <= 1e-9
+            assert abs(death_diffusion_log_gf(spec, *unit_query(spec, t))) <= 1e-9
 
     def test_semigroup(self):
         spec = gaussian_spec(mu=0.8, D=0.6)
@@ -271,10 +267,10 @@ class TestDeathDiffusion:
             ds = []
             for eps in (1e-3, 1e-4):
                 hi = death_diffusion_log_gf(
-                    spec, unit_query(spec, t, bump=idx, eps=eps)
+                    spec, *unit_query(spec, t, bump=idx, eps=eps)
                 )
                 lo = death_diffusion_log_gf(
-                    spec, unit_query(spec, t, bump=idx, eps=-eps)
+                    spec, *unit_query(spec, t, bump=idx, eps=-eps)
                 )
                 ds.append((hi - lo) / (2 * eps))
             h1, h2 = 1e-3, 1e-4
@@ -385,7 +381,7 @@ class TestBrownianTree:
     def test_log_gf_conservation(self):
         spec = gaussian_spec(kind="BrownianTree", mu=0.5, D=1.0, mass=5.0)
         for t in np.linspace(0, 1.0, 20):
-            val = brownian_tree_log_gf(spec, unit_query(spec, t), steps=40)
+            val = brownian_tree_log_gf(spec, *unit_query(spec, t), steps=40)
             assert abs(val) <= 1e-9
 
     def test_log_gf_static_closed_form(self):
@@ -393,7 +389,7 @@ class TestBrownianTree:
         t = 0.7
         g = spec.grid()
         u = g.with_values(np.full(N, 0.9))
-        got = brownian_tree_log_gf(spec, GFQuery(u=u, t=t))
+        got = brownian_tree_log_gf(spec, u, t)
         w = 0.9 * math.exp(-0.8 * t) / (1 - 0.9 * (1 - math.exp(-0.8 * t)))
         ref = np.sum(g.values * (w - 1)) * g.cell_volume
         assert got == pytest.approx(ref, rel=1e-12)
@@ -406,8 +402,8 @@ class TestBrownianTree:
         idx = N // 2
         ds = []
         for eps in (1e-3, 1e-4):
-            hi = brownian_tree_log_gf(spec, unit_query(spec, t, bump=idx, eps=eps))
-            lo = brownian_tree_log_gf(spec, unit_query(spec, t, bump=idx, eps=-eps))
+            hi = brownian_tree_log_gf(spec, *unit_query(spec, t, bump=idx, eps=eps))
+            lo = brownian_tree_log_gf(spec, *unit_query(spec, t, bump=idx, eps=-eps))
             ds.append((hi - lo) / (2 * eps))
         h1, h2 = 1e-3, 1e-4
         rich = (h1 ** 2 * ds[1] - h2 ** 2 * ds[0]) / (h1 ** 2 - h2 ** 2)
@@ -417,11 +413,11 @@ class TestBrownianTree:
         spec = gaussian_spec(kind="BrownianTree", mu=1.0, D=0.0, mass=5.0)
         u = spec.grid().with_values(np.full(N, 3.0))
         with pytest.raises(SeriesDivergence):
-            brownian_tree_log_gf(spec, GFQuery(u=u, t=5.0))
+            brownian_tree_log_gf(spec, u, 5.0)
         spec2 = gaussian_spec(kind="BrownianTree", mu=1.0, D=1.0, mass=5.0)
         with pytest.raises(SeriesDivergence):
             brownian_tree_log_gf(
-                spec2, GFQuery(u=spec2.grid().with_values(np.full(N, 3.0)), t=5.0),
+                spec2, spec2.grid().with_values(np.full(N, 3.0)), 5.0,
                 steps=100,
             )
 

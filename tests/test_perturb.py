@@ -11,23 +11,21 @@ from rdito import algebra as alg
 from rdito.grid import FieldGrid, MOMENTUM, POSITION
 from rdito.models import ModelSpec, Rate, wrapped_gaussian
 from rdito.perturb import (
-    ExpProduct,
     GridTooCoarse,
     MomentumGrid,
     NonConvergence,
     PerturbError,
-    THETA0,
     TimeSeries,
     dyson_tree_density,
     kernel_field,
     mean_field_pde,
     momentum_grid,
-    propagator,
     simplex_time_factor,
     third_order_rates,
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
+from oracles import THETA0, propagator, to_position
 from third_order_oracle import third_order_continuum
 
 
@@ -208,7 +206,7 @@ class TestPropagator:
 
 class TestSimplexTimeFactor:
     def test_single_interval(self):
-        assert simplex_time_factor(ExpProduct([2.0]), 0.7) == pytest.approx(
+        assert simplex_time_factor([2.0], 0.7) == pytest.approx(
             math.exp(-1.4), rel=1e-14
         )
 
@@ -219,7 +217,7 @@ class TestSimplexTimeFactor:
             sympy.exp(-av * (tv - s)) * sympy.exp(-bv * s), (s, 0, tv)
         )
         expect = float(exact.subs({av: a, bv: b, tv: t}))
-        assert simplex_time_factor(ExpProduct([a, b]), t) == pytest.approx(
+        assert simplex_time_factor([a, b], t) == pytest.approx(
             expect, rel=1e-12
         )
         assert expect == pytest.approx(
@@ -228,14 +226,14 @@ class TestSimplexTimeFactor:
 
     def test_confluent_triple(self):
         a, t = 1.0, 0.9
-        assert simplex_time_factor(ExpProduct([a, a, a]), t) == pytest.approx(
+        assert simplex_time_factor([a, a, a], t) == pytest.approx(
             t ** 2 / 2 * math.exp(-a * t), rel=1e-12
         )
 
     def test_near_degenerate_continuity(self):
         a, t = 0.8, 1.1
-        exact = simplex_time_factor(ExpProduct([a, a]), t)
-        close = simplex_time_factor(ExpProduct([a, a + 1e-11]), t)
+        exact = simplex_time_factor([a, a], t)
+        close = simplex_time_factor([a, a + 1e-11], t)
         assert close == pytest.approx(exact, rel=1e-9)
 
     def test_third_order_rates_vs_simplex_cubature(self):
@@ -261,7 +259,7 @@ class TestSimplexTimeFactor:
             epsabs=1e-13,
             epsrel=1e-12,
         )
-        got = simplex_time_factor(ExpProduct(rates), t)
+        got = simplex_time_factor(rates, t)
         assert got == pytest.approx(val, rel=1e-8)
 
     def test_convolution_recursion(self):
@@ -274,26 +272,26 @@ class TestSimplexTimeFactor:
                 continue
             val, _ = integrate.quad(
                 lambda s: math.exp(-rates[0] * (t - s))
-                * simplex_time_factor(ExpProduct(rates[1:]), s),
+                * simplex_time_factor(rates[1:], s),
                 0.0,
                 t,
                 epsabs=1e-13,
                 epsrel=1e-12,
             )
-            assert simplex_time_factor(ExpProduct(rates), t) == pytest.approx(
+            assert simplex_time_factor(rates, t) == pytest.approx(
                 val, rel=1e-9
             )
 
     def test_zero_time(self):
-        assert simplex_time_factor(ExpProduct([1.0, 2.0, 3.0]), 0.0) == pytest.approx(
+        assert simplex_time_factor([1.0, 2.0, 3.0], 0.0) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_validation(self):
         with pytest.raises(PerturbError):
-            ExpProduct([])
+            simplex_time_factor([], 0.5)
         with pytest.raises(PerturbError):
-            ExpProduct([-1.0])
+            simplex_time_factor([-1.0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ class TestDyson:
         mg = momentum_grid(spec)
         series = dyson_tree_density(mg, 0.4, 20)
         exact = np.exp(-0.7 * 0.4 * mg.Rhat.ksquared()) * mg.vhat.values
-        assert np.max(np.abs(series.final.values - exact)) < 1e-12
+        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-12
 
     def test_logistic_diffusion_limited(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
@@ -355,7 +353,7 @@ class TestDyson:
             "Annihilation", (L,), 1.0, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
         series = dyson_tree_density(momentum_grid(spec), t, 1000)
-        x = series.final.to_position().values
+        x = to_position(series.fields[-1]).values
         exact = v0 / (1.0 + Rbar * v0 * t)
         assert np.max(np.abs(x - exact)) < 1e-6
 
@@ -365,14 +363,14 @@ class TestDyson:
         t, steps = 0.4, 800
         dy = dyson_tree_density(momentum_grid(spec), t, steps)
         mf = mean_field_pde(spec, t, steps)
-        diff = np.max(np.abs(dy.final.to_position().values - mf.final.values))
+        diff = np.max(np.abs(to_position(dy.fields[-1]).values - mf.fields[-1].values))
         assert diff < 1e-6
 
     def test_momentum_symmetry(self):
         g, R, v = gauss_fields(center=0.0)
         spec = annih_spec(g, R, v, 0.5)
         series = dyson_tree_density(momentum_grid(spec), 0.3, 100)
-        x = series.final.values
+        x = series.fields[-1].values
         n = len(x)
         flipped = x[(-np.arange(n)) % n]
         assert np.max(np.abs(x - flipped)) < 1e-12
@@ -388,7 +386,7 @@ class TestDyson:
         def tilted(sign):
             rhat = g.with_values(sign * eps * Rpos).to_momentum()
             mg = MomentumGrid(Rhat=rhat, vhat=vhat, D=D)
-            return dyson_tree_density(mg, t, 1000).final.values
+            return dyson_tree_density(mg, t, 1000).fields[-1].values
 
         first = (tilted(+1.0) - tilted(-1.0)) / (2.0 * eps)
 
@@ -450,7 +448,7 @@ class TestMeanField:
         series = mean_field_pde(spec, 0.7, 35)
         k2 = g.ksquared()
         exact = np.real(np.fft.ifftn(np.exp(-1.3 * 0.7 * k2) * np.fft.fftn(v.values)))
-        assert np.max(np.abs(series.final.values - exact)) < 1e-10
+        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-10
 
     @pytest.mark.parametrize("shape, center", [
         ((64,), (3.7,)), ((63,), (3.7,)), ((24, 24), (2.2, 3.9)), ((25, 18), (2.2, 3.9)),
@@ -471,7 +469,7 @@ class TestMeanField:
         )
         series = mean_field_pde(spec, t, 200)
         exact = v0 / (1.0 + Rbar * v0 * t)
-        assert np.max(np.abs(series.final.values - exact)) < 1e-9
+        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-9
 
     def test_monotone_mass_decay(self):
         g, R, v = gauss_fields(L=10.0, n=64, cR=0.8, sR=0.6, cv=8.0, sv=1.0, center=5.0)
@@ -488,7 +486,7 @@ class TestMeanField:
         t = 5e-4
         mf = mean_field_pde(spec, t, 50)
         mem = memory_form_density(spec, t, 50)
-        rel = np.max(np.abs(mf.final.values - mem)) / np.max(mf.final.values)
+        rel = np.max(np.abs(mf.fields[-1].values - mem)) / np.max(mf.fields[-1].values)
         assert rel < 1e-3
 
     def test_early_time_vs_monte_carlo(self):
@@ -506,14 +504,14 @@ class TestMeanField:
         spec = ModelSpec(
             "Annihilation", (L,), D, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
-        mf = mean_field_pde(spec, t, 200).final.values
+        mf = mean_field_pde(spec, t, 200).fields[-1].values
 
         sim = SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern)
         report = run(spec, sim, t)
-        dV = report.mean_field.cell_volume
+        dV = report.fields["density"].cell_volume
         pred_se = np.sqrt(np.maximum(mf, 0) * dV / report.replicas) / dV
-        se = np.maximum(report.se_field.values, pred_se)
-        z = (report.mean_field.values - mf) / se
+        se = np.maximum(report.fields["density_se"].values, pred_se)
+        z = (report.fields["density"].values - mf) / se
         assert np.mean(np.abs(z) > 3.0) <= 2.0 / n
         # and the decay is material, so the comparison has power
         assert np.mean(mf) < 0.9 * v0
@@ -527,11 +525,14 @@ class TestMeanField:
 class TestPlumbing:
     def test_momentum_grid_validation(self):
         g, R, v = gauss_fields()
-        odd = g.with_values(wrapped_gaussian(g, 1.0, 0.5, [1.0]))  # not even
-        with pytest.raises(PerturbError):
-            MomentumGrid(Rhat=odd.to_momentum(), vhat=v.to_momentum(), D=1.0)
         with pytest.raises(PerturbError):
             MomentumGrid(Rhat=R.to_momentum(), vhat=v, D=1.0)
+
+    def test_odd_kernel_refused(self):
+        g, R, v = gauss_fields()
+        odd = g.with_values(wrapped_gaussian(g, 1.0, 0.5, [1.0]))  # not even
+        with pytest.raises(PerturbError, match="must be even"):
+            kernel_field(annih_spec(g, odd, v, 1.0))
 
     def test_non_hermitian_intensity_rejected(self):
         """The transform of a complex intensity is not Hermitian; the

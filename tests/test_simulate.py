@@ -20,7 +20,6 @@ from rdito.models import (
     convert_ab_densities,
     death_diffusion_density,
     death_diffusion_log_gf,
-    GFQuery,
     spont_birth_density,
     wrapped_gaussian,
 )
@@ -70,10 +69,10 @@ def cell_averaged(kind, t, refine=4, **kw):
 
 def zscores(report, ref_values, t_ignored=None):
     """z per cell with an SE floor from the analytic Poisson prediction."""
-    dV = report.mean_field.cell_volume
+    dV = report.fields["density"].cell_volume
     pred_se = np.sqrt(np.maximum(ref_values, 0) * dV / report.replicas) / dV
-    se = np.maximum(report.se_field.values, pred_se)
-    return (report.mean_field.values - ref_values) / np.maximum(se, 1e-300)
+    se = np.maximum(report.fields["density_se"].values, pred_se)
+    return (report.fields["density"].values - ref_values) / np.maximum(se, 1e-300)
 
 
 class TestSampleInitial:
@@ -330,7 +329,7 @@ class TestRun:
         sim = SimConfig(dt=0.05, replicas=300, seed=123, chunk=64)
         r1 = run(spec, sim, 0.3)
         r2 = run(spec, sim, 0.3)
-        assert np.array_equal(r1.mean_field.values, r2.mean_field.values)
+        assert np.array_equal(r1.fields["density"].values, r2.fields["density"].values)
         assert r1.scalars == r2.scalars
 
     def test_thread_count_does_not_change_results(self):
@@ -338,7 +337,7 @@ class TestRun:
         sim = SimConfig(dt=0.05, replicas=300, seed=123, chunk=64)
         r1 = run(spec, sim, 0.3, threads=1)
         r4 = run(spec, sim, 0.3, threads=4)
-        assert np.array_equal(r1.mean_field.values, r4.mean_field.values)
+        assert np.array_equal(r1.fields["density"].values, r4.fields["density"].values)
         assert r1.scalars == r4.scalars
 
     def test_death_diffusion_density_matches_closed_form(self):
@@ -358,7 +357,7 @@ class TestRun:
         sim = SimConfig(dt=0.01, replicas=4000, seed=8)
         rep = run(spec, sim, t, u=u)
         mean, se = rep.scalars["gf"]
-        ref = math.exp(death_diffusion_log_gf(spec, GFQuery(u=u, t=t)))
+        ref = math.exp(death_diffusion_log_gf(spec, u, t))
         assert abs(mean - ref) < 3 * se
 
     def test_dt_convergence(self):
@@ -389,7 +388,7 @@ class TestRun:
         u = make_grid(np.where(np.abs(make_grid().axes()[0] - L / 2) < 1.0, 0.2, 1.0))
         rep = run(spec, SimConfig(dt=0.01, replicas=30_000, seed=1, chunk=4096), t, u=u)
         mean, se = rep.scalars["gf"]
-        assert abs(mean - math.exp(brownian_tree_log_gf(spec, GFQuery(u=u, t=t)))) < 4 * se
+        assert abs(mean - math.exp(brownian_tree_log_gf(spec, u, t))) < 4 * se
 
     def test_convert_ab(self):
         g = make_grid()
