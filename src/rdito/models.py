@@ -32,9 +32,7 @@ class NonconstantRate(Unsupported):
 
 
 class SeriesDivergence(ModelError):
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """The solution blows up: the GF of a branching model diverges."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +98,26 @@ class Rate:
     @classmethod
     def from_json(cls, obj) -> "Rate":
         if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return cls(const=float(obj))
+            return cls(const=as_number(obj, "a rate"))
         if not isinstance(obj, dict):
             raise ModelError(f"a rate must be a number or an object, got {obj!r}")
         check_keys(obj, ("const", "table", "expr"), "a rate")
         kwargs = {}
         if "const" in obj:
-            kwargs["const"] = float(obj["const"])
+            kwargs["const"] = as_number(obj["const"], "rate const")
         if "table" in obj:
-            kwargs["table"] = _freeze(obj["table"])
+            kwargs["table"] = _freeze(obj["table"], "rate table entry")
         if "expr" in obj:
             kwargs["time"] = obj["expr"]
         return cls(**kwargs)
+
+
+def as_number(value, what: str) -> float:
+    """A JSON number as a float; ValueError otherwise (float() would read
+    true as 1.0 and "2" as 2.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def as_int(value, what: str) -> int:
@@ -133,10 +139,11 @@ def check_keys(obj, allowed, what: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {what}, which takes {sorted(allowed)}")
 
 
-def _freeze(nested):
+def _freeze(nested, what: str):
+    """Nested JSON lists of numbers as nested tuples of floats."""
     if isinstance(nested, (list, tuple)):
-        return tuple(_freeze(x) for x in nested)
-    return float(nested)
+        return tuple(_freeze(x, what) for x in nested)
+    return as_number(nested, what)
 
 
 def image_sum(dx, L: float, two_var: float):
@@ -178,27 +185,26 @@ _FIELD_KEYS = {"table": ("table",), "uniform": ("expr", "const"),
 
 def _field_from_json(obj, box, shape) -> FieldGrid:
     g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
-    if isinstance(obj, (int, float)):
-        return g.with_values(np.full(g.shape, float(obj)))
     if not isinstance(obj, dict):
-        raise ModelError(f"cannot interpret field spec {obj!r}")
+        return g.with_values(np.full(g.shape, as_number(obj, "a field spec other than an object")))
     form = "table" if "table" in obj else obj.get("expr")
     if form in _FIELD_KEYS:
         check_keys(obj, _FIELD_KEYS[form], f"a {form} field")
     if "table" in obj:
-        vals = np.asarray(obj["table"], float)
+        vals = np.asarray(_freeze(obj["table"], "field table entry"), float)
         if vals.shape != g.shape:
             raise ModelError(f"field table shape {vals.shape} != grid {g.shape}")
         return g.with_values(vals)
     if obj.get("expr") == "uniform":
-        return g.with_values(np.full(g.shape, float(obj.get("const", 1.0))))
+        return g.with_values(np.full(g.shape, as_number(obj.get("const", 1.0), "uniform const")))
     if obj.get("expr") == "gaussian":
-        mass = float(obj.get("mass", 1.0))
-        width = float(obj.get("width", 1.0))
+        mass = as_number(obj.get("mass", 1.0), "gaussian mass")
+        width = as_number(obj.get("width", 1.0), "gaussian width")
         for name, val in (("mass", mass), ("width", width)):
             if not (math.isfinite(val) and val > 0):
                 raise ModelError(f"gaussian {name} must be finite and > 0, got {val}")
-        center = np.atleast_1d(np.asarray(obj.get("center", [b / 2 for b in g.box]), float))
+        center = np.atleast_1d(np.asarray(
+            _freeze(obj.get("center", [b / 2 for b in g.box]), "gaussian center"), float))
         if center.shape != (g.dim,) or not np.all(np.isfinite(center)):
             raise ModelError(
                 f"gaussian center must be {g.dim} finite numbers, got {obj.get('center')!r}"
@@ -264,18 +270,19 @@ class ModelSpec:
             raise ModelError(f"rates must be an object of named rates, got {json.dumps(rates)}")
         rates = {k: Rate.from_json(rv) for k, rv in rates.items()}
         if kind == "DiscreteDeath":
-            spec = cls(kind=kind, box=(), D=0.0, rates=rates, v=float(obj["v"]))
+            check_keys(obj, ("kind", "rates", "v"), "a DiscreteDeath model file")
+            spec = cls(kind=kind, box=(), D=0.0, rates=rates, v=as_number(obj["v"], "v"))
         else:
-            box = tuple(float(b) for b in obj["box"])
+            box = tuple(as_number(b, "box entry") for b in obj["box"])
             if not box or not all(math.isfinite(b) and b > 0 for b in box):
                 raise ModelError(f"box must hold lengths finite and > 0, got {obj['box']!r}")
             shape = tuple(as_int(n, "shape entry") for n in obj["shape"])
             if min(shape, default=1) < 1:
                 raise ModelError(f"shape entries must be >= 1, got {obj['shape']!r}")
-            if len(box) != int(obj.get("d", len(box))):
+            if len(box) != as_int(obj.get("d", len(box)), "d"):
                 raise ModelError("d does not match box length")
             vb = _field_from_json(obj["vb"], box, shape) if "vb" in obj else None
-            spec = cls(kind=kind, box=box, D=float(obj.get("D", 0.0)), rates=rates,
+            spec = cls(kind=kind, box=box, D=as_number(obj.get("D", 0.0), "D"), rates=rates,
                        v=_field_from_json(obj["v"], box, shape), vb=vb)
         names = [name for name, _ in KINDS[kind].reactions]
         optional = KINDS[kind].optional
@@ -376,6 +383,9 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_MAX_STEPS = 2 ** 18  # most Strang steps of brownian_tree_log_gf: t <= 65.536
+
+
 def brownian_tree_log_gf(spec: ModelSpec, u: FieldGrid, t: float,
                          steps: int | None = None) -> float:
     """Normalized log GF for A -> A+A with diffusion.
@@ -385,75 +395,50 @@ def brownian_tree_log_gf(spec: ModelSpec, u: FieldGrid, t: float,
 
         dw/dt = D Lap w + mu w (w - 1),    w(., 0) = u.
 
-    At D = 0 this resums to the geometric series
-    u e^{-mu t} sum_k (u (1 - e^{-mu t}))^k exactly; for D > 0 the equation
-    is integrated by Strang splitting with exact substeps (spectral
-    diffusion; closed-form logistic reaction), which preserves w == 1
-    identically, so u == 1 gives 0 to machine precision.
+    Strang splitting with exact substeps, spectral diffusion and the logistic
+    step w e^{-mu dt} / (1 - f), f = w (1 - e^{-mu dt}), keeps w == 1, so
+    u == 1 gives 0 to machine precision; SeriesDivergence once |f| >= 1.  One
+    step is exact where a substep is the identity (D = 0, mu = 0 or t = 0);
+    else max(200, 4000 t) steps, ModelError past _MAX_STEPS.
     """
     mu = _const_rate(spec, "mu")
     g = spec.grid()
-    dV = g.cell_volume
-    if spec.D == 0 or mu == 0 or t == 0:
-        w = u.values * (1 - math.exp(-mu * t))
-        if np.any(np.abs(w) >= 1):
-            raise SeriesDivergence("geometric factor |u(1-e^{-mu t})| >= 1")
-        if spec.D > 0 and t > 0:
-            conv = diffuse(g, spec.D, t)  # mu == 0: pure diffusion
-            return float(np.sum(u.values * conv.values - g.values) * dV)
-        integrand = u.values * math.exp(-mu * t) / (1 - w) * g.values
-        return float(np.sum(integrand - g.values) * dV)
     if steps is None:
-        steps = max(200, int(math.ceil(t * 4000)))
+        exact = spec.D == 0 or mu == 0 or t == 0
+        steps = 1 if exact else max(200, int(math.ceil(t * 4000)))
+    if steps > _MAX_STEPS:
+        raise ModelError(f"gf at t = {t} needs {steps} Strang steps, more than the "
+                         f"{_MAX_STEPS} (2^18) allowed: t <= 65.536")
     dt = t / steps
     heat = np.exp(-spec.D * (dt / 2) * half_spectrum(g.ksquared()))
     decay = math.exp(-mu * dt)
     w = u.values.astype(float).copy()
-
-    def react(w):
-        denom = 1.0 - w * (1.0 - decay)
-        if np.any(denom <= 0):
-            raise SeriesDivergence("logistic blow-up: u too large for this t")
-        return w * decay / denom
-
     for _ in range(steps):
         w = half_ifft(half_fft(w) * heat, g.shape)
-        w = react(w)
+        factor = w * (1.0 - decay)
+        if np.any(np.abs(factor) >= 1):
+            raise SeriesDivergence("geometric factor |w (1 - e^{-mu dt})| >= 1: "
+                                   "u too large for this t")
+        w = w * decay / (1.0 - factor)
         w = half_ifft(half_fft(w) * heat, g.shape)
-    return float(np.sum(g.values * (w - 1.0)) * dV)
-
-
-_SERIES_TERMS = 500  # most terms of the brownian_tree_density series
+    return float(np.sum(g.values * (w - 1.0)) * g.cell_volume)
 
 
 def brownian_tree_density(spec: ModelSpec, t: float) -> FieldGrid:
-    """X = sum_k (k+1) e^{-tH} (1 - e^{-mu t})^k v, H = mu - D Lap.
-
-    The k-th term is the contribution of lineages with exactly k fission
-    events: the geometric birth-count weight e^{-mu t}(1-e^{-mu t})^k is
-    position independent, and every particle's path is a full-time Brownian
-    bridge from the ancestor, so diffusion enters only through e^{t D Lap}.
-    Static case (D = 0) returns v e^{mu t} exactly.
-    """
-    g = spec.grid()
+    """X = e^{mu t} e^{t D Lap} v, since the mean solves dX/dt = (mu + D Lap) X;
+    v e^{mu t} at D = 0 or t = 0.  ModelError where e^{mu t} or X overflows."""
     mu = _const_rate(spec, "mu")
-    if spec.D == 0:
-        return g.with_values(g.values * math.exp(mu * t))
-    base = diffuse(g, spec.D, t).values * math.exp(-mu * t)
-    ratio = -math.expm1(-mu * t)
-    if ratio >= 1:
-        raise SeriesDivergence("geometric ratio >= 1")
-    total = np.zeros(g.shape)
-    term = base
-    for k in range(_SERIES_TERMS + 1):
-        add = (k + 1) * term
-        total = total + add
-        if np.max(np.abs(add)) < 1e-12 * max(float(np.max(np.abs(total))), 1e-300):
-            break
-        term = term * ratio
-    else:
-        raise SeriesDivergence(f"no convergence in {_SERIES_TERMS} terms", partial=total)
-    return g.with_values(total)
+    g = spec.grid()
+    try:
+        growth = math.exp(mu * t)
+    except OverflowError:
+        growth = math.inf
+    out = diffuse(g, spec.D, t) if spec.D > 0 and t > 0 else g
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = out.values * growth
+    if not np.all(np.isfinite(values)):
+        raise ModelError(f"density v e^(mu t) overflows at mu t = {mu * t:.6g}")
+    return g.with_values(values)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +462,13 @@ def convert_ab_densities(spec: ModelSpec, t: float) -> tuple[FieldGrid, FieldGri
 # ---------------------------------------------------------------------------
 
 
-def spont_birth_density(spec: ModelSpec, t: float) -> FieldGrid:
-    """X = v + g(p) * integral_0^t h(s) ds for separable birth rate g*h."""
-    g = _static_grid(spec)
-    mu = spec.rate("mu")
-    cum = mu.temporal_integral(0.0, t)
-    return g.with_values(g.values + mu.spatial(g.shape) * cum)
-
-
 def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     """X = v e^{-N(0,t)} + integral_0^t mu(s) e^{-N(s,t)} ds, N = cum. death.
 
-    Separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s); the outer
-    integral is taken once per distinct spatial value, all values at a time.
+    Separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s); an absent
+    rate is 0, so SpontBirth is this with nu absent.  Where g_nu = 0 the
+    outer integral is g_mu int_0^t h_mu, exactly; elsewhere it is taken by
+    quadrature once per distinct spatial value, all values at a time.
     """
     g = _static_grid(spec)
     mu = spec.rates.get("mu", Rate(const=0.0))
@@ -501,11 +480,11 @@ def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
     out = g.values * np.exp(-gnu * hnu_cum0)
     pairs = np.stack([gmu.ravel(), gnu.ravel()], axis=1)
     uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    born = np.zeros(len(uniq))
-    births = uniq[:, 0] != 0
-    if np.any(births):
-        gm, gn = uniq[births].T
-        born[births] = gm * _births_integral(mu, nu, gn, t)
+    gm, gn = uniq.T
+    born = gm * mu.temporal_integral(0.0, t)
+    dies = (gm != 0) & (gn != 0)
+    if np.any(dies):
+        born[dies] = gm[dies] * _births_integral(mu, nu, gn[dies], t)
     return g.with_values(out + born[inv].reshape(g.shape))
 
 
@@ -590,8 +569,9 @@ class Kind(NamedTuple):
 # Every model kind ModelSpec accepts.  Each entry looks its function up in
 # this module when it is called, so a wrapper installed on the module
 # attribute (perfbench/spans.py times calls that way) sees every call.  An
-# absent BirthDeathTimeDep rate is 0; the Annihilation Monte Carlo takes its
-# kernel from the simulation config, so only `perturb` needs R.
+# absent BirthDeathTimeDep rate is 0, and SpontBirth is BirthDeathTimeDep
+# without nu; the Annihilation Monte Carlo takes its kernel from the
+# simulation config, so only `perturb` needs R.
 KINDS = {
     "DeathDiffusion": Kind(lambda s, t: death_diffusion_density(s, t),
                            lambda s, u, t: death_diffusion_log_gf(s, u, t),
@@ -601,7 +581,8 @@ KINDS = {
                          lambda s, u, t: brownian_tree_log_gf(s, u, t),
                          (("mu", "branching"),)),
     "ConvertAB": Kind(lambda s, t: convert_ab_densities(s, t), None, (("mu", "conversion"),)),
-    "SpontBirth": Kind(lambda s, t: spont_birth_density(s, t), None, (("mu", "immigration"),)),
+    "SpontBirth": Kind(lambda s, t: birth_death_timedep_density(s, t), None,
+                       (("mu", "immigration"),)),
     "BirthDeathTimeDep": Kind(lambda s, t: birth_death_timedep_density(s, t), None,
                               (("nu", "death"), ("mu", "immigration")), ("nu", "mu")),
     "DiscreteDeath": Kind(

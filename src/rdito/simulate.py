@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, check_keys
+from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, check_keys
 
 MAX_EVENT_PROB = 0.1
 _ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
@@ -97,11 +97,11 @@ class SimConfig:
         if "kernel" in obj:
             check_keys(obj["kernel"], ("cutoff", "samples"), "a kernel")
             kern = RadialKernel(
-                cutoff=float(obj["kernel"]["cutoff"]),
-                samples=tuple(float(x) for x in obj["kernel"]["samples"]),
+                cutoff=as_number(obj["kernel"]["cutoff"], "kernel cutoff"),
+                samples=tuple(as_number(x, "kernel sample") for x in obj["kernel"]["samples"]),
             )
         return cls(
-            dt=float(obj["dt"]),
+            dt=as_number(obj["dt"], "dt"),
             replicas=as_int(obj["replicas"], "replicas"),
             seed=as_int(obj["seed"], "seed"),
             kernel=kern,

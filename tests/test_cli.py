@@ -32,6 +32,10 @@ def model_obj(kind="DeathDiffusion", **kw):
     return obj
 
 
+# A DiscreteDeath model file, with model_obj's grid keys dropped (None).
+DISCRETE = {"kind": "DiscreteDeath", "v": 3.0, "box": None, "shape": None, "D": None}
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -142,6 +146,33 @@ class TestDensity:
         v2 = np.array([float(r[2]) for r in rows[N:]])
         assert np.allclose(v2, v0 * math.exp(0.5 * 2.0), rtol=1e-12)
 
+    @pytest.mark.parametrize("t", ["3.0", "5.0", "10.0"])
+    def test_brownian_tree_density_is_growth_times_diffusion(self, tmp_path, t):
+        """X = e^{mu t} e^{t D Lap} v.  At mu t = 3, 5 and 10 the 500-term
+        series summed for it did not converge, with exit 3."""
+        from rdito.models import ModelSpec, diffuse
+
+        model = write_json(tmp_path / "m.json", model_obj("BrownianTree", rates={"mu": 1.0}))
+        out = tmp_path / "d.csv"
+        assert main(["density", model, "--t", t, "--out", str(out)]) == 0
+        got = np.array([float(r[2]) for r in read_rows(out)])
+        spec = ModelSpec.from_json((tmp_path / "m.json").read_text())
+        ref = math.exp(float(t)) * diffuse(spec.grid(), 1.0, float(t)).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_spont_birth_is_birth_death_without_nu(self, tmp_path, capsys):
+        """A SpontBirth model writes, value for value, what BirthDeathTimeDep
+        writes for the same model with nu absent."""
+        rates = {"mu": {"const": 0.7, "expr": "sin2", "table": [1.0 + (i % 3) for i in range(N)]}}
+        bodies = []
+        for kind in ("SpontBirth", "BirthDeathTimeDep"):
+            model = write_json(tmp_path / f"{kind}.json", model_obj(kind, D=0.0, rates=rates))
+            assert main(["density", model, "--t", "0.0", "0.8", "4.0"]) == 0
+            header, body = capsys.readouterr().out.split("\n", 1)
+            assert header == f"# model,{kind},t=0.0,0.8,4.0"
+            bodies.append(body)
+        assert bodies[0] == bodies[1] and len(bodies[0].splitlines()) == 1 + 3 * N
+
     def test_malformed_json_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "DeathDiffusion",\n  broken}')
@@ -192,15 +223,40 @@ class TestDensity:
         ({"v": {"expr": "gaussian", "mas": 20.0, "width": 1.0, "center": [L / 2]}}, "mas"),
         ({"v": {"table": [1.0] * N, "expr": "uniform"}}, "expr"),
         ({"rates": {"mu": {"const": 1.0, "expression": "sin2"}}}, "expression"),
-    ], ids=["model", "gaussian", "table", "rate"])
+        ({**DISCRETE, "D": 5.0}, "D"), ({**DISCRETE, "box": [1.0]}, "box"),
+        ({**DISCRETE, "shape": [8]}, "shape"), ({**DISCRETE, "d": 1}, "d"),
+        ({**DISCRETE, "vb": 1.0}, "vb"),
+    ], ids=["model", "gaussian", "table", "rate", "DiscreteDeath-D", "DiscreteDeath-box",
+            "DiscreteDeath-shape", "DiscreteDeath-d", "DiscreteDeath-vb"])
     def test_unknown_key_usage_exit(self, tmp_path, capsys, change, key):
         """A key the format does not have read as an absent one: "Diffusion"
         for "D" ran density at D = 0, and a gaussian's "mas" gave mass 1,
-        both with exit 0."""
+        both with exit 0.  A DiscreteDeath model has no grid, and ignored the
+        grid keys with exit 0."""
         obj = {k: v for k, v in {**model_obj(), **change}.items() if v is not None}
         model = write_json(tmp_path / "m.json", obj)
         assert main(["density", model, "--t", "0.1"]) == 2
         assert f"unknown keys ['{key}']" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("change, what", [
+        ({"d": 1.7}, "d must be an integer"),
+        ({"v": True}, "field spec other than an object must be a number"),
+        ({"D": "1.0"}, "D must be a number"), ({"box": ["10"]}, "box entry must be a number"),
+        ({"rates": {"mu": {"const": "2"}}}, "rate const must be a number"),
+        ({"rates": {"mu": {"table": ["1"] * N}}}, "rate table entry must be a number"),
+        ({"v": {"expr": "uniform", "const": "2"}}, "uniform const must be a number"),
+        ({"v": {"table": [False] * N}}, "field table entry must be a number"),
+        ({"v": {"expr": "gaussian", "mass": "20"}}, "gaussian mass must be a number"),
+        ({"v": {"expr": "gaussian", "center": ["5"]}}, "gaussian center must be a number"),
+        ({**DISCRETE, "v": True}, "v must be a number"),
+    ])
+    def test_non_number_usage_exit(self, tmp_path, capsys, change, what):
+        """float() read true as 1.0 and "1.0" as 1.0, and int() cut d = 1.7
+        to 1: each of these ran with exit 0."""
+        obj = {k: v for k, v in {**model_obj(), **change}.items() if v is not None}
+        model = write_json(tmp_path / "m.json", obj)
+        assert main(["density", model, "--t", "0.1"]) == 2
+        assert what in one_line_error(capsys)
 
     @pytest.mark.parametrize("box, shape", [
         ([L], [0]), ([L], [2.5]), ([L], [True]), ([0.0], [N]), ([-L], [N]),
@@ -359,6 +415,20 @@ class TestGfFn:
         val = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[1])
         assert val == pytest.approx(math.exp(-20.0 * math.exp(-0.4)), rel=1e-6)
 
+    def test_gf_past_the_step_cap_runtime_exit(self, tmp_path):
+        """BrownianTree gf takes max(200, 4000 t) Strang steps: t = 1000 ran
+        past a 20-s timeout.  Past 2^18 steps it refuses before the first."""
+        model = write_json(tmp_path / "m.json", model_obj("BrownianTree", rates={"mu": 1.0}))
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['gf', {model!r}, '--t', '10000']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1
+        assert "2^18" in res.stderr
+        assert float(res.stdout) < 2.0
+
     def test_gf_unsupported_kind(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", model_obj("SpontBirth"))
         assert main(["gf", model, "--t", "0.5"]) == 2
@@ -486,6 +556,9 @@ class TestSimulate:
         ("0.05", "1", {"kernel": {"cutoff": 6.0, "samples": [1.0, 0.0]}}, "cutoff"),
         ("0.05", "1", {"kernel": {"cutoff": 0.0, "samples": [1.0, 0.0]}}, "cutoff"),
         ("0.015", "1", {}, "--t-end"), ("0.0500001", "1", {}, "--t-end"),
+        ("0.05", "1", {"dt": "0.01"}, "dt must be a number"),
+        ("0.05", "1", {"kernel": {"cutoff": "1.0", "samples": [1.0]}}, "kernel cutoff must be"),
+        ("0.05", "1", {"kernel": {"cutoff": 1.0, "samples": [True]}}, "kernel sample must be"),
     ])
     def test_bad_input_usage_exit(self, tmp_path, capsys, t_end, threads, sim_keys, flag):
         model = write_json(tmp_path / "m.json", model_obj())
@@ -779,6 +852,7 @@ class TestRefusals:
         ("BrownianTree", {"mu": 1.0}, ["gf", "--t", "1.0", "--u", "2.0"], "geometric factor"),
         ("BirthDeathTimeDep", {"mu": 1.0, "nu": 1e5}, ["density", "--t", "1.0"],
          "birth integral"),
+        ("BrownianTree", {"mu": 800.0}, ["density", "--t", "1.0"], "v e^(mu t) overflows"),
     ])
     def test_runtime_failure_exit(self, tmp_path, capsys, kind, rates, argv, message):
         """A model that can answer, but whose computation fails, still exits 3."""
@@ -1023,6 +1097,20 @@ def test_every_public_name_is_named_by_the_package_or_the_benchmark():
                                if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
     unnamed = [p for p in public if p.rsplit(".", 1)[1] not in named]
     assert not unnamed, f"named only by the tests: {unnamed}"
+
+
+def test_every_traced_benchmark_target_is_an_attribute_of_its_owner(monkeypatch):
+    """perfbench/spans.py wraps the attributes its TARGETS name, reading each
+    from its owner's __dict__; a change to src/ that renames or moves one
+    breaks the traced benchmark, which no other test runs.  The import
+    writes no bytecode into perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import spans
+
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in spans.TARGETS
+               if attr not in vars(owner)]
+    assert spans.TARGETS and not missing, f"not in its owner's __dict__: {missing}"
 
 
 def test_scipy_is_only_a_test_dependency():

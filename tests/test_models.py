@@ -1,6 +1,7 @@
 """Tests for closed-form model evaluators, against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from rdito.models import (
     diffuse,
     discrete_death_mean,
     image_sum,
-    spont_birth_density,
     wrapped_gaussian,
 )
 from oracles import DegenerateTime, discrete_death_gf, heat_kernel, stirling2, to_position
@@ -378,6 +378,17 @@ class TestBrownianTree:
             (v0 - v1) * math.exp((mu - 2 * w) * t), rel=1e-8
         )
 
+    @pytest.mark.parametrize("mu, v", [(800.0, 1.0), (700.0, 1e10)])
+    def test_density_overflow_refused(self, mu, v):
+        """e^{800} overflows; e^{700} does not, but 1e10 e^{700} does, and was
+        written as inf with exit 0 and a numpy warning."""
+        spec = ModelSpec("BrownianTree", (L,), 0.0, {"mu": Rate(const=mu)},
+                         position_grid((L,), np.full(N, v)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="overflows at mu t = "):
+                brownian_tree_density(spec, 1.0)
+
     def test_log_gf_conservation(self):
         spec = gaussian_spec(kind="BrownianTree", mu=0.5, D=1.0, mass=5.0)
         for t in np.linspace(0, 1.0, 20):
@@ -395,7 +406,7 @@ class TestBrownianTree:
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_density_is_gf_derivative(self):
-        # cross-validates the PDE-based GF against the series density
+        # cross-validates the PDE-based GF against the closed-form density
         spec = gaussian_spec(kind="BrownianTree", mu=0.5, D=1.0, mass=5.0)
         t = 0.4
         dens = brownian_tree_density(spec, t)
@@ -408,6 +419,26 @@ class TestBrownianTree:
         h1, h2 = 1e-3, 1e-4
         rich = (h1 ** 2 * ds[1] - h2 ** 2 * ds[0]) / (h1 ** 2 - h2 ** 2)
         assert rich == pytest.approx(dens.values[idx], rel=1e-6)
+
+    def test_log_gf_one_step_where_a_substep_is_the_identity(self):
+        """At mu = 0 the reaction substep is the identity and at t = 0 both
+        are, so one Strang step is exact."""
+        spec = gaussian_spec(kind="BrownianTree", mu=0.0, D=1.0, mass=5.0)
+        g = spec.grid()
+        u = g.with_values(0.5 + 0.4 * np.cos(2 * np.pi * np.arange(N) / N))
+        t = 0.7
+        ref = np.sum(u.values * diffuse(g, 1.0, t).values - g.values) * g.cell_volume
+        assert brownian_tree_log_gf(spec, u, t) == pytest.approx(ref, rel=1e-12)
+        ref0 = np.sum(g.values * (u.values - 1)) * g.cell_volume
+        assert brownian_tree_log_gf(spec, u, 0.0) == pytest.approx(ref0, rel=1e-12)
+
+    @pytest.mark.parametrize("t, steps", [(65.6, None), (1.0, 2 ** 18 + 1)])
+    def test_log_gf_refuses_past_the_step_cap(self, t, steps):
+        """max(200, 4000 t) steps passes 2^18 at t > 65.536; refused at once."""
+        spec = gaussian_spec(kind="BrownianTree", mu=1.0, D=1.0)
+        u = spec.grid().with_values(np.full(N, 0.5))
+        with pytest.raises(ModelError, match=r"2\^18"):
+            brownian_tree_log_gf(spec, u, t, steps=steps)
 
     def test_series_divergence(self):
         spec = gaussian_spec(kind="BrownianTree", mu=1.0, D=0.0, mass=5.0)
@@ -475,7 +506,7 @@ class TestTimeDependent:
 
     def test_spont_birth_constant(self):
         spec = self.base({"mu": Rate(const=0.3)})
-        out = spont_birth_density(spec, 2.0)
+        out = birth_death_timedep_density(spec, 2.0)
         assert np.max(np.abs(out.values - (spec.v.values + 0.6))) < 1e-10
 
     def test_spont_birth_sin2(self):
@@ -483,19 +514,22 @@ class TestTimeDependent:
         gprof = 0.5 + 0.5 * np.cos(2 * np.pi * x / L) ** 2
         spec = self.base({"mu": Rate(table=tuple(gprof), time="sin2")})
         t = 1.7
-        out = spont_birth_density(spec, t)
+        out = birth_death_timedep_density(spec, t)
         cum = t / 2 - math.sin(2 * t) / 4
         ref = spec.v.values + gprof * cum
         assert np.max(np.abs(out.values - ref)) < 1e-9
 
     def test_birth_death_reduces_to_spont_birth(self):
+        """With nu = 0 no cell takes the quadrature: the births are
+        g_mu int_0^t h_mu, value for value the SpontBirth density."""
         rates = {"mu": Rate(const=0.4, time="sin2"), "nu": Rate(const=0.0)}
         spec = self.base(rates)
-        a = birth_death_timedep_density(spec, 1.3)
-        b = spont_birth_density(
-            ModelSpec("SpontBirth", spec.box, 0.0, {"mu": rates["mu"]}, spec.v), 1.3
-        )
-        assert np.max(np.abs(a.values - b.values)) < 1e-7
+        a = birth_death_timedep_density(
+            ModelSpec("BirthDeathTimeDep", spec.box, 0.0, rates, spec.v), 1.3)
+        b = density(ModelSpec("SpontBirth", spec.box, 0.0, {"mu": rates["mu"]}, spec.v), 1.3)
+        assert np.array_equal(a.values, b.values)
+        cum = (1.3 - math.sin(2.6) / 2) / 2
+        assert np.allclose(a.values, spec.v.values + 0.4 * cum, rtol=1e-15, atol=0)
 
     def test_birth_death_pure_decay(self):
         rates = {"mu": Rate(const=0.0), "nu": Rate(const=0.9)}
@@ -540,11 +574,19 @@ class TestTimeDependent:
     @pytest.mark.parametrize("rates, t", [
         ({"mu": Rate(const=1.0), "nu": Rate(const=1e6)}, 1.0),
         ({"mu": Rate(const=1.0, time="sin2"), "nu": Rate(const=1.0)}, 1e6),
-        ({"mu": Rate(const=1.0, time="sin2"), "nu": Rate(const=0.0)}, 1e6),
     ])
     def test_birth_death_refuses_what_its_rule_cannot_resolve(self, rates, t):
         with pytest.raises(ModelError, match="birth integral"):
             birth_death_timedep_density(self.base(rates), t)
+
+    def test_birth_without_death_is_exact_at_long_times(self):
+        """With nu = 0 the births are int_0^t sin^2 = (t - sin 2t / 2) / 2
+        exactly; the quadrature refused t = 1e6 for want of panels."""
+        t = 1e6
+        spec = self.base({"mu": Rate(const=1.0, time="sin2"), "nu": Rate(const=0.0)})
+        out = birth_death_timedep_density(spec, t)
+        ref = spec.v.values + (t - math.sin(2 * t) / 2) / 2
+        assert np.allclose(out.values, ref, rtol=1e-15, atol=0)
 
 
 PROFILES = {None: lambda s: 1.0, "one": lambda s: 1.0,
@@ -655,7 +697,7 @@ class TestJsonAndCsv:
         assert {k for k, c in KINDS.items() if c.pairs} == {"Annihilation"}
 
     @pytest.mark.parametrize("kind, evaluate", [
-        ("ConvertAB", convert_ab_densities), ("SpontBirth", spont_birth_density),
+        ("ConvertAB", convert_ab_densities), ("SpontBirth", density),
         ("BirthDeathTimeDep", birth_death_timedep_density),
     ])
     def test_static_closed_forms_refuse_diffusion(self, kind, evaluate):

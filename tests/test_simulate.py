@@ -20,7 +20,6 @@ from rdito.models import (
     convert_ab_densities,
     death_diffusion_density,
     death_diffusion_log_gf,
-    spont_birth_density,
     wrapped_gaussian,
 )
 from rdito.simulate import (
@@ -418,7 +417,7 @@ class TestRun:
                          {"mu": Rate(table=tuple(gprof), time="sin2")}, v)
         t = 1.5
         rep = run(spec, SimConfig(dt=0.01, replicas=2000, seed=15), t)
-        ref = spont_birth_density(spec, t)
+        ref = birth_death_timedep_density(spec, t)
         m, s = rep.scalars["N"]
         assert abs(m - ref.integral()) < 3 * s
         z = zscores(rep, ref.values)
