@@ -10,10 +10,17 @@ carries the 1/(2 pi)^d in its measure.  FieldGrid keeps full complex spectra,
 so it can hold any momentum field.  Solvers whose fields are real work on the
 half spectrum instead (last axis k >= 0, since X(-k) = conj X(k)) through one
 unnormalized transform pair, half_fft and half_ifft.
+
+A solver that repeats one linear map built from that pair (a heat step, a
+convolution) wraps it in dense_map.  On grids of at most DENSE_CELLS cells
+the map becomes one vector-matrix product: its matrix is the map applied to
+the identity basis, so it is the same linear map, and it skips numpy's FFT
+call overhead, which dominates there.  Above the crossover the FFTs win.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,15 +111,16 @@ def half_spectrum(a: np.ndarray) -> np.ndarray:
     return a[..., : a.shape[-1] // 2 + 1]
 
 
-def half_fft(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT of a real array over all its axes, on the half
-    spectrum: rfft on the last axis, then fft on each other axis.
+def half_fft(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """Unnormalized DFT of a real array over its last `ndim` axes (all by
+    default), on the half spectrum: rfft on the last axis, then fft on each
+    other one; leading axes index a batch.
 
     The 1-D calls skip the n-D wrappers (fftn, rfftn), whose per-call
     overhead dominates at the small grids of the tree-level solvers.
     """
     out = np.fft.rfft(x)
-    for ax in range(x.ndim - 1):
+    for ax in range(-(x.ndim if ndim is None else ndim), -1):
         out = np.fft.fft(out, axis=ax)
     return out
 
@@ -125,13 +133,54 @@ def half_ifft(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfft(xh, n=shape[-1])
 
 
-def full_spectrum(xh: np.ndarray, n: int) -> np.ndarray:
-    """Full spectrum of a real array from its half spectrum `xh` (last axis
-    of full length n), completed by X(-k) = conj X(k)."""
+def full_spectrum(xh: np.ndarray, n: int, ndim: int | None = None) -> np.ndarray:
+    """Full spectrum of a real array from its half spectrum `xh` over the
+    last `ndim` axes (all by default; the last of full length n), completed
+    by X(-k) = conj X(k); leading axes index a batch."""
     m = xh.shape[-1]
-    neg = [(-np.arange(s)) % s for s in xh.shape[:-1]]
-    tail = xh[np.ix_(*neg, np.arange(n - m, 0, -1))]
-    return np.concatenate([xh, tail.conj()], axis=-1)
+    ndim = xh.ndim if ndim is None else ndim
+    neg = [(-np.arange(s)) % s for s in xh.shape[-ndim:-1]]
+    out = np.empty((*xh.shape[:-1], n), xh.dtype)
+    out[..., :m] = xh
+    np.conjugate(xh[(..., *np.ix_(*neg, np.arange(n - m, 0, -1)))], out=out[..., m:])
+    return out
+
+
+DENSE_CELLS = 128  # dense_map's crossover: largest grid (in cells) run as a matrix
+
+
+def dense_map(op, shape: tuple[int, ...], dtype=float):
+    """`op`, a real-linear map of arrays of `shape` and `dtype` that also
+    maps a batch along a leading axis, as one vector-matrix product on grids
+    of at most DENSE_CELLS cells; `op` itself on larger grids.
+
+    The matrix is `op` applied to the identity basis (a complex entry counts
+    as two real coordinates), so both paths compute the same map.  Only
+    vector @ matrix products: OpenBLAS starts threads for a matrix @ matrix
+    product, which costs more than the FFTs it replaces at these sizes.
+    """
+    if math.prod(shape) > DENSE_CELLS:
+        return op
+    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    images = op(np.eye(size).view(dtype).reshape(size, *shape))
+    out_shape, out_dtype = images.shape[1:], images.dtype
+    matrix = np.ascontiguousarray(images).reshape(size, -1).view(float)
+
+    def apply(x):
+        return (x.reshape(-1).view(float) @ matrix).view(out_dtype).reshape(out_shape)
+
+    return apply
+
+
+def heat_change(g: FieldGrid, D: float, t: float):
+    """x -> (e^{t D Lap} - 1) x on real fields of grid g, through dense_map.
+
+    A repeated heat step is x + heat_change(x): the expm1 multiplier keeps
+    the map's rounding relative to the change, so a dense matrix's rounding
+    does not compound over thousands of steps as it would in e^{t D Lap} x.
+    """
+    less_one = np.expm1(-D * t * half_spectrum(g.ksquared()))
+    return dense_map(lambda x: half_ifft(less_one * half_fft(x, g.dim), g.shape), g.shape)
 
 
 def point_labels(axes, sep: str = ",") -> list[str]:

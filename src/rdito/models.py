@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .grid import half_fft, half_ifft, half_spectrum
+from .grid import half_fft, half_ifft, half_spectrum, heat_change
 
 
 class ModelError(Exception):
@@ -395,9 +395,10 @@ def brownian_tree_log_gf(spec: ModelSpec, u: FieldGrid, t: float,
 
         dw/dt = D Lap w + mu w (w - 1),    w(., 0) = u.
 
-    Strang splitting with exact substeps, spectral diffusion and the logistic
-    step w e^{-mu dt} / (1 - f), f = w (1 - e^{-mu dt}), keeps w == 1, so
-    u == 1 gives 0 to machine precision; SeriesDivergence once |f| >= 1.  One
+    Strang splitting with exact substeps, spectral diffusion written as
+    w + (e^{dt D Lap / 2} - 1) w and the logistic step w e^{-mu dt} / (1 - f),
+    f = w (1 - e^{-mu dt}), keeps w == 1, so u == 1 gives 0 to machine
+    precision; SeriesDivergence once |f| >= 1.  One
     step is exact where a substep is the identity (D = 0, mu = 0 or t = 0);
     else max(200, 4000 t) steps, ModelError past _MAX_STEPS.
     """
@@ -410,17 +411,17 @@ def brownian_tree_log_gf(spec: ModelSpec, u: FieldGrid, t: float,
         raise ModelError(f"gf at t = {t} needs {steps} Strang steps, more than the "
                          f"{_MAX_STEPS} (2^18) allowed: t <= 65.536")
     dt = t / steps
-    heat = np.exp(-spec.D * (dt / 2) * half_spectrum(g.ksquared()))
+    heat_half_change = heat_change(g, spec.D, dt / 2)
     decay = math.exp(-mu * dt)
-    w = u.values.astype(float).copy()
+    w = np.asarray(u.values, float)
     for _ in range(steps):
-        w = half_ifft(half_fft(w) * heat, g.shape)
+        w = w + heat_half_change(w)
         factor = w * (1.0 - decay)
-        if np.any(np.abs(factor) >= 1):
+        if (np.abs(factor) >= 1).any():
             raise SeriesDivergence("geometric factor |w (1 - e^{-mu dt})| >= 1: "
                                    "u too large for this t")
         w = w * decay / (1.0 - factor)
-        w = half_ifft(half_fft(w) * heat, g.shape)
+        w = w + heat_half_change(w)
     return float(np.sum(g.values * (w - 1.0)) * g.cell_volume)
 
 

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
-from .grid import full_spectrum, half_fft, half_ifft, half_spectrum
+from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
 # Rates closer than this (relative to the largest rate) are merged into one
 # confluent cluster in simplex_time_factor.
@@ -34,6 +34,8 @@ CONFLUENT_TOL = 1e-9
 
 FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves it less
 FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
+
+_MAX_SAMPLES = 2 ** 24  # most field samples, (steps + 1) x cells, a tree-level solve stores
 
 
 class PerturbError(Exception):
@@ -289,6 +291,17 @@ class TimeSeries:
         return "".join(self.csv_chunks())
 
 
+def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
+    """PerturbError unless 1 <= steps and the solve stores at most _MAX_SAMPLES
+    samples: both solvers keep the field of every step."""
+    if steps < 1:
+        raise PerturbError("steps must be >= 1")
+    cells = math.prod(shape)
+    if (steps + 1) * cells > _MAX_SAMPLES:
+        raise PerturbError(f"{steps} steps on {cells} cells store {(steps + 1) * cells} field "
+                           f"samples, more than the {_MAX_SAMPLES} (2^24) allowed")
+
+
 def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeries:
     """Tree-level density by time-stepped fixed point of the Dyson recursion.
 
@@ -299,11 +312,10 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
     cost is O(steps) in time and O(grid) in history memory.
 
     The density is real, so the recursion runs on the half spectrum (last
-    axis k >= 0); each step's field is completed to the full spectrum by
-    X(-k) = conj X(k) as it is stored.
+    axis k >= 0); the stored half spectra are completed to full spectra by
+    X(-k) = conj X(k) after the last step.
     """
-    if steps < 1:
-        raise PerturbError("steps must be >= 1")
+    _check_steps(steps, grid.shape)
     dt = t_end / steps
     shape = grid.shape
     k2 = half_spectrum(grid.Rhat.ksquared())
@@ -311,18 +323,18 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
     dV = grid.Rhat.cell_volume
     vhat = half_spectrum(np.asarray(grid.vhat.values, complex))
     step_prop = np.exp(-grid.D * dt * k2)
-    pair = np.empty((2, *vhat.shape), complex)
+    d = len(shape)
+    # x and R*x from the half spectrum of x, and the half spectrum of a product
+    to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),
+                        vhat.shape, complex)
+    to_half = dense_map(lambda x: half_fft(x, d) / dV, shape)
 
     def collision(xh):
-        """Half spectrum of x (R*x) given that of x: one inverse transform of
-        x and R*x together, one forward transform of their product."""
-        pair[0] = xh
-        np.multiply(rhat, xh, out=pair[1])
-        x, rx = half_ifft(pair, shape)
-        return half_fft(x * rx) / dV
+        """Half spectrum of x (R*x) given that of x."""
+        x, rx = to_pair(xh)
+        return to_half(x * rx)
 
-    out = np.empty((steps + 1, *shape), complex)
-    out[0] = grid.vhat.values
+    halves = np.empty((steps, *vhat.shape), complex)
     coll = collision(vhat)
     hist = np.zeros_like(vhat)
     for i in range(1, steps + 1):
@@ -342,9 +354,10 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
                 f"fixed point stalled at correction {corr:.3e} (step {i})"
             )
         coll = collision(x)
-        out[i] = full_spectrum(x, shape[-1])
+        halves[i - 1] = x
     times = tuple(i * dt for i in range(steps + 1))
-    fields = tuple(FieldGrid(grid.box, x, MOMENTUM) for x in out)
+    fields = (grid.vhat,) + tuple(FieldGrid(grid.box, x, MOMENTUM)
+                                  for x in full_spectrum(halves, shape[-1], d))
     return TimeSeries(times, fields)
 
 
@@ -355,19 +368,19 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     the coupled local ODE with classical RK4.  Every transform is of a real
     field, so all of them run on the half spectrum.
     """
-    if steps < 1:
-        raise PerturbError("steps must be >= 1")
     g = spec.grid()
     shape = g.shape
+    _check_steps(steps, shape)
     rhat = half_fft(kernel_field(spec).values) * g.cell_volume
     dt = t_end / steps
-    heat = np.exp(-spec.D * half_spectrum(g.ksquared()) * dt / 2.0)
+    heat_half_change = heat_change(g, spec.D, dt / 2.0)
+    convolve = dense_map(lambda x: half_ifft(rhat * half_fft(x, g.dim), shape), shape)
 
     def diffuse_half_step(x):
-        return half_ifft(heat * half_fft(x), shape)
+        return x + heat_half_change(x)
 
     def rhs(x):
-        return -x * half_ifft(rhat * half_fft(x), shape)
+        return -x * convolve(x)
 
     x = np.asarray(g.values, float)
     times = [0.0]

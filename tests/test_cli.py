@@ -743,6 +743,25 @@ class TestPerturb:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["dyson", "meanfield"])
+    def test_too_many_samples_runtime_exit(self, tmp_path, method):
+        """Both solvers keep every step's field: 10^9 steps on 32 cells made
+        dyson exit 4 on a MemoryError, and the mean field would grow its
+        lists for hours.  Past the sample cap both refuse before any step."""
+        model = self.annih_model(tmp_path)
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['perturb', {model!r}, '--t-end', '0.4', "
+                           f"'--steps', '1000000000', '--method', {method!r}, "
+                           "'--out', 'x.csv']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1
+        assert "2^24" in res.stderr
+        assert float(res.stdout) < 2.0
+        assert not (tmp_path / "x.csv").exists()
+
 
 # The rates of one small valid model per kind, all at D = 0; None for the
 # grid-less DiscreteDeath.

@@ -8,7 +8,8 @@ import sympy
 from scipy import integrate
 
 from rdito import algebra as alg
-from rdito.grid import FieldGrid, MOMENTUM, POSITION
+from rdito.grid import DENSE_CELLS, FieldGrid, MOMENTUM, POSITION
+from rdito.grid import dense_map, full_spectrum, half_fft, half_ifft
 from rdito.models import ModelSpec, Rate, wrapped_gaussian
 from rdito.perturb import (
     GridTooCoarse,
@@ -515,6 +516,75 @@ class TestMeanField:
         assert np.mean(np.abs(z) > 3.0) <= 2.0 / n
         # and the decay is material, so the comparison has power
         assert np.mean(mf) < 0.9 * v0
+
+
+# ---------------------------------------------------------------------------
+# Small-grid dense transforms
+# ---------------------------------------------------------------------------
+
+DENSE_SHAPES = [(1,), (2,), (7,), (64,), (DENSE_CELLS,), (DENSE_CELLS + 1,),
+                (8, 8), (7, 9), (2, 3, 4)]
+
+
+class TestDenseTransforms:
+    """dense_map on the maps the tree-level solvers repeat.  Criterion 11's
+    2-D grids lie above DENSE_CELLS, so these gate the dense path in 2-D."""
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES, ids=str)
+    def test_position_operator_matches_ffts(self, shape):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=shape)
+        mult = rng.uniform(-1.0, 1.0, half_fft(x).shape)
+
+        def op(x):
+            return half_ifft(mult * half_fft(x, len(shape)), shape)
+
+        dense = dense_map(op, shape)
+        assert (dense is op) == (math.prod(shape) > DENSE_CELLS)
+        want = half_ifft(mult * half_fft(x), shape)
+        got = dense(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES, ids=str)
+    def test_collision_matches_ffts(self, shape):
+        """Dyson's collision: x and R*x from a half spectrum (complex input),
+        then the half spectrum of their product (complex output)."""
+        rng = np.random.default_rng(2)
+        d = len(shape)
+        xh = half_fft(rng.normal(size=shape))
+        rhat = rng.uniform(-1.0, 1.0, xh.shape)
+
+        def to_pair(xh):
+            return half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape)
+
+        def to_half(x):
+            return half_fft(x, d) / 0.3
+
+        def collision(to_pair, to_half):
+            x, rx = to_pair(xh)
+            return to_half(x * rx)
+
+        want = collision(to_pair, to_half)
+        got = collision(dense_map(to_pair, xh.shape, complex), dense_map(to_half, shape))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_batched_full_spectrum_is_each_full_spectrum(self):
+        x = np.random.default_rng(3).normal(size=(5, 7, 9))
+        batch = full_spectrum(half_fft(x, 2), 9, 2)
+        for xi, got in zip(x, batch):
+            assert np.array_equal(got, full_spectrum(half_fft(xi), 9))
+        assert np.max(np.abs(batch - np.fft.fftn(x, axes=(1, 2)))) < 1e-12
+
+    @pytest.mark.parametrize("shape, center", [((8, 8), (3.0, 3.0)), ((7, 9), (2.2, 3.9))])
+    def test_dyson_matches_mean_field_2d(self, shape, center):
+        """Criterion 11's 2-D agreement on grids small enough for the dense path."""
+        spec = gauss_spec_nd((6.0, 6.0), shape, center)
+        dy = dyson_tree_density(momentum_grid(spec), 0.4, 400)
+        mf = mean_field_pde(spec, 0.4, 400)
+        sup = np.max(np.abs(to_position(dy.fields[-1]).values - mf.fields[-1].values))
+        assert sup < 1e-6
 
 
 # ---------------------------------------------------------------------------
