@@ -50,6 +50,10 @@ class NonConvergence(PerturbError):
     """A fixed-point sweep failed to reach tolerance."""
 
 
+class Unstable(PerturbError):
+    """A time step overflowed: the solve produced a field that is not finite."""
+
+
 # ---------------------------------------------------------------------------
 # Momentum grids
 # ---------------------------------------------------------------------------
@@ -366,7 +370,9 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
 
     Diffusion half-steps are exact (spectral); the reaction substep advances
     the coupled local ODE with classical RK4.  Every transform is of a real
-    field, so all of them run on the half spectrum.
+    field, so all of them run on the half spectrum.  A step too long for RK4
+    overflows, and a value that is not finite stays so, so Unstable is
+    raised once, after the last step.
     """
     g = spec.grid()
     shape = g.shape
@@ -385,14 +391,18 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     x = np.asarray(g.values, float)
     times = [0.0]
     fields = [g]
-    for i in range(1, steps + 1):
-        x = diffuse_half_step(x)
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = diffuse_half_step(x)
-        times.append(i * dt)
-        fields.append(g.with_values(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x = diffuse_half_step(x)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = diffuse_half_step(x)
+            times.append(i * dt)
+            fields.append(g.with_values(x))
+    if not np.all(np.isfinite(x)):
+        raise Unstable(f"mean-field field is not finite by t = {t_end:g}: the step dt = {dt:g} "
+                       "is too long; use more steps")
     return TimeSeries(tuple(times), tuple(fields))

@@ -8,8 +8,14 @@ read (by a spatial rate table, the A+A pair search, branching, immigration
 or the end-of-run estimators; see ParticleEnsemble), which is the same law.
 A unary event fires within a step with the exact
 probability 1 - exp(-integral of its rate over the step) (Gillespie's
-waiting-time law); spontaneous births are Poisson with the exact integral
-of the intensity; A+A pairs react through a radial kernel.  Replicas are
+waiting-time law).  A death at a rate without a spatial table likewise
+only accrues its hazard: survival over k steps is exp(-sum of the
+hazards), so the thinning is drawn once, at the next read of the particle
+set; reading n, species or replica draws it, as reading positions draws
+the diffusion.  A tabulated death rate thins every step.  Spontaneous
+births are Poisson with the exact integral of the intensity, less those
+that the kind's death removes before the step ends; A+A pairs react
+through a radial kernel.  Replicas are
 batched into chunks; each chunk owns an rng seeded from (seed, chunk
 index), so results are independent of the thread schedule and
 bit-identical across runs.
@@ -129,21 +135,31 @@ class ParticleEnsemble:
     Diffusion is drawn when positions are read, not when it happens: every
     particle carries the same accrued but undrawn Gaussian variance per axis,
     `pending`.  Brownian increments compose, so the first read of `positions`
-    draws it all at once with `rng` and wraps onto the torus; `n` and
-    `select` work on the undrawn array.  `append` reads first, so newborns
-    never inherit displacement they did not have."""
+    draws it all at once with `rng` and wraps onto the torus.  A death at a
+    scalar rate is deferred the same way: survival is exp(-`hazard`), the
+    accrued integral of the rate, so the first read of `n`, `species`,
+    `replica` or `positions` thins once, before any diffusion draw.
+    `select` works on the thinned, undrawn arrays; `append` reads first, so
+    newborns never inherit displacement or hazard they did not have."""
 
     box: tuple[float, ...]
     _positions: np.ndarray  # (n, d), `pending` not yet drawn
-    species: np.ndarray  # (n,)
-    replica: np.ndarray  # (n,)
+    _species: np.ndarray  # (n,)
+    _replica: np.ndarray  # (n,)
     nreplicas: int
     time: float = 0.0
     rng: np.random.Generator | None = None
     pending: float = 0.0
+    hazard: float = 0.0
+
+    def _thin(self) -> None:
+        if self.hazard:
+            p, self.hazard = -math.expm1(-self.hazard), 0.0
+            self.select(self.rng.random(len(self._positions)) >= p)
 
     @property
     def positions(self) -> np.ndarray:
+        self._thin()
         if self.pending:
             pos = self._positions + self.rng.normal(
                 0.0, math.sqrt(self.pending), size=self._positions.shape)
@@ -154,18 +170,34 @@ class ParticleEnsemble:
 
     @property
     def n(self) -> int:
+        self._thin()
         return len(self._positions)
+
+    @property
+    def species(self) -> np.ndarray:
+        self._thin()
+        return self._species
+
+    @species.setter
+    def species(self, value: np.ndarray) -> None:
+        self._thin()
+        self._species = value
+
+    @property
+    def replica(self) -> np.ndarray:
+        self._thin()
+        return self._replica
 
     def select(self, keep: np.ndarray) -> None:
         idx = np.flatnonzero(keep)
         self._positions = self._positions.take(idx, axis=0)
-        self.species = self.species.take(idx)
-        self.replica = self.replica.take(idx)
+        self._species = self._species.take(idx)
+        self._replica = self._replica.take(idx)
 
     def append(self, positions, species, replica) -> None:
         self._positions = np.concatenate([self.positions, positions])
-        self.species = np.concatenate([self.species, species])
-        self.replica = np.concatenate([self.replica, replica])
+        self._species = np.concatenate([self._species, species])
+        self._replica = np.concatenate([self._replica, replica])
 
 
 @dataclass(frozen=True)
@@ -319,6 +351,13 @@ def _pair(ens, grid, rate, t, sim, rng) -> None:
 
 
 def _death(ens, grid, rate, t, sim, rng) -> None:
+    """A scalar rate only accrues its hazard on the ensemble, drawn at the
+    next read; a tabulated one reads positions and thins now."""
+    if rate.table is None:
+        h = rate.const * rate.temporal_integral(t, t + sim.dt)
+        _check_prob(-math.expm1(-h), "death")
+        ens.hazard += h
+        return
     p = _event_prob(rate, ens, grid, t, sim.dt)
     _check_prob(p, "death")
     ens.select(rng.random(ens.n) >= p)
@@ -340,15 +379,28 @@ def _conversion(ens, grid, rate, t, sim, rng) -> None:
     ens.species = np.where(rng.random(ens.n) < p, 1, ens.species)
 
 
-def _immigration(ens, grid, rate, t, sim, rng) -> None:
+def _immigration(ens, grid, rate, t, sim, rng, death=_ZERO) -> None:
+    """Poisson births of intensity the rate's integral over the step, each
+    kept if it survives `death` to the step's end: Poisson again, a birth at
+    s weighted by exp(-integral of death over [s, t + dt]), which
+    Gauss-Legendre integrates over the step (the time profiles are smooth)."""
+    dt = sim.dt
     profile = np.broadcast_to(rate.spatial(grid.shape), grid.shape)
-    lam = float(np.sum(profile) * grid.cell_volume) * rate.temporal_integral(t, t + sim.dt)
+    gnu = np.broadcast_to(death.spatial(grid.shape), grid.shape)
+    if np.any(gnu):
+        x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+        s = t + (x + 1) * (dt / 2)
+        kept = np.exp(-np.multiply.outer(gnu, death.temporal_integral(s, t + dt)))
+        profile = profile * (kept @ (w * (dt / 2) * rate.temporal(s)))
+        lam = float(np.sum(profile) * grid.cell_volume)
+    else:
+        lam = float(np.sum(profile) * grid.cell_volume) * rate.temporal_integral(t, t + dt)
     if lam > 0:
         _add_poisson(ens, grid, profile, lam, 0, rng)
 
 
-_MOVES = {"death": _death, "branching": _branching, "conversion": _conversion,
-          "immigration": _immigration, "pair": _pair}
+_GL_NODES = 16  # Gauss-Legendre nodes over one step for the births' survival
+_MOVES = {"death": _death, "branching": _branching, "conversion": _conversion, "pair": _pair}
 
 
 def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
@@ -360,9 +412,13 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
     t = ens.time
     ens.pending += 2 * spec.D * dt
     kind = KINDS[spec.kind]
-    for name, event in kind.reactions:
-        rate = spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)
-        _MOVES[event](ens, g, rate, t, sim, rng)
+    rates = {event: spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)
+             for name, event in kind.reactions}
+    for event, rate in rates.items():
+        if event == "immigration":  # births within the step also face its death
+            _immigration(ens, g, rate, t, sim, rng, rates.get("death", _ZERO))
+        else:
+            _MOVES[event](ens, g, rate, t, sim, rng)
     ens.time = t + dt
 
 
@@ -389,9 +445,9 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
         sel = ens.species == s
         stats[f"counts{s}"] = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
     n_per_rep = np.bincount(ens.replica, minlength=nrep)
-    stats["N"] = n_per_rep.astype(float)
-    stats["N2"] = n_per_rep.astype(float) ** 2
-    stats["void"] = (n_per_rep == 0).astype(float)
+    stats["N"] = n_per_rep
+    stats["N2"] = n_per_rep ** 2
+    stats["void"] = (n_per_rep == 0).astype(np.int64)
     if u is not None:
         # multiplies in particle order, as np.prod over each replica would;
         # labels need not be sorted and an empty replica keeps gf = 1
@@ -416,8 +472,7 @@ def run(
         size = min(sim.chunk, sim.replicas - ci * sim.chunk)
         sums = {}
         for key, x in _chunk_stats(spec, sim, t_end, u, ci, size).items():
-            x = x.astype(float)
-            sums[key] = (x.sum(axis=0), (x ** 2).sum(axis=0))
+            sums[key] = (x.sum(axis=0), (x * x).sum(axis=0))
         return sums
 
     if threads > 1 and nchunks > 1:
@@ -432,8 +487,9 @@ def run(
 
     def reduce(key):
         """Mean and standard error over all replicas from the chunk sums,
-        added in chunk order (a scalar tally gives floats, a cell tally arrays)."""
-        s = s2 = 0.0
+        added in chunk order (a scalar tally gives floats, a cell tally
+        arrays); count tallies stay exact int64 sums until the division."""
+        s = s2 = 0
         for res in results:
             s += res[key][0]
             s2 += res[key][1]

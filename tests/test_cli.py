@@ -743,6 +743,25 @@ class TestPerturb:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_unstable_meanfield_runtime_exit(self, tmp_path):
+        """The same input as the Dyson case above: an RK4 step of R v dt = 50
+        overflows, and the mean field wrote `2.0,9.6875,nan` rows with exit 0
+        (and numpy overflow warnings on stderr) where the answer is about 0.05."""
+        model = write_json(
+            tmp_path / "m.json",
+            model_obj("Annihilation", D=0.0,
+                      rates={"R": {"const": 1.0, "table": [1.0] * N}},
+                      v={"expr": "uniform", "const": 50.0}),
+        )
+        res = fresh_python("import sys; from rdito.cli import main; "
+                           f"sys.exit(main(['perturb', {model!r}, '--t-end', '2.0', "
+                           "'--steps', '2', '--method', 'meanfield', '--out', 'x.csv']))",
+                           tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "not finite" in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("method", ["dyson", "meanfield"])
     def test_too_many_samples_runtime_exit(self, tmp_path, method):
         """Both solvers keep every step's field: 10^9 steps on 32 cells made

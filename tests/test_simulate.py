@@ -133,14 +133,16 @@ class TestStep:
         ("DeathDiffusion", Rate(const=1.0)),
         ("BrownianTree", Rate(const=1.0)),
         ("SpontBirth", Rate(const=4.0, time="sin2")),
+        ("BirthDeathTimeDep", {"nu": Rate(const=1.0), "mu": Rate(const=4.0)}),
     ])
     def test_unary_steps_are_exact_in_time(self, kind, rate):
         """Mean N after 10 steps of mu dt = 0.05 (D = 0, 1e5 replicas) equals
         the closed form.  Thinning with p = mu dt reads (0.95)^10 = 0.599 for
         e^{-0.5} = 0.607, about 15 SE low; a Bernoulli birth reads 1.05^10 for
         e^{0.5}; a sin^2 rate taken at the left end of each step misses about
-        a tenth of the births."""
-        spec = ModelSpec(kind, (L,), 0.0, {"mu": rate}, make_grid(np.full(N, 20.0 / L)))
+        a tenth of the births.  `rate` is mu, or every rate of the kind."""
+        rates = rate if isinstance(rate, dict) else {"mu": rate}
+        spec = ModelSpec(kind, (L,), 0.0, rates, make_grid(np.full(N, 20.0 / L)))
         t = 0.5
         rep = run(spec, SimConfig(dt=0.05, replicas=100_000, seed=41, chunk=4096), t)
         mean, se = rep.scalars["N"]
@@ -234,6 +236,64 @@ class TestDeferredDiffusion:
         dx -= L * np.round(dx / L)
         se = float(np.std(dx ** 2, ddof=1) / math.sqrt(ens.n))
         assert abs(float(np.mean(dx ** 2)) - 2 * D * dt * steps) < 3 * se
+
+
+class TestDeferredDeath:
+    """A death at a scalar rate accrues its hazard; the first read of the
+    particle set thins once (see ParticleEnsemble)."""
+
+    def spec(self, mu=1.0, D=0.5, table=None):
+        return ModelSpec("DeathDiffusion", (L,), D, {"mu": Rate(const=mu, table=table)},
+                         make_grid(np.full(N, 50_000 / L)))
+
+    def test_steps_draw_nothing_until_n_is_read(self):
+        spec = self.spec()
+        rng = np.random.default_rng(23)
+        ens = sample_initial(spec, rng)
+        n0 = len(ens.positions)
+        before = rng.bit_generator.state
+        for _ in range(3):
+            step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
+        assert rng.bit_generator.state == before
+        n = ens.n
+        drawn = rng.bit_generator.state
+        assert drawn != before and n < n0
+        assert ens.n == n and len(ens.species) == len(ens.replica) == n
+        assert rng.bit_generator.state == drawn
+
+    @pytest.mark.parametrize("read_every_step", [True, False])
+    def test_survivors_do_not_depend_on_when_n_is_read(self, read_every_step):
+        mu, dt, steps = 1.3, 0.01, 40
+        spec = self.spec(mu)
+        rng = np.random.default_rng(29)
+        ens = sample_initial(spec, rng)
+        n0 = ens.n
+        sim = SimConfig(dt=dt, replicas=1, seed=0)
+        for _ in range(steps):
+            step(ens, spec, sim, rng)
+            if read_every_step:
+                assert ens.n <= n0
+        p = math.exp(-mu * dt * steps)
+        assert abs(ens.n - n0 * p) < 3 * math.sqrt(n0 * p * (1 - p))
+
+    def test_a_tabulated_rate_thins_every_step(self):
+        spec = self.spec(table=tuple(np.linspace(0.5, 1.5, N)))
+        rng = np.random.default_rng(31)
+        ens = sample_initial(spec, rng)
+        sim = SimConfig(dt=0.01, replicas=1, seed=0)
+        for _ in range(3):
+            before = rng.bit_generator.state
+            step(ens, spec, sim, rng)
+            assert rng.bit_generator.state != before
+            assert ens.hazard == 0.0
+
+    def test_a_large_scalar_step_is_refused_at_the_first_step(self):
+        """p = 1 - e^{-0.2} = 0.18 > MAX_EVENT_PROB, though no draw is made."""
+        spec = self.spec(mu=20.0)
+        rng = np.random.default_rng(37)
+        ens = sample_initial(spec, rng)
+        with pytest.raises(StepTooLarge):
+            step(ens, spec, SimConfig(dt=0.01, replicas=1, seed=0), rng)
 
 
 class TestRun:
