@@ -388,7 +388,7 @@ def _immigration(ens, grid, rate, t, sim, rng, death=_ZERO) -> None:
     profile = np.broadcast_to(rate.spatial(grid.shape), grid.shape)
     gnu = np.broadcast_to(death.spatial(grid.shape), grid.shape)
     if np.any(gnu):
-        x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+        x, w = _GL
         s = t + (x + 1) * (dt / 2)
         kept = np.exp(-np.multiply.outer(gnu, death.temporal_integral(s, t + dt)))
         profile = profile * (kept @ (w * (dt / 2) * rate.temporal(s)))
@@ -399,7 +399,7 @@ def _immigration(ens, grid, rate, t, sim, rng, death=_ZERO) -> None:
         _add_poisson(ens, grid, profile, lam, 0, rng)
 
 
-_GL_NODES = 16  # Gauss-Legendre nodes over one step for the births' survival
+_GL = np.polynomial.legendre.leggauss(16)  # nodes over one step for the births' survival
 _MOVES = {"death": _death, "branching": _branching, "conversion": _conversion, "pair": _pair}
 
 
@@ -446,7 +446,7 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
         stats[f"counts{s}"] = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
     n_per_rep = np.bincount(ens.replica, minlength=nrep)
     stats["N"] = n_per_rep
-    stats["N2"] = n_per_rep ** 2
+    stats["N2"] = n_per_rep.astype(float) ** 2  # its square, n^4, would wrap in int64
     stats["void"] = (n_per_rep == 0).astype(np.int64)
     if u is not None:
         # multiplies in particle order, as np.prod over each replica would;
@@ -488,7 +488,8 @@ def run(
     def reduce(key):
         """Mean and standard error over all replicas from the chunk sums,
         added in chunk order (a scalar tally gives floats, a cell tally
-        arrays); count tallies stay exact int64 sums until the division."""
+        arrays); the counts, N and void stay exact int64 sums until the
+        division."""
         s = s2 = 0
         for res in results:
             s += res[key][0]

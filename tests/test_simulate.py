@@ -383,6 +383,20 @@ class TestRun:
             mean, se = two_pass(key)
             assert rep.scalars[key] == (mean, se)
 
+    def test_n2_tally_of_large_replicas_does_not_wrap(self):
+        """N2's square is n^4, past int64 at about 55,000 particles in one
+        replica; its standard error must equal a float reference, not wrap."""
+        spec = gauss_spec(mass=60000.0)
+        sim = SimConfig(dt=0.05, replicas=3, seed=5)
+        rep = run(spec, sim, 0.05)
+        n = _chunk_stats(spec, sim, 0.05, None, 0, 3)["N"]
+        assert int(n.min()) ** 4 > np.iinfo(np.int64).max
+        x = n.astype(float) ** 2
+        mean = x.sum() / 3
+        se = np.sqrt(max((x ** 2).sum() / 3 - mean ** 2, 0.0) / 2)
+        assert rep.scalars["N2"] == (mean, se)
+        assert se > 0.5 * np.std(x, ddof=1) / np.sqrt(3)
+
     def test_determinism(self):
         spec = gauss_spec(mass=5.0)
         sim = SimConfig(dt=0.05, replicas=300, seed=123, chunk=64)
