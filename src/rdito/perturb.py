@@ -1,7 +1,7 @@
 """Perturbative machinery for pairwise annihilation with a non-local kernel.
 
-The simplex time factor of Feynman diagrams (via partial fractions of the
-Laplace transform), a direct evaluation of the third-order diagram, and the
+The simplex time factor of Feynman diagrams (one entry of a bidiagonal
+matrix exponential), a direct evaluation of the third-order diagram, and the
 tree-level Dyson recursion together with its position-space mean-field limit
 
     dX/dt = D lap X - X (R * X).
@@ -28,9 +28,8 @@ import numpy as np
 from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
 from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
-# Rates closer than this (relative to the largest rate) are merged into one
-# confluent cluster in simplex_time_factor.
-CONFLUENT_TOL = 1e-9
+_TAYLOR_TERMS = 18  # terms of the scaled exponential in simplex_time_factor (1/18! < 2^-52)
+_BLOCK = 2 ** 16  # most summands third_order_term holds at once
 
 FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves it less
 FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
@@ -137,80 +136,61 @@ def momentum_grid(spec) -> MomentumGrid:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_rates(rates) -> list[tuple[float, int]]:
-    """Group near-degenerate rates into (representative, multiplicity)."""
-    srt = sorted(rates)
-    tol = CONFLUENT_TOL * max(srt[-1], 1e-300)
-    out: list[list[float]] = [[srt[0]]]
-    for a in srt[1:]:
-        if a - out[-1][-1] < tol:
-            out[-1].append(a)
-        else:
-            out.append([a])
-    return [(sum(c) / len(c), len(c)) for c in out]
-
-
-def simplex_time_factor(rates, t: float) -> float:
+def simplex_time_factor(rates, t: float):
     """Iterated integral of a product of interval exponentials over the
     ordered time simplex t > tau_n > ... > tau_1 > 0: prod_i exp(-a_i
-    (tau_{i+1} - tau_i)), with `rates` the a_i >= 0, latest interval first.
+    (tau_{i+1} - tau_i)), with `rates` the a_i >= 0 along the last axis,
+    latest interval first; leading axes are a batch.  A float for one rate
+    vector, else an array of the batch shape.
 
-    Equals the (n-fold) convolution of the interval exponentials:
-    sum_i e^{-a_i t} / prod_{j != i} (a_j - a_i) for distinct rates, with
-    repeated (confluent) rates handled by polynomial-times-exponential
-    residues from the Taylor expansion at the repeated pole.
+    The integral is the (0, n-1) entry of exp(t A), A upper bidiagonal with
+    diagonal -a_i and superdiagonal 1 (Van Loan, IEEE TAC 23:395, 1978).
+    Shifted by the least rate and scaled to norm <= 1, the exponential is a
+    fixed Taylor sum squared back, so equal, near-equal and distinct rates
+    take the same path.
     """
-    if not rates or any(a < 0 for a in rates):
-        raise PerturbError(f"simplex_time_factor needs one or more rates >= 0, got {rates!r}")
-    clusters = _cluster_rates(rates)
-    total = 0.0
-    for ci, (a, m) in enumerate(clusters):
-        # Taylor coefficients of prod_{other} (s + b)^{-mo} at s = -a.
-        coef = np.zeros(m)
-        coef[0] = 1.0
-        for cj, (b, mo) in enumerate(clusters):
-            if cj == ci:
-                continue
-            delta = b - a
-            fac = np.array(
-                [
-                    (-1.0) ** j * math.comb(mo + j - 1, j) * delta ** (-(mo + j))
-                    for j in range(m)
-                ]
-            )
-            coef = np.convolve(coef, fac)[:m]
-        for j in range(m):
-            p = m - 1 - j
-            total += coef[j] * t ** p * math.exp(-a * t) / math.factorial(p)
-    return float(total)
+    a = np.atleast_1d(np.asarray(rates, float))
+    if a.shape[-1] == 0 or not np.all((a >= 0) & np.isfinite(a)):
+        raise PerturbError(f"simplex_time_factor needs one or more finite rates >= 0, got {rates!r}")
+    n = a.shape[-1]
+    amin = a.min(axis=-1)
+    A = np.zeros(a.shape + (n,))
+    A[..., range(n), range(n)] = -t * (a - amin[..., None])
+    A[..., range(n - 1), range(1, n)] = t
+    # 2^s >= the infinity norm of tA, so tA / 2^s has norm <= 1
+    s = np.maximum(np.frexp(np.abs(A).sum(axis=-1).max(axis=-1))[1], 0)
+    A /= np.ldexp(1.0, s)[..., None, None]
+    E = eye = np.eye(n)
+    for j in range(_TAYLOR_TERMS - 1, 0, -1):
+        E = eye + A @ E / j
+    for i in range(int(s.max(initial=0))):
+        E = np.where((i < s)[..., None, None], E @ E, E)
+    out = E[..., 0, n - 1] * np.exp(-amin * t)
+    return float(out) if out.ndim == 0 else out
 
 
-def third_order_rates(D: float, k, l, m, n) -> tuple[float, float, float, float]:
-    """Interval rates (latest first) of the third-order density diagram.
+def third_order_rates(D: float, k, l, m, n) -> np.ndarray:
+    """Interval rates (latest first, along a new last axis) of the
+    third-order density diagram.
 
-    Each rate is D times the total squared momenta of the lines present in
-    that time interval: the external line k after the last vertex, then the
-    configurations produced by the loop vertex, the cubic vertex, and the
-    three incoming lines.
+    Momenta lie along the last axis (a scalar is a 1-D momentum) and their
+    leading axes broadcast.  Each rate is D times the total squared momenta
+    of the lines present in that time interval: the external line k after
+    the last vertex, then the configurations produced by the loop vertex,
+    the cubic vertex, and the three incoming lines.
     """
     k, l, m, n = (np.atleast_1d(np.asarray(x, float)) for x in (k, l, m, n))
 
     def sq(x):
-        return float(x @ x)
+        return np.sum(x * x, axis=-1)
 
-    return (
-        D * sq(k),
-        D * (sq(k - m - n + l) + sq(m + n - l)),
-        D * (sq(k - m - n + l) + sq(m - l) + sq(n)),
-        D * (sq(k - m - n) + sq(m) + sq(n)),
-    )
-
-
-def _boundary_indices(n: int) -> set[int]:
-    """Grid indices holding the largest |frequency| along an axis of size n."""
-    if n % 2 == 0:
-        return {n // 2}
-    return {(n - 1) // 2, (n + 1) // 2}
+    q = k - m - n
+    return D * np.stack(np.broadcast_arrays(
+        sq(k),
+        sq(q + l) + sq(m + n - l),
+        sq(q + l) + sq(m - l) + sq(n),
+        sq(q) + sq(m) + sq(n),
+    ), axis=-1)
 
 
 def third_order_term(grid: MomentumGrid, k, t: float) -> float:
@@ -218,7 +198,9 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
 
     ``k`` is a grid (multi-)index; momentum sums run over the grid with
     measure prod(dk) per axis and the transform lookups wrap periodically.
-    Raises GridTooCoarse when the summand at the grid boundary is not
+    The (l, m, n) sum is taken one l and one block of m at a time, at most
+    _BLOCK summands at once.  Raises GridTooCoarse when the summands with a
+    momentum at the grid boundary (the largest |k| on some axis) are not
     negligible against the accumulated sum.
     """
     ik = (k,) if isinstance(k, (int, np.integer)) else tuple(int(i) for i in k)
@@ -226,34 +208,27 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
         raise PerturbError(f"k index has {len(ik)} axes, grid has {grid.d}")
     shape = grid.shape
     kax = grid.Rhat.kaxes()
-    bidx = [_boundary_indices(n) for n in shape]
-    rv = np.real(grid.Rhat.values)
-    vv = grid.vhat.values
-    kvec = np.array([kax[a][ik[a]] for a in range(grid.d)])
+    idx = np.indices(shape).reshape(grid.d, -1)  # per axis, the grid index of each cell
+    mom = np.stack([kax[a][i] for a, i in enumerate(idx)], axis=-1)
+    edge = np.any(np.abs(mom) == np.abs(mom).max(axis=0), axis=-1)
+    kvec = np.array([kax[a][i] for a, i in enumerate(ik)])
+    rv = np.real(grid.Rhat.values).ravel()
+    vv = grid.vhat.values.ravel()
+    iv = np.ravel_multi_index(tuple(i - j[:, None] - j for i, j in zip(ik, idx)), shape, mode="wrap")
+    w_mn = np.outer(rv * vv, rv * vv) * vv[iv]  # the (m, n) weights, k - m - n wrapped
 
-    total = 0.0 + 0.0j
-    total_abs = 0.0
-    tail_abs = 0.0
-    for il in np.ndindex(shape):
-        lvec = np.array([kax[a][il[a]] for a in range(grid.d)])
-        for im in np.ndindex(shape):
-            mvec = np.array([kax[a][im[a]] for a in range(grid.d)])
-            for i_n in np.ndindex(shape):
-                nvec = np.array([kax[a][i_n[a]] for a in range(grid.d)])
-                iv = tuple((ik[a] - im[a] - i_n[a]) % shape[a] for a in range(grid.d))
-                w = rv[il] * rv[im] * rv[i_n] * vv[iv] * vv[im] * vv[i_n]
-                if w == 0:
-                    continue
-                rates = third_order_rates(grid.D, kvec, lvec, mvec, nvec)
-                s = w * simplex_time_factor(rates, t)
-                total += s
-                total_abs += abs(s)
-                if any(
-                    idx[a] in bidx[a]
-                    for idx in (il, im, i_n)
-                    for a in range(grid.d)
-                ):
-                    tail_abs += abs(s)
+    cells = len(rv)
+    rows = max(1, _BLOCK // cells)
+    total, total_abs, tail_abs = 0j, 0.0, 0.0
+    for il in range(cells):
+        for m0 in range(0, cells, rows):
+            mb = slice(m0, m0 + rows)
+            rates = third_order_rates(grid.D, kvec, mom[il], mom[mb, None], mom[None, :])
+            s = rv[il] * w_mn[mb] * simplex_time_factor(rates, t)
+            a = np.abs(s)
+            total += s.sum()
+            total_abs += a.sum()
+            tail_abs += a.sum() if edge[il] else a[edge[mb, None] | edge[None, :]].sum()
     if total_abs > 0 and tail_abs > 1e-6 * total_abs:
         raise GridTooCoarse(
             f"boundary tail {tail_abs:.3e} exceeds 1e-6 of sum {total_abs:.3e}"

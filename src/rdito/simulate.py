@@ -271,8 +271,11 @@ def _cell_index(ens: ParticleEnsemble, grid: FieldGrid):
 
 def _event_prob(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float, dt: float):
     """Probability 1 - exp(-integral of the rate over [t, t + dt]) that a
-    particle's event fires within the step: per particle from its cell
-    (nearest-cell lookup) for a spatial table, else one scalar."""
+    particle's event fires within the step: per particle for a spatial
+    table, else one scalar.  A particle at x reads the entry of the floor
+    cell [i h, (i + 1) h) holding x, while _add_poisson centres grid point
+    i's particles on i h, so a table that varies between cells is read half
+    a cell off (the ROADMAP records the bias this leaves)."""
     hazard = rate.const * rate.temporal_integral(t, t + dt)
     if rate.table is None:
         return -math.expm1(-hazard)

@@ -426,7 +426,7 @@ def test_criterion_10_perturbative_rules(capsys):
     ok &= alg.ito_product(dAd, dAt).is_zero()
     ok &= alg.ito_product(dAt, fam("Adag").instance(["h"], site="q")).is_zero()
 
-    # (b) partial-fraction simplex factor vs adaptive 3-simplex cubature
+    # (b) simplex factor vs adaptive 3-simplex cubature
     D3, t3 = 0.6, 0.8
     rates = third_order_rates(D3, 1.0, -2.0, 0.5, 1.5)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -294,6 +295,43 @@ class TestSimplexTimeFactor:
         with pytest.raises(PerturbError):
             simplex_time_factor([-1.0], 0.5)
 
+    @staticmethod
+    def partial_fractions_60_digits(rates, t):
+        """sum_i e^{-a_i t} / prod_{j != i} (a_j - a_i) for distinct rates,
+        in 60-digit arithmetic on the exact binary values of the rates: the
+        cancellation at a gap g costs about n log10(1/g) of the 60 digits."""
+        with mpmath.workdps(60):
+            a = [mpmath.mpf(x) for x in rates]
+            return float(mpmath.fsum(
+                mpmath.exp(-ai * mpmath.mpf(t))
+                / mpmath.fprod(aj - ai for j, aj in enumerate(a) if j != i)
+                for i, ai in enumerate(a)))
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("rates", [lambda g: [0.3, 0.3 + g, 0.3 + 2 * g, 1.7],
+                                       lambda g: [1.0, 1.0 + g, 2.0, 3.0]],
+                             ids=["cluster-of-three", "pair"])
+    def test_near_confluent_vs_60_digit_reference(self, rates, gap):
+        """Rates close but not equal, at gaps from 1e-8 to 1e-4: one
+        evaluation must hold at every gap, with no tolerance between them."""
+        r = rates(gap)
+        assert simplex_time_factor(r, 0.9) == pytest.approx(
+            self.partial_fractions_60_digits(r, 0.9), rel=1e-12
+        )
+
+    def test_batch_equals_rows(self):
+        rng = np.random.default_rng(11)
+        rates = rng.uniform(0.0, 4.0, size=(40, 4))
+        rates[:10, 1] = rates[:10, 0]  # equal rates
+        rates[10:20, 2] = rates[10:20, 1] + 1e-7  # near-equal rates
+        rates[20:25] = 0.0
+        got = simplex_time_factor(rates, 0.7)
+        assert got.shape == (40,)
+        rows = np.array([simplex_time_factor(r, 0.7) for r in rates])
+        np.testing.assert_allclose(got, rows, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(simplex_time_factor(rates.reshape(4, 10, 4), 0.7),
+                                   got.reshape(4, 10), rtol=1e-13, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # Third-order diagram
@@ -322,6 +360,15 @@ class TestThirdOrder:
         got = third_order_term(mg, kidx, t)
         oracle = third_order_continuum(mg.Rhat.kaxes()[0][kidx], t, D, cR, sR, cv, sv)
         assert got == pytest.approx(oracle, rel=1e-9)
+
+    def test_two_dimensional_value_is_pinned(self):
+        """2-D 6x6 grid in a 2 pi x 2 pi box at k = (1, 0): the same diagram
+        as the benchmark's third-order workload, and its value there."""
+        g = FieldGrid((2 * math.pi,) * 2, np.zeros((6, 6)), POSITION)
+        R = g.with_values(wrapped_gaussian(g, 0.7, 2.0, [0.0, 0.0]))
+        v = g.with_values(wrapped_gaussian(g, 2.0, 2.0, [0.0, 0.0]))
+        mg = momentum_grid(annih_spec(g, R, v, 0.6))
+        assert third_order_term(mg, (1, 0), 0.5) == pytest.approx(-1.3550284178e-04, rel=1e-9)
 
     def test_grid_too_coarse(self):
         # narrow position kernel -> wide transform -> fat boundary tail
