@@ -182,11 +182,15 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
     obj = json.loads(model_text)
     if "shape" not in obj or not isinstance(obj.get("v"), dict) or "table" in obj["v"]:
         raise UsageError("--cell-average needs a grid model with an analytic v field")
+    coarse = spec.grid()
+    samples = coarse.values.size * refine ** spec.d
+    if samples > perturb._MAX_SAMPLES:
+        raise UsageError(f"--refine {refine} gives {samples} grid points, more than the "
+                         f"{perturb._MAX_SAMPLES} (2^24) allowed")
     if any(isinstance(r, dict) and "table" in r for r in obj.get("rates", {}).values()):
         raise UsageError("--cell-average cannot refine a tabulated rate")
     obj["shape"] = [int(n) * refine for n in obj["shape"]]
     fine = models.ModelSpec.from_json(json.dumps(obj))
-    coarse = spec.grid()
 
     def cell_average(fg):
         vals = fg.values
@@ -262,6 +266,8 @@ def _parse_points(text: str, d: int) -> list[list[float]]:
             p = [float(x) for x in chunk.split(",")]
         except ValueError:
             raise UsageError(f"--points: {chunk!r} is not a comma-separated list of numbers")
+        if not all(map(math.isfinite, p)):
+            raise UsageError(f"--points: {chunk!r} has a coordinate that is not finite")
         if len(p) != d:
             raise UsageError(f"--points: {chunk!r} has {len(p)} coordinates, the model has {d}")
         points.append(p)
@@ -458,7 +464,9 @@ def cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="override the rng seed from the config")
+                        help="override the rng seed from the simulation config; "
+                             "commands other than simulate draw no random numbers "
+                             "and ignore it")
     common.add_argument("--out", default=None, help="output path or prefix")
 
     p = argparse.ArgumentParser(prog="rdito", description=__doc__)

@@ -8,6 +8,7 @@ every model returns exactly 0 at u == 1 (probability conservation).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -345,7 +346,8 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
     """n-point weighted probability density f^(n)(p_1..p_n; t).
 
     exp(-e^{-mu t} int v) * prod_i e^{-mu t} (Phi(.;t) * v)(p_i); the empty
-    tuple gives the void probability.  Refused when sqrt(2 D t) < h: the grid
+    tuple gives the void probability.  Each point is taken modulo the box;
+    ModelError if one is not finite.  Refused when sqrt(2 D t) < h: the grid
     sum of a Gaussian of width sigma aliases by about exp(-2 pi^2 sigma^2 / h^2).
     """
     mu = _const_rate(spec, "mu")
@@ -361,6 +363,9 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
     mesh = np.meshgrid(*g.axes(), indexing="ij")
     for p in points:
         p = np.atleast_1d(np.asarray(p, float))
+        if not np.all(np.isfinite(p)):
+            raise ModelError(f"fn point {p.tolist()} is not finite")
+        p = p % np.asarray(g.box)  # image_sum reads 0 for a point boxes away
         if t > 0 and spec.D > 0:
             phi = np.ones(g.shape)
             for ax in range(g.dim):
@@ -464,65 +469,57 @@ def convert_ab_densities(spec: ModelSpec, t: float) -> tuple[FieldGrid, FieldGri
 
 
 def birth_death_timedep_density(spec: ModelSpec, t: float) -> FieldGrid:
-    """X = v e^{-N(0,t)} + integral_0^t mu(s) e^{-N(s,t)} ds, N = cum. death.
-
-    Separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s); an absent
-    rate is 0, so SpontBirth is this with nu absent.  Where g_nu = 0 the
-    outer integral is g_mu int_0^t h_mu, exactly; elsewhere it is taken by
-    quadrature once per distinct spatial value, all values at a time.
-    """
+    """X = v e^{-N(0,t)} + births(mu, nu, 0, t), N = cum. death; an absent
+    rate is 0, so SpontBirth is this with nu absent."""
     g = _static_grid(spec)
     mu = spec.rates.get("mu", Rate(const=0.0))
     nu = spec.rates.get("nu", Rate(const=0.0))
-    gmu = np.broadcast_to(mu.spatial(g.shape), g.shape)
-    gnu = np.broadcast_to(nu.spatial(g.shape), g.shape)
-    hnu_cum0 = nu.temporal_integral(0.0, t)
-
-    out = g.values * np.exp(-gnu * hnu_cum0)
-    pairs = np.stack([gmu.ravel(), gnu.ravel()], axis=1)
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    gm, gn = uniq.T
-    born = gm * mu.temporal_integral(0.0, t)
-    dies = (gm != 0) & (gn != 0)
-    if np.any(dies):
-        born[dies] = gm[dies] * _births_integral(mu, nu, gn[dies], t)
-    return g.with_values(out + born[inv].reshape(g.shape))
+    out = g.values * np.exp(-nu.spatial(g.shape) * nu.temporal_integral(0.0, t))
+    return g.with_values(out + births(mu, nu, g.shape, 0.0, t))
 
 
-_GL_ORDER = 16  # Gauss-Legendre nodes per panel
-_GL_LEVELS = 14  # at most 2^14 panels
-_GL_SPAN = 8.0  # most decay lengths 1 / g_nu that one panel spans
+def births(mu: Rate, nu: Rate, shape, t0: float, t1: float) -> np.ndarray:
+    """Births per unit volume over [t0, t1] that survive death to t1 at each
+    grid point, g_mu integral_t0^t1 h_mu(s) e^{-g_nu N(s, t1)} ds for the
+    separable rates mu = g_mu(p) h_mu(s), nu = g_nu(p) h_nu(s): exactly
+    g_mu integral h_mu where g_nu = 0, else by _births_integral.  A rate
+    without a table is one value, broadcast to `shape` at the end."""
+    gmu, gnu = mu.spatial(), nu.spatial()
+    born = np.full(gnu.shape, mu.temporal_integral(t0, t1))
+    dies = (gnu != 0) & (gmu != 0 if gnu.ndim else gmu.any())
+    if dies.any():
+        born[dies] = _births_integral(mu, nu, gnu[dies], t0, t1)
+    return np.full(shape, gmu * born)
+
+
+_GL_PANELS = 2 ** 16  # most panels of one birth integral
 _GL_BLOCK = 1 << 20  # matrix entries evaluated at a time
+# nodes made on first use, so importing rdito loads no numpy.polynomial
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(16))
 
 
-def _births_integral(mu: Rate, nu: Rate, gn: np.ndarray, t: float) -> np.ndarray:
-    """integral_0^t h_mu(s) exp(-gn N(s, t)) ds for each entry of gn.
+def _births_integral(mu: Rate, nu: Rate, gn: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """integral_t0^t1 h_mu(s) exp(-gn N(s, t1)) ds for each entry of gn.
 
-    Composite Gauss-Legendre on equal panels, doubled until two levels agree
-    to 1e-8 absolute or relative on every entry.  The first level has panels
-    narrow enough to see the boundary layer of width 1/gn at s = t, which a
-    coarse rule misses while two levels agree on ~0.  ModelError if that
-    takes more than 2^_GL_LEVELS panels.
+    Composite 16-node Gauss-Legendre on equal panels at most 1/max(gn)
+    wide, and at most 1/2 wide where a rate has a time profile (sin^2 and
+    cos^2 vary at frequency 2): a panel then spans at most one decay length
+    and one radian, where the rule is exact to rounding.  ModelError past
+    _GL_PANELS panels.
     """
-    need = t * float(np.max(gn)) / _GL_SPAN
-    if need > 2 ** (_GL_LEVELS - 1):
-        raise ModelError(f"birth integral over [0, {t}] needs more than "
-                         f"{2 ** _GL_LEVELS} panels: death rate x time is {need * _GL_SPAN:.3g}")
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    prev = None
-    for level in range(math.ceil(math.log2(max(need, 1.0))), _GL_LEVELS + 1):
-        panels = 2 ** level
-        width = t / panels
-        s = (np.arange(panels)[:, None] * width + (x + 1) * (width / 2)).ravel()
-        ws = np.tile(w * (width / 2), panels) * mu.temporal(s)
-        cum = nu.temporal_integral(s, t)
-        rows = max(1, _GL_BLOCK // len(s))
-        cur = np.concatenate([np.exp(-np.outer(gn[i:i + rows], cum)) @ ws
-                              for i in range(0, len(gn), rows)])
-        if prev is not None and np.all(np.abs(cur - prev) <= 1e-8 * np.maximum(1.0, np.abs(cur))):
-            return cur
-        prev = cur
-    raise ModelError(f"birth integral over [0, {t}] did not converge on {2 ** _GL_LEVELS} panels")
+    need = (t1 - t0) * max(float(gn.max()), 2.0 if mu.time or nu.time else 0.0)
+    if not need <= _GL_PANELS:
+        raise ModelError(f"birth integral over [{t0}, {t1}] needs {need:.6g} "
+                         f"Gauss-Legendre panels, more than the {_GL_PANELS} (2^16) allowed")
+    x, w = _gauss_legendre()
+    panels = max(1, math.ceil(need))
+    width = (t1 - t0) / panels
+    s = t0 + np.add.outer(np.arange(panels) * width, (x + 1) * (width / 2)).ravel()
+    ws = np.tile(w * (width / 2), panels) * mu.temporal(s)
+    cum = nu.temporal_integral(s, t1)
+    rows = max(1, _GL_BLOCK // len(s))
+    return np.concatenate([np.exp(-np.outer(gn[i:i + rows], cum)) @ ws
+                           for i in range(0, len(gn), rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ only accrues its hazard: survival over k steps is exp(-sum of the
 hazards), so the thinning is drawn once, at the next read of the particle
 set; reading n, species or replica draws it, as reading positions draws
 the diffusion.  A tabulated death rate thins every step.  Spontaneous
-births are Poisson with the exact integral of the intensity, less those
-that the kind's death removes before the step ends; A+A pairs react
-through a radial kernel.  Replicas are
+births are Poisson with mean models.births over the step, the closed
+form's own integral of the births that survive the kind's death to the
+step's end; A+A pairs react through a radial kernel.  Replicas are
 batched into chunks; each chunk owns an rng seeded from (seed, chunk
 index), so results are independent of the thread schedule and
 bit-identical across runs.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import FieldGrid, POSITION, point_labels, table_rows
-from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, check_keys
+from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, births, check_keys
 
 MAX_EVENT_PROB = 0.1
 _ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
@@ -262,11 +262,12 @@ def sample_initial(spec: ModelSpec, rng, replicas: int = 1) -> ParticleEnsemble:
     return ens
 
 
-def _cell_index(ens: ParticleEnsemble, grid: FieldGrid):
-    return tuple(
-        np.clip((ens.positions[:, ax] / h).astype(np.int64), 0, n - 1)
-        for ax, (h, n) in enumerate(zip(grid.spacing, grid.shape))
-    )
+def _floor_cell(ens: ParticleEnsemble, shape) -> tuple:
+    """Per axis, the index i of the floor cell [i h, (i + 1) h), h = box / n,
+    holding each particle (wrapped, so >= 0); one on the box's far edge is
+    in the last cell."""
+    return tuple(np.minimum((ens.positions[:, ax] / (b / n)).astype(np.int64), n - 1)
+                 for ax, (b, n) in enumerate(zip(ens.box, shape)))
 
 
 def _event_prob(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float, dt: float):
@@ -279,7 +280,7 @@ def _event_prob(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float, dt
     hazard = rate.const * rate.temporal_integral(t, t + dt)
     if rate.table is None:
         return -math.expm1(-hazard)
-    return -np.expm1(-hazard * np.asarray(rate.table, float)[_cell_index(ens, grid)])
+    return -np.expm1(-hazard * np.asarray(rate.table, float)[_floor_cell(ens, grid.shape)])
 
 
 def _check_prob(p, what: str) -> None:
@@ -308,10 +309,7 @@ def _candidate_pairs(ens: ParticleEnsemble, cutoff: float):
     then that of j (own cell first), then sorted position: the order the
     random draws follow."""
     ncell = [max(1, int(b // cutoff)) for b in ens.box]
-    coords = [
-        np.minimum((ens.positions[:, ax] / (b / n)).astype(np.int64), n - 1)
-        for ax, (b, n) in enumerate(zip(ens.box, ncell))
-    ]
+    coords = _floor_cell(ens, ncell)
     base = ens.replica * math.prod(ncell)
     key = base + np.ravel_multi_index(coords, ncell)
     order = np.argsort(key, kind="stable")
@@ -382,27 +380,16 @@ def _conversion(ens, grid, rate, t, sim, rng) -> None:
     ens.species = np.where(rng.random(ens.n) < p, 1, ens.species)
 
 
-def _immigration(ens, grid, rate, t, sim, rng, death=_ZERO) -> None:
-    """Poisson births of intensity the rate's integral over the step, each
-    kept if it survives `death` to the step's end: Poisson again, a birth at
-    s weighted by exp(-integral of death over [s, t + dt]), which
-    Gauss-Legendre integrates over the step (the time profiles are smooth)."""
-    dt = sim.dt
-    profile = np.broadcast_to(rate.spatial(grid.shape), grid.shape)
-    gnu = np.broadcast_to(death.spatial(grid.shape), grid.shape)
-    if np.any(gnu):
-        x, w = _GL
-        s = t + (x + 1) * (dt / 2)
-        kept = np.exp(-np.multiply.outer(gnu, death.temporal_integral(s, t + dt)))
-        profile = profile * (kept @ (w * (dt / 2) * rate.temporal(s)))
-        lam = float(np.sum(profile) * grid.cell_volume)
-    else:
-        lam = float(np.sum(profile) * grid.cell_volume) * rate.temporal_integral(t, t + dt)
+def _immigration(ens, grid, rate, death, t, dt, rng) -> None:
+    """Poisson births over [t, t + dt] that survive `death` to the step's
+    end (a thinned Poisson process is Poisson), with mean models.births per
+    unit volume at each cell."""
+    born = births(rate, death, grid.shape, t, t + dt)
+    lam = float(born.sum() * grid.cell_volume)
     if lam > 0:
-        _add_poisson(ens, grid, profile, lam, 0, rng)
+        _add_poisson(ens, grid, born, lam, 0, rng)
 
 
-_GL = np.polynomial.legendre.leggauss(16)  # nodes over one step for the births' survival
 _MOVES = {"death": _death, "branching": _branching, "conversion": _conversion, "pair": _pair}
 
 
@@ -419,7 +406,7 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
              for name, event in kind.reactions}
     for event, rate in rates.items():
         if event == "immigration":  # births within the step also face its death
-            _immigration(ens, g, rate, t, sim, rng, rates.get("death", _ZERO))
+            _immigration(ens, g, rate, rates.get("death", _ZERO), t, dt, rng)
         else:
             _MOVES[event](ens, g, rate, t, sim, rng)
     ens.time = t + dt
@@ -441,7 +428,7 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
         step(ens, spec, sim, rng)
     g = spec.grid()
     ncells = int(np.prod(g.shape))
-    flat = np.ravel_multi_index(_cell_index(ens, g), g.shape)
+    flat = np.ravel_multi_index(_floor_cell(ens, g.shape), g.shape)
     key = ens.replica * ncells + flat
     stats = {}
     for s in (0, 1) if KINDS[spec.kind].converts else (0,):

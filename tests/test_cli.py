@@ -386,6 +386,15 @@ class TestDensity:
                      "--refine", refine]) == 2
         assert "--refine" in one_line_error(capsys)
 
+    def test_refine_past_the_sample_bound_usage_exit(self, tmp_path, capsys):
+        """32 cells x 1e15 exited 4 with a MemoryError (114 PiB); past 2^24
+        fine grid points it is refused before the fine model is built."""
+        model = write_json(tmp_path / "m.json", model_obj())
+        assert main(["density", model, "--t", "0.1", "--cell-average",
+                     "--refine", "1000000000000000", "--out", str(tmp_path / "x")]) == 2
+        assert "--refine" in one_line_error(capsys)
+        assert not list(tmp_path.glob("x*"))
+
 
 class TestGfFn:
     def test_gf_conservation_at_unit_u(self, tmp_path, capsys):
@@ -492,6 +501,29 @@ class TestGfFn:
         model = write_json(tmp_path / "m.json", model_obj())
         assert main(["fn", model, "--t", "0.4", "--points", points]) == 2
         assert "--points" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("points", ["nan", "inf", "2.5;-inf", "2.5;nan"])
+    def test_fn_non_finite_points_usage_exit(self, tmp_path, points):
+        """--points inf gave 0.0 with exit 0 and nan ran past a 20-s timeout.
+        Runs in its own process under a timeout."""
+        model = write_json(tmp_path / "m.json", model_obj())
+        argv = ["fn", model, "--t", "0.5", "--points", points]
+        res = fresh_python(f"import sys; from rdito.cli import main; sys.exit(main({argv!r}))",
+                           tmp_path, timeout=30)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: --points") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("p", [5.0, 2.3])
+    def test_fn_is_periodic(self, tmp_path, capsys, p):
+        """On 16 cells (L = 10, D = 1, mu = 1) at t = 0.5, --points 105 and
+        1005 gave 0.0 where 5, 15 and -5 gave 0.0412."""
+        model = write_json(tmp_path / "m.json", {**model_obj(), "shape": [16]})
+        vals = []
+        for q in (p, p + 10 * L, p - 100 * L):
+            assert main(["fn", model, "--t", "0.5", "--points", repr(q)]) == 0
+            vals.append(float(capsys.readouterr().out.strip().split("\n")[1].split(",")[1]))
+        assert vals[0] > 0
+        assert vals[1:] == pytest.approx([vals[0]] * 2, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("cmd, t", [
         ("gf", "nan"), ("gf", "-1"), ("gf", "inf"), ("fn", "nan"), ("fn", "-1"),
@@ -1163,3 +1195,12 @@ def test_scipy_is_only_a_test_dependency():
     assert "scipy" not in names(project["dependencies"])
     extras = {k: names(v) for k, v in project["optional-dependencies"].items()}
     assert [k for k, v in extras.items() if "scipy" in v] == ["test"]
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded(tmp_path):
+    """The Gauss-Legendre nodes of the birth integral are made on first
+    use, so a command that integrates no births never loads numpy.polynomial."""
+    res = fresh_python("import sys, rdito.cli; print('numpy.polynomial' in sys.modules)",
+                       tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Tests for closed-form model evaluators, against independent oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from rdito.models import (
     SeriesDivergence,
     Unsupported,
     birth_death_timedep_density,
+    births,
     brownian_tree_density,
     brownian_tree_log_gf,
     closed_form,
@@ -297,6 +299,21 @@ class TestDeathDiffusion:
             expect *= dens.values[i]
         got = death_diffusion_fn(spec, pts, t)
         assert got == pytest.approx(expect, rel=1e-6)
+
+    def test_fn_is_periodic(self):
+        """A point boxes away read 0: image_sum saw no image near it."""
+        spec = gaussian_spec(mu=0.7, D=0.9)
+        for p in (4.1, 0.3):
+            ref = death_diffusion_fn(spec, [[p], [p + 1.0]], 0.6)
+            for shift in (10 * L, -100 * L):
+                got = death_diffusion_fn(spec, [[p + shift], [p + 1.0 - shift]], 0.6)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.6])
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_fn_refuses_a_point_that_is_not_finite(self, t, p):
+        with pytest.raises(ModelError, match="not finite"):
+            death_diffusion_fn(gaussian_spec(mu=0.7, D=0.9), [[2.0], [p]], t)
 
     def test_nonconstant_rate_rejected(self):
         g = FieldGrid((L,), np.zeros(N), POSITION)
@@ -579,6 +596,49 @@ class TestTimeDependent:
         with pytest.raises(ModelError, match="birth integral"):
             birth_death_timedep_density(self.base(rates), t)
 
+    @pytest.mark.parametrize("t0, t1", [(0.3, 0.8), (2.0, 8.0)])
+    @pytest.mark.parametrize("gnu", [0.3, 7.0, 400.0])
+    @pytest.mark.parametrize("mu_time, nu_time",
+                             list(itertools.product([None, "sin2", "cos2"], repeat=2)))
+    def test_births_match_nested_quad(self, t0, t1, gnu, mu_time, nu_time):
+        rates = {"mu": Rate(const=0.7, time=mu_time), "nu": Rate(const=gnu, time=nu_time)}
+        spec = self.base(rates)
+        spec = ModelSpec(spec.kind, spec.box, 0.0, rates, spec.v.with_values(np.zeros(N)))
+        got = births(rates["mu"], rates["nu"], (N,), t0, t1)
+        ref = nested_quad_density(spec, t1, t0, QUAD_TIGHT)
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), 1e-16))
+
+    @pytest.mark.parametrize("mu_time, nu_time", [(None, None), ("sin2", "cos2"), ("cos2", None)])
+    def test_births_continue_the_density(self, mu_time, nu_time):
+        """X(t1) = X(t0) e^{-N(t0,t1)} + births(t0, t1): the Monte Carlo's
+        births over one step are the closed form's over that interval."""
+        x = np.arange(N) * (L / N)
+        prof = tuple(0.5 + 0.5 * np.cos(2 * np.pi * x / L) ** 2)
+        mu, nu = Rate(const=0.7, table=prof, time=mu_time), Rate(const=1.3, time=nu_time)
+        spec = self.base({"mu": mu, "nu": nu})
+        for t0, t1 in ((0.4, 0.41), (0.9, 2.3), (1.0, 9.0)):
+            x0 = birth_death_timedep_density(spec, t0).values
+            x1 = birth_death_timedep_density(spec, t1).values
+            step = x0 * np.exp(-1.3 * nu.temporal_integral(t0, t1)) + births(mu, nu, (N,), t0, t1)
+            assert np.allclose(step, x1, rtol=1e-12, atol=0)
+
+    def test_births_without_death_broadcast_the_exact_integral(self):
+        mu = Rate(const=0.4, time="sin2")
+        out = births(mu, Rate(const=0.0), (N,), 0.3, 0.8)
+        assert out.shape == (N,) and np.all(out == 0.4 * mu.temporal_integral(0.3, 0.8))
+
+    @pytest.mark.parametrize("t1, answered", [(65536.0, True), (65537.0, False)])
+    def test_births_refuse_past_2_16_panels(self, t1, answered):
+        """At a constant death rate 1 a panel is one unit wide: t1 = 65,536
+        takes 2^16 panels and the next unit is refused."""
+        def run():
+            return births(Rate(), Rate(const=1.0), (), 0.0, t1)
+        if answered:
+            assert float(run()) == pytest.approx(1.0, rel=1e-12)
+        else:
+            with pytest.raises(ModelError, match="birth integral"):
+                run()
+
     def test_birth_without_death_is_exact_at_long_times(self):
         """With nu = 0 the births are int_0^t sin^2 = (t - sin 2t / 2) / 2
         exactly; the quadrature refused t = 1e6 for want of panels."""
@@ -593,22 +653,33 @@ PROFILES = {None: lambda s: 1.0, "one": lambda s: 1.0,
             "sin2": lambda s: math.sin(s) ** 2, "cos2": lambda s: math.cos(s) ** 2}
 
 
-def nested_quad_density(spec, t):
-    """v e^{-N(0,t)} + integral_0^t mu(s) e^{-N(s,t)} ds with both the outer
-    integral and the cumulative death N by adaptive quadrature."""
+# (epsabs, epsrel) of nested_quad_density's outer integral and of its N: a
+# loose pair, and one at 1e-13 relative, near the tightest quad reaches here
+# without warning of roundoff
+QUAD_LOOSE = ((1e-8, 1e-8), (1e-10, 1e-10))
+QUAD_TIGHT = ((0.0, 1e-13), (0.0, 1e-13))
+
+
+def nested_quad_density(spec, t, t0=0.0, tol=QUAD_LOOSE):
+    """v e^{-N(t0,t)} + integral_t0^t mu(s) e^{-N(s,t)} ds with both the outer
+    integral and the cumulative death N by adaptive quadrature; the outer
+    one is split where 1, 4, 16 and 64 decay lengths 1/g_nu remain, so a
+    thin layer of births is seen."""
+    (outer_abs, outer_rel), (cum_abs, cum_rel) = tol
 
     def cum(time, a, b):
-        return integrate.quad(PROFILES[time], a, b, epsabs=1e-10, epsrel=1e-10)[0]
+        return integrate.quad(PROFILES[time], a, b, epsabs=cum_abs, epsrel=cum_rel)[0]
 
     g = spec.grid()
     mu, nu = spec.rates["mu"], spec.rates["nu"]
     gmu, gnu = mu.spatial(g.shape), nu.spatial(g.shape)
-    out = g.values * np.exp(-gnu * cum(nu.time, 0.0, t))
+    out = g.values * np.exp(-gnu * cum(nu.time, t0, t))
     born = {}
     for gm, gn in set(zip(gmu, gnu)):
+        splits = [t - k / gn for k in (1, 4, 16, 64) if gn > 0 and t - k / gn > t0]
         born[gm, gn], _ = integrate.quad(
             lambda s: gm * PROFILES[mu.time](s) * math.exp(-gn * cum(nu.time, s, t)),
-            0.0, t, epsabs=1e-8, epsrel=1e-8)
+            t0, t, epsabs=outer_abs, epsrel=outer_rel, limit=200, points=splits or None)
     return out + np.array([born[pair] for pair in zip(gmu, gnu)])
 
 
