@@ -35,6 +35,12 @@ from .grid import FieldGrid, POSITION, point_labels, table_rows
 from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, births, check_keys
 
 MAX_EVENT_PROB = 0.1
+# Bounds on a run's initial work, refused before any step: replicas x steps
+# x (1 + expected initial particles per replica), and one chunk's expected
+# initial particles.  The gated mc-death-diffusion workload needs 1.05e8
+# and 82,000.
+MAX_PARTICLE_STEPS = 10**10
+MAX_CHUNK_PARTICLES = 2**22
 _ZERO = Rate(const=0.0)  # an optional rate that a model leaves out
 
 
@@ -227,19 +233,46 @@ class EstimatorReport:
 # ---------------------------------------------------------------------------
 
 
+def _draw_cells(rng, p: np.ndarray, size: int) -> np.ndarray:
+    """`size` cells i.i.d. with probabilities p, value for value the cells of
+    `rng.choice(len(p), size, p=p)`, leaving rng where choice leaves it.
+
+    choice searches its cdf, cumsum(p) / its last entry, for each of `size`
+    uniforms.  Given at least as many draws as cells (and 1,024), a table of
+    that cdf at j / M answers every uniform u whose bucket [j / M, (j + 1) / M)
+    holds no cdf step, and only the rest are searched (Chen & Asau, AIIE
+    Trans. 6, 163, 1974).  M is the power of two at or above min(size, 16
+    cells), so u M and j / M are exact, and at most `cells` buckets hold a step."""
+    cdf = p.cumsum()
+    if not (0 < cdf[-1] < math.inf and p.min() >= 0):
+        raise SimError("cell weights must be finite and >= 0 with a positive sum")
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if size < max(1024, len(cdf)):  # too few draws to pay for the table
+        return cdf.searchsorted(u, side="right")
+    m = 1 << (min(size, 16 * len(cdf)) - 1).bit_length()
+    at = cdf.searchsorted(np.arange(m + 1) / m, side="right")
+    table = np.where(at[1:] == at[:-1], at[:-1], -1)  # -1: a step in the bucket
+    cells = table[(u * m).astype(np.intp)]
+    miss = np.flatnonzero(cells < 0)
+    cells[miss] = cdf.searchsorted(u[miss], side="right")
+    return cells
+
+
 def _add_poisson(ens: ParticleEnsemble, grid: FieldGrid, weights: np.ndarray, mean: float,
                  species: int, rng) -> None:
     """Append Poisson(mean) particles of `species` to each replica, i.i.d. with
     density the multilinear interpolant of the cell weights (O(dx^2) for smooth
     densities): poisson counts, a categorical cell, then triangular jitter.
-    `weights` are normalized here; a rescaled copy would move choice's p."""
+    `weights` are normalized here, and _draw_cells builds its cdf from these
+    p; a rescaled copy would move the cdf's last bits and so the cells."""
     counts = rng.poisson(mean, size=ens.nreplicas)
     count = int(counts.sum())
     flat = weights.ravel()
     tot = flat.sum()
     if tot <= 0 or count == 0:
         return
-    cells = rng.choice(len(flat), size=count, p=flat / tot)
+    cells = _draw_cells(rng, flat / tot, count)
     idx = np.unravel_index(cells, grid.shape)
     pos = np.empty((count, grid.dim))
     for ax in range(grid.dim):
@@ -418,9 +451,12 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
 
 
 def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
-    """Per-replica tallies of one chunk at t_end: cell counts per species, N,
-    N^2, void and, given u, the GF estimate prod_i u(x_i).  The estimators
-    cost O(particles): one cell lookup, bincounts and one scatter-product."""
+    """Tallies of one chunk at t_end, each as (sum over the chunk's replicas,
+    sum of squares): per-cell counts per species, N, N^2, void and, given u,
+    the GF estimate prod_i u(x_i).  The estimators cost O(particles): one cell
+    lookup, bincounts and one scatter-product.  A cell's square sum is the
+    sum over its particles of their own (replica, cell) count, an exact
+    integer in float while a chunk holds fewer than 2^26 particles."""
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(chunk_index,)))
     ens = sample_initial(spec, rng, nrep)
     nsteps = int(round(t_end / sim.dt))
@@ -433,17 +469,22 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
     stats = {}
     for s in (0, 1) if KINDS[spec.kind].converts else (0,):
         sel = ens.species == s
-        stats[f"counts{s}"] = np.bincount(key[sel], minlength=nrep * ncells).reshape(nrep, ncells)
+        k, f = key[sel], flat[sel]
+        c = np.bincount(k)[k]
+        stats[f"counts{s}"] = (np.bincount(f, minlength=ncells),
+                               np.bincount(f, c, minlength=ncells).astype(np.int64))
     n_per_rep = np.bincount(ens.replica, minlength=nrep)
-    stats["N"] = n_per_rep
-    stats["N2"] = n_per_rep.astype(float) ** 2  # its square, n^4, would wrap in int64
-    stats["void"] = (n_per_rep == 0).astype(np.int64)
+    per_rep = {"N": n_per_rep,
+               "N2": n_per_rep.astype(float) ** 2,  # its square, n^4, would wrap in int64
+               "void": (n_per_rep == 0).astype(np.int64)}
     if u is not None:
         # multiplies in particle order, as np.prod over each replica would;
         # labels need not be sorted and an empty replica keeps gf = 1
         gf = np.ones(nrep)
         np.multiply.at(gf, ens.replica, u.values.ravel()[flat])
-        stats["gf"] = gf
+        per_rep["gf"] = gf
+    for name, x in per_rep.items():
+        stats[name] = (x.sum(), (x * x).sum())
     return stats
 
 
@@ -455,15 +496,19 @@ def run(
     whatever the number of worker threads running the chunks."""
     sim.check(spec)
     g = spec.grid()
+    n0 = g.integral() + (spec.vb.integral() if spec.vb is not None else 0.0)  # per replica
+    work = sim.replicas * (t_end / sim.dt) * (1.0 + n0)
+    if not work <= MAX_PARTICLE_STEPS:
+        raise SimError(f"about {work:.3g} particle-steps exceed the cap of "
+                       f"{MAX_PARTICLE_STEPS:.0e}; reduce replicas, t_end or the initial mass")
+    held = min(sim.chunk, sim.replicas) * n0
+    if not held <= MAX_CHUNK_PARTICLES:
+        raise SimError(f"about {held:.3g} initial particles in one chunk exceed the cap of "
+                       f"{MAX_CHUNK_PARTICLES:,}; reduce the chunk or the initial mass")
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
 
     def chunk(ci):
-        # reduced here, in the worker, so only per-cell sums outlive a chunk
-        size = min(sim.chunk, sim.replicas - ci * sim.chunk)
-        sums = {}
-        for key, x in _chunk_stats(spec, sim, t_end, u, ci, size).items():
-            sums[key] = (x.sum(axis=0), (x * x).sum(axis=0))
-        return sums
+        return _chunk_stats(spec, sim, t_end, u, ci, min(sim.chunk, sim.replicas - ci * sim.chunk))
 
     if threads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -3,7 +3,8 @@
 No command runs these, so they live with the tests: the point-source heat
 kernel, Stirling numbers of the second kind, the discrete-death generating
 function, the free propagator, a normal-order predicate for operator terms,
-and the inverse transform of a momentum field.
+the inverse transform of a momentum field, and one Monte Carlo chunk's
+per-replica tallies.
 """
 
 import math
@@ -11,7 +12,8 @@ import math
 import numpy as np
 
 from rdito.grid import POSITION, FieldGrid
-from rdito.models import ModelError, discrete_death_log_gf, image_sum
+from rdito.models import KINDS, ModelError, discrete_death_log_gf, image_sum
+from rdito.simulate import sample_initial, step
 
 
 class DegenerateTime(ModelError):
@@ -91,3 +93,39 @@ def to_position(fg: FieldGrid) -> FieldGrid:
     FieldGrid.to_momentum."""
     v = np.fft.ifftn(fg.values) / fg.cell_volume
     return FieldGrid(fg.box, v.real, POSITION)
+
+
+def replay_chunk(spec, sim, t_end: float, chunk_index: int, nrep: int):
+    """The ensemble of chunk `chunk_index` of simulate.run at t_end: the same
+    seed, initial sample and steps.  Its positions are read once here, which
+    draws what the steps deferred, as the run's estimators do."""
+    rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(chunk_index,)))
+    ens = sample_initial(spec, rng, nrep)
+    for _ in range(int(round(t_end / sim.dt))):
+        step(ens, spec, sim, rng)
+    ens.positions
+    return ens
+
+
+def chunk_tallies(spec, sim, t_end: float, u, chunk_index: int, nrep: int) -> dict:
+    """Per-replica tallies of one chunk of simulate.run, computed densely
+    from its replayed ensemble: (nrep, cells) counts per species, N, N^2
+    (float), void and, given u, the product of u over each replica's
+    particles, one np.prod per replica."""
+    ens = replay_chunk(spec, sim, t_end, chunk_index, nrep)
+    g = spec.grid()
+    cell = np.ravel_multi_index(
+        [np.minimum((ens.positions[:, ax] / (b / n)).astype(np.int64), n - 1)
+         for ax, (b, n) in enumerate(zip(g.box, g.shape))], g.shape)
+    out = {}
+    for s in (0, 1) if KINDS[spec.kind].converts else (0,):
+        counts = np.zeros((nrep, g.values.size), np.int64)
+        sel = ens.species == s
+        np.add.at(counts, (ens.replica[sel], cell[sel]), 1)
+        out[f"counts{s}"] = counts
+    n = sum(c.sum(axis=1) for c in out.values())
+    out.update(N=n, N2=n.astype(float) ** 2, void=(n == 0).astype(np.int64))
+    if u is not None:
+        uvals = u.values.ravel()[cell]
+        out["gf"] = np.array([np.prod(uvals[ens.replica == r]) for r in range(nrep)])
+    return out

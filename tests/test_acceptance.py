@@ -17,7 +17,7 @@ import pytest
 from scipy import integrate, linalg, stats
 
 from rdito import algebra as alg
-from rdito import cli, models, perturb, simulate
+from rdito import cli, models, perturb
 from rdito.grid import FieldGrid, POSITION
 from rdito.models import (
     ModelSpec,
@@ -41,7 +41,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import propagator, stirling2, to_position
+from oracles import chunk_tallies, propagator, stirling2, to_position
 from third_order_oracle import third_order_continuum
 
 L, N = 10.0, 64
@@ -235,8 +235,7 @@ def test_criterion_04_death_diffusion_mc(capsys):
     sum_g = np.zeros(N)
     sum_g2 = np.zeros(N)
     for ci in range(nchunks):
-        st = simulate._chunk_stats(spec, sim, t_end, None, ci, sizes[ci])
-        c = st["counts0"].astype(float)
+        c = chunk_tallies(spec, sim, t_end, None, ci, sizes[ci])["counts0"].astype(float)
         sum_c += c.sum(axis=0)
         sum_c2 += (c ** 2).sum(axis=0)
         gfv = (1.0 - s_gf) ** c  # per-replica GF sample for u_j = 1 - s on cell j

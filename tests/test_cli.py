@@ -654,6 +654,31 @@ class TestSimulate:
         assert "--u" in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("v, sim_keys, t_end, cap", [
+        (1e9, {"replicas": 10}, "0.5", "particle-steps"),
+        (1.0, {"replicas": 1e11}, "0.5", "particle-steps"),
+        (1.0, {"replicas": 10}, "1e9", "particle-steps"),
+        (1e5, {"replicas": 1000, "chunk": 1000}, "0.01", "one chunk"),
+    ], ids=["v-1e9", "replicas-1e11", "t-end-1e9", "chunk"])
+    def test_too_much_work_runtime_exit(self, tmp_path, v, sim_keys, t_end, cap):
+        """On a 16-cell model, v = 1e9 ended in a MemoryError (exit 4) and
+        1e11 replicas or t_end = 1e9 ran for good; past either work cap
+        simulate refuses before any step."""
+        model = write_json(tmp_path / "m.json", {
+            **model_obj(), "shape": [16], "v": {"expr": "uniform", "const": v}})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "seed": 1, **sim_keys})
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['simulate', {str(model)!r}, {str(sim)!r}, "
+                           f"'--t-end', {t_end!r}, '--out', 'x']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1
+        assert cap in res.stderr
+        assert float(res.stdout) < 1.0
+        assert not list(tmp_path.glob("x*"))
+
     def test_non_spatial_model_usage_exit(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json",
                            {"kind": "DiscreteDeath", "rates": {"mu": 2.0}, "v": 3.0})

@@ -32,10 +32,12 @@ from rdito.simulate import (
     _candidate_pairs,
     _check_prob,
     _chunk_stats,
+    _draw_cells,
     run,
     sample_initial,
     step,
 )
+from oracles import chunk_tallies, replay_chunk
 
 L, N = 10.0, 64
 
@@ -104,6 +106,78 @@ class TestSampleInitial:
         xs = ens.positions[:, 0]
         res = stats.kstest(xs, lambda x: stats.norm.cdf(x, L / 2, 1.0))
         assert res.pvalue > 0.01
+
+
+def _tiny_next_to_zeros(n):
+    w = np.zeros(n)
+    w[::2] = 1.0
+    w[n // 2] = 1e-300
+    return w
+
+
+def _zero_runs(n):
+    w = np.random.default_rng(4).random(n) ** 8
+    w[np.arange(n) % 7 < 4] = 0.0
+    w[-1] = 1.0
+    return w
+
+
+def _dominant(n):
+    w = np.full(n, 1e-6)
+    w[n // 3] = 1.0
+    return w
+
+
+CELL_WEIGHTS = {
+    "gaussian": lambda n: np.exp(-0.5 * ((np.arange(n) - n / 2) / max(n / 8, 1)) ** 2),
+    "uniform": np.ones,
+    "random-pow8": lambda n: np.random.default_rng(3).random(n) ** 8 + (n == 1),
+    "zero-runs": _zero_runs,
+    "tiny-next-to-zeros": _tiny_next_to_zeros,
+    "dominant": _dominant,
+}
+
+
+class TestDrawCells:
+    @pytest.mark.parametrize("size", [0, 1, 100_000])
+    @pytest.mark.parametrize("n", [1, 3, 16_384])
+    @pytest.mark.parametrize("weights", CELL_WEIGHTS)
+    def test_equals_choice_value_for_value(self, weights, n, size):
+        """The cells of rng.choice(n, size, p=p), and the rng left where
+        choice leaves it."""
+        w = CELL_WEIGHTS[weights](n)
+        p = w / w.sum()
+        ref, rng = np.random.default_rng(17), np.random.default_rng(17)
+        want = ref.choice(n, size=size, p=p)
+        got = _draw_cells(rng, p, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.random() == ref.random()
+
+    def test_uniforms_on_bucket_edges_and_cdf_steps(self):
+        """Every uniform on a table edge j/M, on a cdf step or one ulp either
+        side of one is the cdf search's cell.  Two steps lie on edges (0.25
+        and the 0.5 of a zero-weight cell), one inside a bucket (0.6)."""
+        p = np.array([0.25, 0.25, 0.0, 0.1, 0.4])
+        cdf = p.cumsum() / p.sum()
+        m = 128  # the table size for 2,000 draws on 5 cells
+        steps = cdf[:-1]
+        u = np.concatenate([np.arange(m) / m, steps, np.nextafter(steps, 0.0),
+                            np.nextafter(steps, 1.0), [np.nextafter(1.0, 0.0)]])
+        u = np.resize(u, 2000)
+
+        class Fixed:
+            def random(self, size):
+                assert size == len(u)
+                return u.copy()
+
+        got = _draw_cells(Fixed(), p, len(u))
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [np.inf, 1.0], [0.0, 0.0],
+                                   [1.5, -0.5]])
+    def test_refuses_weights_that_choice_refuses(self, p):
+        with pytest.raises(SimError, match="cell weights"):
+            _draw_cells(np.random.default_rng(0), np.array(p), 10)
 
 
 class TestStep:
@@ -304,24 +378,19 @@ class TestRun:
         assert rep.scalars["gf"] == (1.0, 0.0)
 
     def test_gf_matches_per_replica_product_loop(self):
-        """The GF estimate of each replica is the product of u over its
-        particles, exactly as a loop of np.prod computes it, with births
-        appended out of replica order and some replicas empty."""
+        """The chunk's GF tally is the sum and square sum of each replica's
+        product of u over its particles, exactly as a loop of np.prod computes
+        it, with births appended out of replica order and some replicas empty."""
         spec = gauss_spec("BrownianTree", mu=2.0, mass=1.5)
         sim = SimConfig(dt=0.01, replicas=64, seed=21, chunk=64)
         u = make_grid(0.8 + 0.4 * np.sin(np.arange(N)) ** 2)
         t_end = 0.5
         gf = _chunk_stats(spec, sim, t_end, u, 0, sim.replicas)["gf"]
-        rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(0,)))
-        ens = sample_initial(spec, rng, sim.replicas)
-        for _ in range(int(round(t_end / sim.dt))):
-            step(ens, spec, sim, rng)
+        ens = replay_chunk(spec, sim, t_end, 0, sim.replicas)
         assert np.any(np.diff(ens.replica) < 0)
         assert np.any(np.bincount(ens.replica, minlength=sim.replicas) == 0)
-        cells = np.clip((ens.positions[:, 0] / (L / N)).astype(np.int64), 0, N - 1)
-        uvals = u.values[cells]
-        expect = np.array([np.prod(uvals[ens.replica == r]) for r in range(sim.replicas)])
-        assert np.array_equal(gf, expect)
+        expect = chunk_tallies(spec, sim, t_end, u, 0, sim.replicas)["gf"]
+        assert gf == (expect.sum(), (expect * expect).sum())
         assert len(set(expect.tolist())) > 10
 
     def test_peak_memory_does_not_grow_with_replicas(self):
@@ -350,7 +419,9 @@ class TestRun:
 
     def test_reduction_equals_two_pass_over_chunk_stats(self):
         """run's fields and scalars equal, bit for bit, collecting every
-        chunk's per-replica tallies first and reducing them afterwards."""
+        chunk's per-replica tallies first and reducing them afterwards.  The
+        tallies are replayed densely (tests/oracles.py), and each chunk's
+        sums and square sums from _chunk_stats equal theirs exactly."""
         g = make_grid()
         spec = ModelSpec("ConvertAB", (L,), 0.5,
                          {"mu": Rate(const=0.5, table=tuple(1 + np.sin(g.axes()[0]) ** 2))},
@@ -360,9 +431,17 @@ class TestRun:
         t_end = 0.2
         rep = run(spec, sim, t_end, threads=2)
         R = sim.replicas
-        tallies = [_chunk_stats(spec, sim, t_end, None, ci, min(sim.chunk, R - ci * sim.chunk))
+        tallies = [chunk_tallies(spec, sim, t_end, None, ci, min(sim.chunk, R - ci * sim.chunk))
                    for ci in range(3)]
         assert [len(t["N"]) for t in tallies] == [300, 300, 100]
+        for ci, t in enumerate(tallies):
+            sums = _chunk_stats(spec, sim, t_end, None, ci, len(t["N"]))
+            assert set(sums) == set(t)
+            for key, x in t.items():
+                s, s2 = sums[key]
+                assert s.dtype == s2.dtype == x.dtype, key
+                assert np.array_equal(s, x.sum(axis=0)), key
+                assert np.array_equal(s2, (x * x).sum(axis=0)), key
 
         def two_pass(key):
             s = s2 = 0.0
@@ -389,9 +468,10 @@ class TestRun:
         spec = gauss_spec(mass=60000.0)
         sim = SimConfig(dt=0.05, replicas=3, seed=5)
         rep = run(spec, sim, 0.05)
-        n = _chunk_stats(spec, sim, 0.05, None, 0, 3)["N"]
+        n = chunk_tallies(spec, sim, 0.05, None, 0, 3)["N"]
         assert int(n.min()) ** 4 > np.iinfo(np.int64).max
         x = n.astype(float) ** 2
+        assert _chunk_stats(spec, sim, 0.05, None, 0, 3)["N2"] == (x.sum(), (x * x).sum())
         mean = x.sum() / 3
         se = np.sqrt(max((x ** 2).sum() / 3 - mean ** 2, 0.0) / 2)
         assert rep.scalars["N2"] == (mean, se)
@@ -625,5 +705,45 @@ def test_seeded_annihilation_output_is_pinned(case, digest):
     """SHA-256 of the serialized report, as recorded from the dict-and-loop
     cell list this pair search replaced: same pairs, same order, same draws."""
     rep = run(*case())
+    text = rep.scalars_json() + rep.grid_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _pinned_stream(kind, rates, mass=8.0, D=0.5, vb=None):
+    """A 32-cell model on a Gaussian start with `rates` given as functions of
+    the grid points x; 2,000 replicas in chunks of 300 to t = 0.5, with u."""
+    g = FieldGrid((L,), np.zeros(32), POSITION)
+    x = g.axes()[0]
+    rates = {k: Rate(const=r) if np.isscalar(r) else Rate(table=tuple(r(x)))
+             for k, r in rates.items()}
+    spec = ModelSpec(kind, (L,), D, rates, g.with_values(wrapped_gaussian(g, mass, 1.0, L / 2)),
+                     vb=None if vb is None else g.with_values(np.full(32, vb)))
+    u = g.with_values(0.8 + 0.4 * np.sin(x) ** 2)
+    return spec, SimConfig(dt=0.01, replicas=2000, seed=7, chunk=300), 0.5, u
+
+
+@pytest.mark.parametrize("case, digest", [
+    (lambda: _pinned_stream("DeathDiffusion", {"mu": 1.0}, mass=20.0, D=1.0),
+     "9c7d1872f6e5c7eb76939db2f5c4889c60c8097d1894d8e522f5f7e6842ae179"),
+    (lambda: _pinned_stream("BrownianTree", {"mu": 0.8}, mass=5.0, D=1.0),
+     "46441dc3f09cbbeee45e7c5787f3bd4948399a95a22df2bfc163fc4f5b50f11c"),
+    (lambda: _pinned_stream("ConvertAB", {"mu": lambda x: 1 + np.sin(x) ** 2}, vb=0.2),
+     "ea9a20937435e06c150584aa8a905439c1516ef033bf273e4d520d3fe6103e67"),
+    (lambda: _pinned_stream("SpontBirth", {"mu": lambda x: 2 + np.cos(2 * np.pi * x / L)},
+                            mass=2.0),
+     "f5a79cab23bbbe0c9a5de99a9a0cfdac42b77bba52321b0ca3154e206e97d560"),
+    (lambda: _pinned_stream("BirthDeathTimeDep",
+                            {"nu": lambda x: np.linspace(0.2, 1.8, 32), "mu": 4.0}),
+     "00e4a5ecbb3a16d6f6617ab163fda67b823d959c1595b1ebb4de95e3143f8f04"),
+    (lambda: _pinned_stream("DeathDiffusion", {"mu": lambda x: 0.5 + x / L}, mass=20.0),
+     "aabff9518675082bb36e073e858a8eae0274ca89baa038c4c1ea6c3b20103948"),
+], ids=["death-diffusion", "brownian-tree", "convert-ab-table", "spont-birth-table",
+        "birth-death-nu-table", "death-mu-table"])
+def test_seeded_non_uniform_output_is_pinned(case, digest):
+    """SHA-256 of the serialized report on non-uniform fields, where the
+    cell draw is not a plain floor of u * cells; recorded at 2040f91, when
+    the draw was numpy's `Generator.choice(p=...)`."""
+    spec, sim, t_end, u = case()
+    rep = run(spec, sim, t_end, u=u, threads=2)
     text = rep.scalars_json() + rep.grid_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
