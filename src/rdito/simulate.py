@@ -238,18 +238,16 @@ def _draw_cells(rng, p: np.ndarray, size: int) -> np.ndarray:
     `rng.choice(len(p), size, p=p)`, leaving rng where choice leaves it.
 
     choice searches its cdf, cumsum(p) / its last entry, for each of `size`
-    uniforms.  Given at least as many draws as cells (and 1,024), a table of
-    that cdf at j / M answers every uniform u whose bucket [j / M, (j + 1) / M)
-    holds no cdf step, and only the rest are searched (Chen & Asau, AIIE
-    Trans. 6, 163, 1974).  M is the power of two at or above min(size, 16
-    cells), so u M and j / M are exact, and at most `cells` buckets hold a step."""
+    uniforms.  A table of that cdf at j / M answers every uniform u whose
+    bucket [j / M, (j + 1) / M) holds no cdf step, and only the rest are
+    searched (Chen & Asau, AIIE Trans. 6, 163, 1974).  M is the power of two
+    at or above min(size, 16 cells), so u M and j / M are exact, the table
+    costs no more than the draws, and at most `cells` buckets hold a step."""
     cdf = p.cumsum()
     if not (0 < cdf[-1] < math.inf and p.min() >= 0):
         raise SimError("cell weights must be finite and >= 0 with a positive sum")
     cdf /= cdf[-1]
     u = rng.random(size)
-    if size < max(1024, len(cdf)):  # too few draws to pay for the table
-        return cdf.searchsorted(u, side="right")
     m = 1 << (min(size, 16 * len(cdf)) - 1).bit_length()
     at = cdf.searchsorted(np.arange(m + 1) / m, side="right")
     table = np.where(at[1:] == at[:-1], at[:-1], -1)  # -1: a step in the bucket
@@ -500,7 +498,8 @@ def run(
     work = sim.replicas * (t_end / sim.dt) * (1.0 + n0)
     if not work <= MAX_PARTICLE_STEPS:
         raise SimError(f"about {work:.3g} particle-steps exceed the cap of "
-                       f"{MAX_PARTICLE_STEPS:.0e}; reduce replicas, t_end or the initial mass")
+                       f"{MAX_PARTICLE_STEPS:.0e}; reduce replicas, t_end or the initial mass, "
+                       "or split the replicas over runs with different seeds")
     held = min(sim.chunk, sim.replicas) * n0
     if not held <= MAX_CHUNK_PARTICLES:
         raise SimError(f"about {held:.3g} initial particles in one chunk exceed the cap of "
