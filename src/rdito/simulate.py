@@ -145,8 +145,9 @@ class ParticleEnsemble:
     scalar rate is deferred the same way: survival is exp(-`hazard`), the
     accrued integral of the rate, so the first read of `n`, `species`,
     `replica` or `positions` thins once, before any diffusion draw.
-    `select` works on the thinned, undrawn arrays; `append` reads first, so
-    newborns never inherit displacement or hazard they did not have."""
+    `select` works on the thinned, undrawn arrays; `append` reads first (but
+    into an empty ensemble with nothing deferred it just takes the arrays),
+    so newborns never inherit displacement or hazard they did not have."""
 
     box: tuple[float, ...]
     _positions: np.ndarray  # (n, d), `pending` not yet drawn
@@ -201,9 +202,11 @@ class ParticleEnsemble:
         self._replica = self._replica.take(idx)
 
     def append(self, positions, species, replica) -> None:
-        self._positions = np.concatenate([self.positions, positions])
-        self._species = np.concatenate([self._species, species])
-        self._replica = np.concatenate([self._replica, replica])
+        if len(self._positions) or self.pending or self.hazard:
+            positions = np.concatenate([self.positions, positions])
+            species = np.concatenate([self._species, species])
+            replica = np.concatenate([self._replica, replica])
+        self._positions, self._species, self._replica = positions, species, replica
 
 
 @dataclass(frozen=True)
@@ -257,13 +260,23 @@ def _draw_cells(rng, p: np.ndarray, size: int) -> np.ndarray:
     return cells
 
 
+def _wrap(x: np.ndarray, L: float) -> None:
+    """x % L in place, bit for bit, for x in [-L, 2 L) except -0.0: % gives
+    x - L for x >= L, exact by Sterbenz, and x + L for x < 0, which may
+    round to L, so the x >= L shift goes first."""
+    x[x >= L] -= L
+    x[x < 0] += L
+
+
 def _add_poisson(ens: ParticleEnsemble, grid: FieldGrid, weights: np.ndarray, mean: float,
                  species: int, rng) -> None:
     """Append Poisson(mean) particles of `species` to each replica, i.i.d. with
     density the multilinear interpolant of the cell weights (O(dx^2) for smooth
     densities): poisson counts, a categorical cell, then triangular jitter.
     `weights` are normalized here, and _draw_cells builds its cdf from these
-    p; a rescaled copy would move the cdf's last bits and so the cells."""
+    p; a rescaled copy would move the cdf's last bits and so the cells.
+    Grid points i h are gathered from FieldGrid.axes; with the jitter, in
+    [-h, h), x is in [-h, L + h) and never -0.0 (i h >= +0.0), as _wrap needs."""
     counts = rng.poisson(mean, size=ens.nreplicas)
     count = int(counts.sum())
     flat = weights.ravel()
@@ -271,12 +284,12 @@ def _add_poisson(ens: ParticleEnsemble, grid: FieldGrid, weights: np.ndarray, me
     if tot <= 0 or count == 0:
         return
     cells = _draw_cells(rng, flat / tot, count)
-    idx = np.unravel_index(cells, grid.shape)
-    pos = np.empty((count, grid.dim))
-    for ax in range(grid.dim):
-        h = grid.spacing[ax]
-        jitter = (rng.random(count) + rng.random(count) - 1.0) * h
-        pos[:, ax] = (idx[ax] * h + jitter) % grid.box[ax]
+    points = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    pos = points.take(cells, axis=0)
+    for ax, (h, L) in enumerate(zip(grid.spacing, grid.box)):
+        x = pos[:, ax]
+        x += (rng.random(count) + rng.random(count) - 1.0) * h
+        _wrap(x, L)
     ens.append(pos, np.full(count, species, dtype=np.int64),
                np.repeat(np.arange(ens.nreplicas), counts))
 
@@ -315,7 +328,7 @@ def _event_prob(rate: Rate, ens: ParticleEnsemble, grid: FieldGrid, t: float, dt
 
 
 def _check_prob(p, what: str) -> None:
-    m = float(np.max(p)) if np.size(p) else 0.0
+    m = p if isinstance(p, float) else float(np.max(p, initial=0.0))
     if not m <= MAX_EVENT_PROB:  # NaN fails this test too
         raise StepTooLarge(
             f"{what} probability {m:.3g} exceeds {MAX_EVENT_PROB}; reduce dt"
@@ -417,6 +430,9 @@ def _immigration(ens, grid, rate, death, t, dt, rng) -> None:
     unit volume at each cell."""
     born = births(rate, death, grid.shape, t, t + dt)
     lam = float(born.sum() * grid.cell_volume)
+    if not lam * ens.nreplicas <= MAX_CHUNK_PARTICLES:
+        raise SimError(f"about {lam * ens.nreplicas:.3g} births expected in a step of one chunk "
+                       f"exceed the cap of {MAX_CHUNK_PARTICLES:,}; reduce the rate, dt or chunk")
     if lam > 0:
         _add_poisson(ens, grid, born, lam, 0, rng)
 
@@ -465,8 +481,9 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
     flat = np.ravel_multi_index(_floor_cell(ens, g.shape), g.shape)
     key = ens.replica * ncells + flat
     stats = {}
-    for s in (0, 1) if KINDS[spec.kind].converts else (0,):
-        sel = ens.species == s
+    converts = KINDS[spec.kind].converts  # else ModelSpec refuses vb: all species 0
+    for s in (0, 1) if converts else (0,):
+        sel = ens.species == s if converts else slice(None)  # a view, not a copy
         k, f = key[sel], flat[sel]
         c = np.bincount(k)[k]
         stats[f"counts{s}"] = (np.bincount(f, minlength=ncells),

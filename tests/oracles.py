@@ -3,8 +3,9 @@
 No command runs these, so they live with the tests: the point-source heat
 kernel, Stirling numbers of the second kind, the discrete-death generating
 function, the free propagator, a normal-order predicate for operator terms,
-the inverse transform of a momentum field, and one Monte Carlo chunk's
-per-replica tallies.
+the inverse transform of a momentum field, one Monte Carlo chunk's
+per-replica tallies, and the particle placement wrapped by the float
+remainder.
 """
 
 import math
@@ -129,3 +130,21 @@ def chunk_tallies(spec, sim, t_end: float, u, chunk_index: int, nrep: int) -> di
         uvals = u.values.ravel()[cell]
         out["gf"] = np.array([np.prod(uvals[ens.replica == r]) for r in range(nrep)])
     return out
+
+
+def add_poisson_by_remainder(grid: FieldGrid, weights, mean: float, nreplicas: int, state):
+    """The positions that simulate._add_poisson appends, drawn from a
+    generator in bit_generator `state` with numpy's own choice and wrapped by
+    the float remainder (i h + jitter) % L, as before its compare-and-shift
+    wrap; also the generator, left where the draws leave it."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    counts = rng.poisson(mean, size=nreplicas)
+    p = weights.ravel() / weights.sum()
+    idx = np.unravel_index(rng.choice(p.size, int(counts.sum()), p=p), grid.shape)
+    pos = np.empty((len(idx[0]), grid.dim))
+    for ax in range(grid.dim):
+        h = grid.spacing[ax]
+        jitter = (rng.random(len(pos)) + rng.random(len(pos)) - 1.0) * h
+        pos[:, ax] = (idx[ax] * h + jitter) % grid.box[ax]
+    return pos, rng

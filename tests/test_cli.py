@@ -679,6 +679,28 @@ class TestSimulate:
         assert float(res.stdout) < 1.0
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("mu", [1e300, 1e12])
+    def test_too_many_births_runtime_exit(self, tmp_path, mu):
+        """From v = 0 the work cap saw no particles, and the first step's
+        births ended in `lam value too large` (mu = 1e300) or a 7.28 TiB
+        MemoryError (mu = 1e12), both exit 4; a step's expected births in
+        one chunk are now capped like its initial particles."""
+        model = write_json(tmp_path / "m.json", {
+            **model_obj("SpontBirth", rates={"mu": mu}, v={"expr": "uniform", "const": 0.0}),
+            "shape": [16]})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 10, "seed": 1})
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['simulate', {str(model)!r}, {str(sim)!r}, "
+                           "'--t-end', '0.05', '--out', 'x']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1
+        assert "births" in res.stderr and "reduce the rate, dt or chunk" in res.stderr
+        assert float(res.stdout) < 1.0
+        assert not list(tmp_path.glob("x*"))
+
     def test_non_spatial_model_usage_exit(self, tmp_path, capsys):
         model = write_json(tmp_path / "m.json",
                            {"kind": "DiscreteDeath", "rates": {"mu": 2.0}, "v": 3.0})

@@ -30,14 +30,17 @@ from rdito.simulate import (
     SimError,
     StepTooLarge,
     _candidate_pairs,
+    MAX_EVENT_PROB,
+    _add_poisson,
     _check_prob,
     _chunk_stats,
     _draw_cells,
+    _wrap,
     run,
     sample_initial,
     step,
 )
-from oracles import chunk_tallies, replay_chunk
+from oracles import add_poisson_by_remainder, chunk_tallies, replay_chunk
 
 L, N = 10.0, 64
 
@@ -180,6 +183,56 @@ class TestDrawCells:
             _draw_cells(np.random.default_rng(0), np.array(p), 10)
 
 
+class TestPlacement:
+    """_add_poisson's grid points, jitter and compare-and-shift wrap against
+    the float remainder it replaced."""
+
+    # n (L / n) != L in floating point on each of these axes
+    @pytest.mark.parametrize("box, shape", [
+        ((0.3,), (37,)), ((10.0,), (77,)), ((0.3, 10.0), (37, 77)),
+        ((10.0, 0.3, 1.0), (77, 37, 49)),
+    ], ids=["0.3/37", "10/77", "2d", "3d"])
+    def test_positions_equal_the_remainder_bit_for_bit(self, box, shape):
+        assert all(n * (b / n) != b for b, n in zip(box, shape))
+        g = FieldGrid(box, np.zeros(shape), POSITION)
+        edge = sum(np.isin(i, (0, n - 1)) for i, n in zip(np.indices(shape), shape))
+        weights = (1 + 20 * edge) * np.random.default_rng(3).random(shape)
+        rng = np.random.default_rng(5)
+        want, ref = add_poisson_by_remainder(g, weights, 100.0, 200, rng.bit_generator.state)
+        empty = np.zeros(0, dtype=np.int64)
+        ens = ParticleEnsemble(box, np.zeros((0, g.dim)), empty, empty, 200, rng=rng)
+        _add_poisson(ens, g, weights, 100.0, 0, rng)
+        assert ens.positions.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+        for ax, (b, n) in enumerate(zip(box, shape)):  # both sides wrapped
+            x = want[:, ax]
+            assert np.any(x > b - b / (2 * n)) and np.any(x < b / (2 * n))
+
+    @pytest.mark.parametrize("L", [10.0, 0.3])
+    def test_wrap_on_the_edges(self, L):
+        """-1e-17 and the least subnormal below 0 go to L + x, which rounds
+        to L, as under %; L goes to 0 and the next float above L to an ulp."""
+        x = np.array([-5e-324, -1e-17, L, np.nextafter(L, np.inf), -L, 0.0, L / 2])
+        want = x % L
+        _wrap(x, L)
+        assert x.tobytes() == want.tobytes()
+        assert x[0] == x[1] == L
+
+    @pytest.mark.parametrize("pending, hazard", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
+    def test_append_to_an_empty_ensemble(self, pending, hazard):
+        """Newborns take no diffusion or death deferred before their birth,
+        and into an empty ensemble with none deferred the arrays are taken."""
+        empty = np.zeros(0, dtype=np.int64)
+        ens = ParticleEnsemble((L,), np.zeros((0, 1)), empty, empty, 2,
+                               rng=np.random.default_rng(1), pending=pending, hazard=hazard)
+        pos = np.linspace(0.0, 9.0, 1000)[:, None]
+        ens.append(pos, np.zeros(1000, dtype=np.int64), np.repeat([0, 1], 500))
+        assert ens.pending == ens.hazard == 0.0
+        assert (ens.positions is pos) == (pending == hazard == 0.0)
+        assert np.array_equal(ens.positions, np.linspace(0.0, 9.0, 1000)[:, None])
+        assert ens.n == 1000
+
+
 class TestStep:
     def test_static_no_reactions_unchanged(self):
         spec = gauss_spec(mu=0.0, D=0.0)
@@ -250,6 +303,15 @@ class TestStep:
     def test_nan_probability_is_too_large(self):
         with pytest.raises(StepTooLarge):
             _check_prob(np.array([0.01, math.nan]), "death")
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, np.nextafter(MAX_EVENT_PROB, 1)])
+    def test_scalar_probability_too_large(self, p):
+        with pytest.raises(StepTooLarge):
+            _check_prob(p, "death")
+
+    def test_scalar_probability_at_the_bound_passes(self):
+        _check_prob(MAX_EVENT_PROB, "death")
+        _check_prob(0.0, "death")
 
     def test_wrap_after_steps_longer_than_the_box(self):
         """A diffusion step of several box lengths still lands on the torus
@@ -743,6 +805,37 @@ def test_seeded_non_uniform_output_is_pinned(case, digest):
     """SHA-256 of the serialized report on non-uniform fields, where the
     cell draw is not a plain floor of u * cells; recorded at 2040f91, when
     the draw was numpy's `Generator.choice(p=...)`."""
+    spec, sim, t_end, u = case()
+    rep = run(spec, sim, t_end, u=u, threads=2)
+    text = rep.scalars_json() + rep.grid_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _convert_ab_2d():
+    """ConvertAB with vb and a tabulated mu on 12 x 8 cells, with u."""
+    g = FieldGrid((6.0, 4.0), np.zeros((12, 8)), POSITION)
+    x, y = np.meshgrid(*g.axes(), indexing="ij")
+    mu = 1 + np.sin(x) ** 2 * np.cos(y / 2) ** 2
+    spec = ModelSpec("ConvertAB", g.box, 0.3, {"mu": Rate(table=tuple(map(tuple, mu)))},
+                     g.with_values(wrapped_gaussian(g, 12.0, 1.0, (2.0, 1.5))),
+                     vb=g.with_values(0.1 + 0.05 * x))
+    u = g.with_values(0.8 + 0.2 * np.cos(x + y) ** 2)
+    return spec, SimConfig(dt=0.01, replicas=600, seed=9, chunk=128), 0.3, u
+
+
+@pytest.mark.parametrize("case, digest", [
+    (_convert_ab_2d, "77081b1d712d41079a7d812e908bcd80d108c9546ce8377c9e66e8bf172ef211"),
+    (lambda: _pinned_stream("SpontBirth", {"mu": lambda x: 2 + np.cos(2 * np.pi * x / L)},
+                            mass=0.0),
+     "14a0bb783c301b69280a2d0bc4e4c47df5e4d099fd7729fb53cb3a891ebd8c51"),
+], ids=["convert-ab-2d", "spont-birth-from-empty"])
+def test_seeded_stream_past_the_1d_start_is_pinned(case, digest):
+    """SHA-256 of the serialized report on two streams the digests above
+    miss, recorded at 4a899b8 before the particle coordinates were gathered
+    from a per-axis table: a 2-D ConvertAB run (coordinates and the species
+    tallies off one axis) and a SpontBirth run from v = 0 with D > 0, whose
+    first births land in an empty ensemble that already carries pending
+    diffusion, which they must not inherit."""
     spec, sim, t_end, u = case()
     rep = run(spec, sim, t_end, u=u, threads=2)
     text = rep.scalars_json() + rep.grid_csv()
