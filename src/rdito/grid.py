@@ -133,14 +133,16 @@ def half_ifft(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfft(xh, n=shape[-1])
 
 
-def full_spectrum(xh: np.ndarray, n: int, ndim: int | None = None) -> np.ndarray:
+def full_spectrum(xh: np.ndarray, n: int, ndim: int | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Full spectrum of a real array from its half spectrum `xh` over the
     last `ndim` axes (all by default; the last of full length n), completed
-    by X(-k) = conj X(k); leading axes index a batch."""
+    by X(-k) = conj X(k), in `out` if given; leading axes index a batch."""
     m = xh.shape[-1]
     ndim = xh.ndim if ndim is None else ndim
     neg = [(-np.arange(s)) % s for s in xh.shape[-ndim:-1]]
-    out = np.empty((*xh.shape[:-1], n), xh.dtype)
+    if out is None:
+        out = np.empty((*xh.shape[:-1], n), xh.dtype)
     out[..., :m] = xh
     np.conjugate(xh[(..., *np.ix_(*neg, np.arange(n - m, 0, -1)))], out=out[..., m:])
     return out

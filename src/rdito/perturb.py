@@ -123,7 +123,8 @@ def kernel_field(spec) -> FieldGrid:
 
 
 def momentum_grid(spec) -> MomentumGrid:
-    """Momentum-space view of an Annihilation model specification."""
+    """Momentum-space view of an Annihilation model specification, the
+    input of third_order_term."""
     return MomentumGrid(
         Rhat=kernel_field(spec).to_momentum(),
         vhat=spec.grid().to_momentum(),
@@ -245,25 +246,24 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled time series of fields on one grid."""
+    """Fields on one grid at uniformly spaced times: values[i], of the grid's
+    shape, is the field at times[i] in representation rep."""
 
     times: tuple[float, ...]
-    fields: tuple[FieldGrid, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.fields):
-            raise PerturbError("times and fields must have equal length")
+    box: tuple[float, ...]
+    rep: str
+    values: np.ndarray  # (len(times), *grid shape)
 
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces: the header line, then the rows of one
         time step each, so a writer never holds the whole table."""
-        g = self.fields[0]
-        pos = g.rep == POSITION
+        g = FieldGrid(self.box, self.values[0], self.rep)
+        pos = self.rep == POSITION
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
         labels = point_labels(g.axes() if pos else g.kaxes())
         yield f"t,{cols},value\n"
-        for t, f in zip(self.times, self.fields):
-            yield "\n".join(table_rows(repr(float(t)), labels, np.real(f.values))) + "\n"
+        for t, v in zip(self.times, np.real(self.values)):
+            yield "\n".join(table_rows(repr(float(t)), labels, v)) + "\n"
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
@@ -281,8 +281,9 @@ def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
                            f"samples, more than the {_MAX_SAMPLES} (2^24) allowed")
 
 
-def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeries:
-    """Tree-level density by time-stepped fixed point of the Dyson recursion.
+def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
+    """Tree-level density of the Annihilation model `spec`, in momentum
+    space, by time-stepped fixed point of the Dyson recursion.
 
     Trapezoid rule in the interaction time, FFT circular convolution over the
     momentum grid, and a fixed-point solve for the implicit endpoint term.
@@ -294,15 +295,17 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
     axis k >= 0); the stored half spectra are completed to full spectra by
     X(-k) = conj X(k) after the last step.
     """
-    _check_steps(steps, grid.shape)
+    g = spec.grid()
+    shape, d = g.shape, g.dim
+    _check_steps(steps, shape)
     dt = t_end / steps
-    shape = grid.shape
-    k2 = half_spectrum(grid.Rhat.ksquared())
-    rhat = half_spectrum(np.real(grid.Rhat.values))
-    dV = grid.Rhat.cell_volume
-    vhat = half_spectrum(np.asarray(grid.vhat.values, complex))
-    step_prop = np.exp(-grid.D * dt * k2)
-    d = len(shape)
+    out = np.empty((steps + 1, *shape), complex)
+    out[0] = g.to_momentum().values
+    k2 = half_spectrum(g.ksquared())
+    rhat = half_spectrum(np.real(kernel_field(spec).to_momentum().values))
+    dV = g.cell_volume
+    vhat = half_spectrum(out[0])
+    step_prop = np.exp(-spec.D * dt * k2)
     # x and R*x from the half spectrum of x, and the half spectrum of a product
     to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),
                         vhat.shape, complex)
@@ -319,7 +322,7 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
     for i in range(1, steps + 1):
         # trapezoid weight 1/2 on the s = 0 end of the history
         hist = step_prop * (hist + (0.5 if i == 1 else 1.0) * coll)
-        base = np.exp(-grid.D * (i * dt) * k2) * vhat - dt * hist
+        base = np.exp(-spec.D * (i * dt) * k2) * vhat - dt * hist
         # first-order guess for the implicit endpoint term
         x = base - 0.5 * dt * step_prop * coll
         for _ in range(FIXED_POINT_SWEEPS):
@@ -334,10 +337,8 @@ def dyson_tree_density(grid: MomentumGrid, t_end: float, steps: int) -> TimeSeri
             )
         coll = collision(x)
         halves[i - 1] = x
-    times = tuple(i * dt for i in range(steps + 1))
-    fields = (grid.vhat,) + tuple(FieldGrid(grid.box, x, MOMENTUM)
-                                  for x in full_spectrum(halves, shape[-1], d))
-    return TimeSeries(times, fields)
+    full_spectrum(halves, shape[-1], d, out=out[1:])
+    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, MOMENTUM, out)
 
 
 def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
@@ -363,9 +364,8 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     def rhs(x):
         return -x * convolve(x)
 
-    x = np.asarray(g.values, float)
-    times = [0.0]
-    fields = [g]
+    out = np.empty((steps + 1, *shape))
+    x = out[0] = g.values
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
             x = diffuse_half_step(x)
@@ -374,10 +374,8 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
             k3 = rhs(x + 0.5 * dt * k2)
             k4 = rhs(x + dt * k3)
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = diffuse_half_step(x)
-            times.append(i * dt)
-            fields.append(g.with_values(x))
+            x = out[i] = diffuse_half_step(x)
     if not np.all(np.isfinite(x)):
         raise Unstable(f"mean-field field is not finite by t = {t_end:g}: the step dt = {dt:g} "
                        "is too long; use more steps")
-    return TimeSeries(tuple(times), tuple(fields))
+    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, POSITION, out)

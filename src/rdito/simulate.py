@@ -35,9 +35,9 @@ from .grid import FieldGrid, POSITION, point_labels, table_rows
 from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, births, check_keys
 
 MAX_EVENT_PROB = 0.1
-# Bounds on a run's initial work, refused before any step: replicas x steps
-# x (1 + expected initial particles per replica), and one chunk's expected
-# initial particles.  The gated mc-death-diffusion workload needs 1.05e8
+# Bounds on a run's work, refused before any step: replicas x steps x (1 +
+# a bound on a replica's expected particles, _expected_particles), and that
+# bound for one chunk.  The gated mc-death-diffusion workload needs 1.05e8
 # and 82,000.
 MAX_PARTICLE_STEPS = 10**10
 MAX_CHUNK_PARTICLES = 2**22
@@ -424,20 +424,37 @@ def _conversion(ens, grid, rate, t, sim, rng) -> None:
     ens.species = np.where(rng.random(ens.n) < p, 1, ens.species)
 
 
+def _step_births(rate, death, grid, t, dt, nrep):
+    """Births per unit volume at each cell over [t, t + dt] that survive
+    `death` to the step's end (models.births), and their expected number in
+    one replica; SimError unless nrep replicas expect at most
+    MAX_CHUNK_PARTICLES of them."""
+    born = births(rate, death, grid.shape, t, t + dt)
+    lam = float(born.sum() * grid.cell_volume)
+    if not lam * nrep <= MAX_CHUNK_PARTICLES:
+        raise SimError(f"about {lam * nrep:.3g} births expected in a step of one chunk "
+                       f"exceed the cap of {MAX_CHUNK_PARTICLES:,}; reduce the rate, dt or chunk")
+    return born, lam
+
+
 def _immigration(ens, grid, rate, death, t, dt, rng) -> None:
     """Poisson births over [t, t + dt] that survive `death` to the step's
     end (a thinned Poisson process is Poisson), with mean models.births per
     unit volume at each cell."""
-    born = births(rate, death, grid.shape, t, t + dt)
-    lam = float(born.sum() * grid.cell_volume)
-    if not lam * ens.nreplicas <= MAX_CHUNK_PARTICLES:
-        raise SimError(f"about {lam * ens.nreplicas:.3g} births expected in a step of one chunk "
-                       f"exceed the cap of {MAX_CHUNK_PARTICLES:,}; reduce the rate, dt or chunk")
+    born, lam = _step_births(rate, death, grid, t, dt, ens.nreplicas)
     if lam > 0:
         _add_poisson(ens, grid, born, lam, 0, rng)
 
 
 _MOVES = {"death": _death, "branching": _branching, "conversion": _conversion, "pair": _pair}
+
+
+def _event_rates(spec: ModelSpec) -> dict:
+    """The rate of each of the model kind's reactions, by event, in table
+    order; an optional rate the model leaves out is 0."""
+    kind = KINDS[spec.kind]
+    return {event: spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)
+            for name, event in kind.reactions}
 
 
 def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
@@ -448,9 +465,7 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
     g = spec.grid()
     t = ens.time
     ens.pending += 2 * spec.D * dt
-    kind = KINDS[spec.kind]
-    rates = {event: spec.rates.get(name, _ZERO) if name in kind.optional else spec.rate(name)
-             for name, event in kind.reactions}
+    rates = _event_rates(spec)
     for event, rate in rates.items():
         if event == "immigration":  # births within the step also face its death
             _immigration(ens, g, rate, rates.get("death", _ZERO), t, dt, rng)
@@ -464,16 +479,16 @@ def step(ens: ParticleEnsemble, spec: ModelSpec, sim: SimConfig, rng) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
-    """Tallies of one chunk at t_end, each as (sum over the chunk's replicas,
-    sum of squares): per-cell counts per species, N, N^2, void and, given u,
-    the GF estimate prod_i u(x_i).  The estimators cost O(particles): one cell
-    lookup, bincounts and one scatter-product.  A cell's square sum is the
-    sum over its particles of their own (replica, cell) count, an exact
-    integer in float while a chunk holds fewer than 2^26 particles."""
+def _chunk_stats(spec, sim, nsteps, u, chunk_index, nrep):
+    """Tallies of one chunk after nsteps steps, each as (sum over the chunk's
+    replicas, sum of squares): per-cell counts per species, N, N^2, void and,
+    given u, the GF estimate prod_i u(x_i).  The estimators cost
+    O(particles): one cell lookup, bincounts and one scatter-product.  A
+    cell's square sum is the sum over its particles of their own (replica,
+    cell) count, an exact integer in float while a chunk holds fewer than
+    2^26 particles."""
     rng = np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(chunk_index,)))
     ens = sample_initial(spec, rng, nrep)
-    nsteps = int(round(t_end / sim.dt))
     for _ in range(nsteps):
         step(ens, spec, sim, rng)
     g = spec.grid()
@@ -503,28 +518,56 @@ def _chunk_stats(spec, sim, t_end, u, chunk_index, nrep):
     return stats
 
 
+def _expected_particles(spec: ModelSpec, rates: dict, t_end: float) -> float:
+    """A bound on one replica's expected particles over [0, t_end]:
+    (n0 + B) e^L, with n0 the initial mass, B the births without death
+    (models.births at a zero death rate) and L the largest branching hazard,
+    max over the grid of the rate's integral over [0, t_end].  No kind both
+    branches and immigrates, so this is n0 e^L + B; inf where it overflows."""
+    g = spec.grid()
+    branch = rates.get("branching", _ZERO)
+    with np.errstate(over="ignore"):
+        mass = g.integral() + (spec.vb.integral() if spec.vb is not None else 0.0)
+        mass += float(births(rates.get("immigration", _ZERO), _ZERO, g.shape, 0.0, t_end).sum()
+                      * g.cell_volume)
+        hazard = float(np.max(branch.spatial(g.shape))) * branch.temporal_integral(0.0, t_end)
+        return float(mass * np.exp(hazard)) if mass else 0.0
+
+
 def run(
     spec: ModelSpec, sim: SimConfig, t_end: float, u: FieldGrid | None = None,
     threads: int = 1,
 ) -> EstimatorReport:
-    """Replica-averaged estimators; deterministic for fixed (seed, config),
-    whatever the number of worker threads running the chunks."""
+    """Replica-averaged estimators at t_end, a whole number of steps dt;
+    deterministic for fixed (seed, config), whatever the number of worker
+    threads running the chunks.  Unfit unless t_end is finite, >= 0 and a
+    whole number of steps, to a relative 1e-9; SimError past a work cap."""
     sim.check(spec)
+    steps = t_end / sim.dt
+    nsteps = round(steps) if math.isfinite(steps) and steps >= 0 else math.nan
+    if not math.isclose(steps, nsteps, rel_tol=1e-9):
+        raise Unfit(f"t_end (--t-end) {t_end} must be finite, >= 0 and a whole number "
+                    f"of dt = {sim.dt} steps")
     g = spec.grid()
-    n0 = g.integral() + (spec.vb.integral() if spec.vb is not None else 0.0)  # per replica
-    work = sim.replicas * (t_end / sim.dt) * (1.0 + n0)
+    rates = _event_rates(spec)
+    nrep = min(sim.chunk, sim.replicas)
+    if "immigration" in rates:  # too many births in one step: refused as step would, first
+        _step_births(rates["immigration"], rates.get("death", _ZERO), g, 0.0, sim.dt, nrep)
+    particles = _expected_particles(spec, rates, t_end)
+    work = sim.replicas * nsteps * (1.0 + particles)
     if not work <= MAX_PARTICLE_STEPS:
         raise SimError(f"about {work:.3g} particle-steps exceed the cap of "
-                       f"{MAX_PARTICLE_STEPS:.0e}; reduce replicas, t_end or the initial mass, "
-                       "or split the replicas over runs with different seeds")
-    held = min(sim.chunk, sim.replicas) * n0
+                       f"{MAX_PARTICLE_STEPS:.0e}; reduce replicas, t_end, the initial mass "
+                       "or the rates, or split the replicas over runs with different seeds")
+    held = nrep * particles
     if not held <= MAX_CHUNK_PARTICLES:
-        raise SimError(f"about {held:.3g} initial particles in one chunk exceed the cap of "
-                       f"{MAX_CHUNK_PARTICLES:,}; reduce the chunk or the initial mass")
+        raise SimError(f"about {held:.3g} particles expected in one chunk exceed the cap of "
+                       f"{MAX_CHUNK_PARTICLES:,}; reduce the chunk, t_end, the initial mass "
+                       "or the rates")
     nchunks = (sim.replicas + sim.chunk - 1) // sim.chunk
 
     def chunk(ci):
-        return _chunk_stats(spec, sim, t_end, u, ci, min(sim.chunk, sim.replicas - ci * sim.chunk))
+        return _chunk_stats(spec, sim, nsteps, u, ci, min(sim.chunk, sim.replicas - ci * sim.chunk))
 
     if threads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -96,6 +96,11 @@ def to_position(fg: FieldGrid) -> FieldGrid:
     return FieldGrid(fg.box, v.real, POSITION)
 
 
+def final_field(series) -> FieldGrid:
+    """The last field of a perturb TimeSeries, as a FieldGrid."""
+    return FieldGrid(series.box, series.values[-1], series.rep)
+
+
 def replay_chunk(spec, sim, t_end: float, chunk_index: int, nrep: int):
     """The ensemble of chunk `chunk_index` of simulate.run at t_end: the same
     seed, initial sample and steps.  Its positions are read once here, which

@@ -41,7 +41,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import chunk_tallies, propagator, stirling2, to_position
+from oracles import chunk_tallies, final_field, propagator, stirling2, to_position
 from third_order_oracle import third_order_continuum
 
 L, N = 10.0, 64
@@ -470,8 +470,8 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     tab[0] = Rbar / g.cell_volume
     spec_log = ModelSpec("Annihilation", (L,), 1.0,
                          {"R": Rate(const=1.0, table=tuple(tab))}, g)
-    series = dyson_tree_density(momentum_grid(spec_log), tlog, 1000)
-    xlog = to_position(series.fields[-1]).values
+    series = dyson_tree_density(spec_log, tlog, 1000)
+    xlog = to_position(final_field(series)).values
     ok &= np.max(np.abs(xlog - v0 / (1.0 + Rbar * v0 * tlog))) < 1e-6
 
     # smooth kernel: resummed series equals the mean-field PDE to 1e-6
@@ -481,9 +481,9 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     spec2 = ModelSpec("Annihilation", (L,), 0.7,
                       {"R": Rate(const=1.0, table=tuple(R2.values))}, v2)
     t2, steps = 0.4, 800
-    dy = dyson_tree_density(momentum_grid(spec2), t2, steps)
+    dy = dyson_tree_density(spec2, t2, steps)
     mf2 = mean_field_pde(spec2, t2, steps)
-    sup = float(np.max(np.abs(to_position(dy.fields[-1]).values - mf2.fields[-1].values)))
+    sup = float(np.max(np.abs(to_position(final_field(dy)).values - mf2.values[-1])))
     ok &= sup < 1e-6
 
     # the same in 2-D, on an even square grid and an odd non-square one
@@ -494,10 +494,10 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
         v3 = g3.with_values(wrapped_gaussian(g3, 8.0, 1.0, [3.0, 3.0]))
         spec3 = ModelSpec("Annihilation", g3.box, 0.7,
                           {"R": Rate(const=1.0, table=tuple(R3.values))}, v3)
-        dy3 = dyson_tree_density(momentum_grid(spec3), 0.4, 400)
+        dy3 = dyson_tree_density(spec3, 0.4, 400)
         mf3 = mean_field_pde(spec3, 0.4, 400)
-        sups2d.append(float(np.max(np.abs(to_position(dy3.fields[-1]).values
-                                          - mf3.fields[-1].values))))
+        sups2d.append(float(np.max(np.abs(to_position(final_field(dy3)).values
+                                          - mf3.values[-1]))))
     ok &= max(sups2d) < 1e-6
 
     # early-time particle MC within 3 SE of mean field (Rvt <= 0.2)
@@ -512,7 +512,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     tabm = np.asarray(kern(np.minimum(x, L - x)), float)
     specm = ModelSpec("Annihilation", (L,), D,
                       {"R": Rate(const=1.0, table=tuple(tabm))}, gm)
-    mfv = mean_field_pde(specm, tmc, 200).fields[-1].values
+    mfv = mean_field_pde(specm, tmc, 200).values[-1]
     rep = run(specm, SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern), tmc)
     dV = rep.fields["density"].cell_volume
     pred = np.sqrt(np.maximum(mfv, 0) * dV / rep.replicas) / dV
@@ -524,7 +524,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
 
     # qualitative, non-gated: at later times fluctuations slow the decay
     tlate = 1.5
-    mflate = float(np.mean(mean_field_pde(specm, tlate, 600).fields[-1].values))
+    mflate = float(np.mean(mean_field_pde(specm, tlate, 600).values[-1]))
     replate = run(specm, SimConfig(dt=0.02, replicas=1500, seed=6, kernel=kern), tlate)
     mclate = float(np.mean(replate.fields["density"].values))
     with capsys.disabled():

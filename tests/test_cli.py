@@ -136,6 +136,20 @@ class TestDensity:
         spec = ModelSpec.from_json((tmp_path / "m.json").read_text())
         assert np.allclose([float(r[2]) for r in rows], spec.grid().values)
 
+    def test_manifest_records_the_cell_average(self, tmp_path):
+        """The plain and the cell-averaged table both wrote the config
+        {model, t}, though they hold different values."""
+        model = write_json(tmp_path / "m.json", model_obj())
+        configs = {}
+        for name, flags in (("a", []), ("b", ["--cell-average", "--refine", "4"])):
+            assert main(["density", model, "--t", "0.5", *flags,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+            config = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["config"]
+            configs[name] = {k: v for k, v in config.items() if k != "model"}
+        assert configs == {"a": {"t": [0.5], "cell_average": False},
+                           "b": {"t": [0.5], "cell_average": True, "refine": 4}}
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
     def test_brownian_tree_static_growth(self, tmp_path):
         model = write_json(tmp_path / "m.json", model_obj("BrownianTree", D=0.0,
                                                           rates={"mu": 0.5}))
@@ -679,6 +693,36 @@ class TestSimulate:
         assert float(res.stdout) < 1.0
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("kind, v, sim_keys, t_end, cap", [
+        ("SpontBirth", 0.0, {"replicas": 10}, "100", "particle-steps"),
+        ("BrownianTree", 1.0, {"replicas": 100}, "1", "one chunk"),
+        ("BrownianTree", 1.0, {"replicas": 10}, "100", "particle-steps"),
+    ], ids=["births", "branching", "branching-overflow"])
+    def test_growth_past_the_work_cap_runtime_exit(self, tmp_path, kind, v, sim_keys, t_end,
+                                                   cap):
+        """The work caps counted the initial particles only.  On 16 cells,
+        SpontBirth at mu = 1000 from v = 0 ran --t-end 4 for seconds and
+        --t-end 100 would hold 10^6 particles per replica after 10^4 steps;
+        BrownianTree at mu = 10 grows e^(10 t): 2.2e5 particles per replica by
+        t = 1, and e^1000 by t = 100, which overflows a float.  The caps now
+        bound a replica's expected particles by n0 e^L + B and refuse all
+        three before any step, with exit 3 and one line."""
+        model = write_json(tmp_path / "m.json", {
+            **model_obj(kind, rates={"mu": 1000.0 if kind == "SpontBirth" else 10.0},
+                        v={"expr": "uniform", "const": v}), "shape": [16]})
+        sim = write_json(tmp_path / "s.json", {"dt": 0.01, "seed": 1, **sim_keys})
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['simulate', {str(model)!r}, {str(sim)!r}, "
+                           f"'--t-end', {t_end!r}, '--out', 'x']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1
+        assert cap in res.stderr
+        assert float(res.stdout) < 1.0
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize("mu", [1e300, 1e12])
     def test_too_many_births_runtime_exit(self, tmp_path, mu):
         """From v = 0 the work cap saw no particles, and the first step's
@@ -840,6 +884,55 @@ class TestPerturb:
         assert res.stderr.startswith("runtime error: ") and res.stderr.count("\n") == 1, res.stderr
         assert "not finite" in res.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("box, shape, center, steps, digests", [
+        ((10.0,), (64,), (5.0,), 300,
+         {"dyson": "fdded23381cd96ca0c3af1f0da2ff30bed47c29f5b0e058fdaafbacc610b16a7",
+          "meanfield": "07736fca0f926a5db16aa453e2d525de1aaa2073f82897f602c8b3c8b2b5d796"}),
+        ((6.0, 5.5), (12, 11), (2.2, 3.9), 200,
+         {"dyson": "55c079ab1ac1bef7e982f6d2e926a2eb4e1220926f154a387ad29301c4fec441",
+          "meanfield": "7fe89b6e177d2fe20a2b1cf3178528061774cff6b29fa02a1af140ecfff50138"}),
+    ], ids=["1d-64", "2d-12x11"])
+    def test_outputs_are_pinned(self, tmp_path, box, shape, center, steps, digests):
+        """SHA-256 of the CSV of both methods, recorded at d1cf296, before
+        Dyson took the model and both solvers returned one array.  The 1-D
+        model has the tree-level benchmark's inputs (a Gaussian kernel of mass
+        0.8 and width 0.6, an intensity of mass 8 and width 1, D = 0.7, t_end
+        0.4); its 64 cells take dense_map's matrix path.  The 2-D grid has 132
+        cells, past DENSE_CELLS, so it takes the FFT path, and an odd last
+        axis, which the mirror X(-k) = conj X(k) completes."""
+        from rdito.grid import FieldGrid
+        from rdito.models import wrapped_gaussian
+
+        g = FieldGrid(box, np.zeros(shape))
+        R = wrapped_gaussian(g, 0.8, 0.6, [0.0] * len(box))
+        model = write_json(tmp_path / "m.json", {
+            "kind": "Annihilation", "box": list(box), "shape": list(shape), "D": 0.7,
+            "rates": {"R": {"table": R.tolist()}},
+            "v": {"expr": "gaussian", "mass": 8.0, "width": 1.0, "center": list(center)}})
+        for method, digest in digests.items():
+            out = tmp_path / f"{method}.csv"
+            assert main(["perturb", model, "--t-end", "0.4", "--steps", str(steps),
+                         "--method", method, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, method
+
+    def test_solvers_called_through_module_attributes(self, tmp_path, monkeypatch):
+        """perturb looks each solver up on the perturb module when it is
+        called, so a wrapper set on the attribute (perfbench times calls that
+        way) sees it."""
+        from rdito import perturb
+
+        calls = []
+        for name in ("dyson_tree_density", "mean_field_pde"):
+            def counted(*args, _name=name, _fn=getattr(perturb, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(perturb, name, counted)
+        model = self.annih_model(tmp_path)
+        for method in ("dyson", "meanfield"):
+            assert main(["perturb", model, "--t-end", "0.1", "--steps", "5",
+                         "--method", method, "--out", str(tmp_path / f"{method}.csv")]) == 0
+        assert calls == ["dyson_tree_density", "mean_field_pde"]
 
     @pytest.mark.parametrize("method", ["dyson", "meanfield"])
     def test_too_many_samples_runtime_exit(self, tmp_path, method):

@@ -27,7 +27,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import THETA0, propagator, to_position
+from oracles import THETA0, final_field, propagator, to_position
 from third_order_oracle import third_order_continuum
 
 
@@ -387,10 +387,9 @@ class TestDyson:
     def test_free_diffusion(self):
         g, R, v = gauss_fields(L=10.0, n=64, sv=1.0, center=5.0)
         spec = annih_spec(g, R.with_values(np.zeros(g.shape)), v, 0.7)
-        mg = momentum_grid(spec)
-        series = dyson_tree_density(mg, 0.4, 20)
-        exact = np.exp(-0.7 * 0.4 * mg.Rhat.ksquared()) * mg.vhat.values
-        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-12
+        series = dyson_tree_density(spec, 0.4, 20)
+        exact = np.exp(-0.7 * 0.4 * g.ksquared()) * v.to_momentum().values
+        assert np.max(np.abs(series.values[-1] - exact)) < 1e-12
 
     def test_logistic_diffusion_limited(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
@@ -400,8 +399,8 @@ class TestDyson:
         spec = ModelSpec(
             "Annihilation", (L,), 1.0, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
-        series = dyson_tree_density(momentum_grid(spec), t, 1000)
-        x = to_position(series.fields[-1]).values
+        series = dyson_tree_density(spec, t, 1000)
+        x = to_position(final_field(series)).values
         exact = v0 / (1.0 + Rbar * v0 * t)
         assert np.max(np.abs(x - exact)) < 1e-6
 
@@ -409,16 +408,16 @@ class TestDyson:
         g, R, v = gauss_fields(L=10.0, n=64, cR=0.8, sR=0.6, cv=8.0, sv=1.0, center=5.0)
         spec = annih_spec(g, R, v, 0.7)
         t, steps = 0.4, 800
-        dy = dyson_tree_density(momentum_grid(spec), t, steps)
+        dy = dyson_tree_density(spec, t, steps)
         mf = mean_field_pde(spec, t, steps)
-        diff = np.max(np.abs(to_position(dy.fields[-1]).values - mf.fields[-1].values))
+        diff = np.max(np.abs(to_position(final_field(dy)).values - mf.values[-1]))
         assert diff < 1e-6
 
     def test_momentum_symmetry(self):
         g, R, v = gauss_fields(center=0.0)
         spec = annih_spec(g, R, v, 0.5)
-        series = dyson_tree_density(momentum_grid(spec), 0.3, 100)
-        x = series.fields[-1].values
+        series = dyson_tree_density(spec, 0.3, 100)
+        x = series.values[-1]
         n = len(x)
         flipped = x[(-np.arange(n)) % n]
         assert np.max(np.abs(x - flipped)) < 1e-12
@@ -428,15 +427,17 @@ class TestDyson:
         L, n, D, t = 2 * math.pi, 8, 0.5, 0.1
         g = FieldGrid((L,), np.zeros(n), POSITION)
         Rpos = wrapped_gaussian(g, 1.0, 0.7, [0.0])
-        vhat = g.with_values(wrapped_gaussian(g, 0.8, 0.9, [L / 2])).to_momentum()
+        v = g.with_values(wrapped_gaussian(g, 0.8, 0.9, [L / 2]))
+        vhat = v.to_momentum()
         eps = 1e-3
 
-        def tilted(sign):
-            rhat = g.with_values(sign * eps * Rpos).to_momentum()
-            mg = MomentumGrid(Rhat=rhat, vhat=vhat, D=D)
-            return dyson_tree_density(mg, t, 1000).fields[-1].values
+        def tilted(scale):
+            """X at a kernel of scale * R; rates are >= 0, so scale is too."""
+            spec = annih_spec(g, g.with_values(scale * Rpos), v, D)
+            return dyson_tree_density(spec, t, 1000).values[-1]
 
-        first = (tilted(+1.0) - tilted(-1.0)) / (2.0 * eps)
+        # X(e) = X0 + e X1 + e^2 X2 + O(e^3), so this is X1 + O(eps^2)
+        first = (4.0 * tilted(eps) - tilted(2.0 * eps) - 3.0 * tilted(0.0)) / (2.0 * eps)
 
         rh = g.with_values(Rpos).to_momentum().values.real
         vv = vhat.values
@@ -469,9 +470,9 @@ class TestDyson:
     def test_matches_direct_history_sum(self, shape, center):
         """The carried-forward history on the half spectrum equals the direct
         trapezoid sum on full spectra; odd last axes exercise the mirror."""
-        mg = momentum_grid(gauss_spec_nd((10.0,) * len(shape), shape, center))
-        got = np.array([f.values for f in dyson_tree_density(mg, 0.4, 200).fields])
-        assert np.max(np.abs(got - direct_sum_dyson(mg, 0.4, 200))) <= 1e-12
+        spec = gauss_spec_nd((10.0,) * len(shape), shape, center)
+        got = dyson_tree_density(spec, 0.4, 200).values
+        assert np.max(np.abs(got - direct_sum_dyson(momentum_grid(spec), 0.4, 200))) <= 1e-12
 
     def test_nonconvergence(self):
         g = FieldGrid((10.0,), np.full(16, 50.0), POSITION)
@@ -481,7 +482,7 @@ class TestDyson:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(NonConvergence):
-                dyson_tree_density(momentum_grid(spec), 2.0, 2)
+                dyson_tree_density(spec, 2.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ class TestMeanField:
         series = mean_field_pde(spec, 0.7, 35)
         k2 = g.ksquared()
         exact = np.real(np.fft.ifftn(np.exp(-1.3 * 0.7 * k2) * np.fft.fftn(v.values)))
-        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-10
+        assert np.max(np.abs(series.values[-1] - exact)) < 1e-10
 
     @pytest.mark.parametrize("shape, center", [
         ((64,), (3.7,)), ((63,), (3.7,)), ((24, 24), (2.2, 3.9)), ((25, 18), (2.2, 3.9)),
@@ -504,7 +505,7 @@ class TestMeanField:
     def test_matches_full_spectrum_reference(self, shape, center):
         """The half-spectrum transforms change the fields only at roundoff."""
         spec = gauss_spec_nd((10.0,) if len(shape) == 1 else (6.0, 6.0), shape, center)
-        got = np.array([f.values for f in mean_field_pde(spec, 0.4, 100).fields])
+        got = mean_field_pde(spec, 0.4, 100).values
         assert np.max(np.abs(got - full_spectrum_mean_field(spec, 0.4, 100))) <= 1e-12
 
     def test_logistic_uniform(self):
@@ -517,13 +518,13 @@ class TestMeanField:
         )
         series = mean_field_pde(spec, t, 200)
         exact = v0 / (1.0 + Rbar * v0 * t)
-        assert np.max(np.abs(series.fields[-1].values - exact)) < 1e-9
+        assert np.max(np.abs(series.values[-1] - exact)) < 1e-9
 
     def test_monotone_mass_decay(self):
         g, R, v = gauss_fields(L=10.0, n=64, cR=0.8, sR=0.6, cv=8.0, sv=1.0, center=5.0)
         spec = annih_spec(g, R, v, 0.7)
         series = mean_field_pde(spec, 1.0, 100)
-        mass = [f.integral() for f in series.fields]
+        mass = series.values.sum(axis=1) * g.cell_volume
         assert all(b <= a + 1e-12 for a, b in zip(mass, mass[1:]))
 
     def test_memory_form_early_time_spot_check(self):
@@ -534,7 +535,7 @@ class TestMeanField:
         t = 5e-4
         mf = mean_field_pde(spec, t, 50)
         mem = memory_form_density(spec, t, 50)
-        rel = np.max(np.abs(mf.fields[-1].values - mem)) / np.max(mf.fields[-1].values)
+        rel = np.max(np.abs(mf.values[-1] - mem)) / np.max(mf.values[-1])
         assert rel < 1e-3
 
     def test_early_time_vs_monte_carlo(self):
@@ -552,7 +553,7 @@ class TestMeanField:
         spec = ModelSpec(
             "Annihilation", (L,), D, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
-        mf = mean_field_pde(spec, t, 200).fields[-1].values
+        mf = mean_field_pde(spec, t, 200).values[-1]
 
         sim = SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern)
         report = run(spec, sim, t)
@@ -628,9 +629,9 @@ class TestDenseTransforms:
     def test_dyson_matches_mean_field_2d(self, shape, center):
         """Criterion 11's 2-D agreement on grids small enough for the dense path."""
         spec = gauss_spec_nd((6.0, 6.0), shape, center)
-        dy = dyson_tree_density(momentum_grid(spec), 0.4, 400)
+        dy = dyson_tree_density(spec, 0.4, 400)
         mf = mean_field_pde(spec, 0.4, 400)
-        sup = np.max(np.abs(to_position(dy.fields[-1]).values - mf.fields[-1].values))
+        sup = np.max(np.abs(to_position(final_field(dy)).values - mf.values[-1]))
         assert sup < 1e-6
 
 

@@ -29,12 +29,15 @@ from rdito.simulate import (
     SimConfig,
     SimError,
     StepTooLarge,
+    Unfit,
     _candidate_pairs,
     MAX_EVENT_PROB,
     _add_poisson,
     _check_prob,
     _chunk_stats,
     _draw_cells,
+    _event_rates,
+    _expected_particles,
     _wrap,
     run,
     sample_initial,
@@ -447,7 +450,7 @@ class TestRun:
         sim = SimConfig(dt=0.01, replicas=64, seed=21, chunk=64)
         u = make_grid(0.8 + 0.4 * np.sin(np.arange(N)) ** 2)
         t_end = 0.5
-        gf = _chunk_stats(spec, sim, t_end, u, 0, sim.replicas)["gf"]
+        gf = _chunk_stats(spec, sim, round(t_end / sim.dt), u, 0, sim.replicas)["gf"]
         ens = replay_chunk(spec, sim, t_end, 0, sim.replicas)
         assert np.any(np.diff(ens.replica) < 0)
         assert np.any(np.bincount(ens.replica, minlength=sim.replicas) == 0)
@@ -497,7 +500,7 @@ class TestRun:
                    for ci in range(3)]
         assert [len(t["N"]) for t in tallies] == [300, 300, 100]
         for ci, t in enumerate(tallies):
-            sums = _chunk_stats(spec, sim, t_end, None, ci, len(t["N"]))
+            sums = _chunk_stats(spec, sim, round(t_end / sim.dt), None, ci, len(t["N"]))
             assert set(sums) == set(t)
             for key, x in t.items():
                 s, s2 = sums[key]
@@ -533,11 +536,47 @@ class TestRun:
         n = chunk_tallies(spec, sim, 0.05, None, 0, 3)["N"]
         assert int(n.min()) ** 4 > np.iinfo(np.int64).max
         x = n.astype(float) ** 2
-        assert _chunk_stats(spec, sim, 0.05, None, 0, 3)["N2"] == (x.sum(), (x * x).sum())
+        assert _chunk_stats(spec, sim, 1, None, 0, 3)["N2"] == (x.sum(), (x * x).sum())
         mean = x.sum() / 3
         se = np.sqrt(max((x ** 2).sum() / 3 - mean ** 2, 0.0) / 2)
         assert rep.scalars["N2"] == (mean, se)
         assert se > 0.5 * np.std(x, ddof=1) / np.sqrt(3)
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf, 0.015, 0.0500001])
+    def test_t_end_not_a_whole_number_of_steps_refused(self, t_end):
+        """Only the CLI checked t_end: on this model run(spec, sim, -1.0)
+        returned the t = 0 state (N 19.675) and run(spec, sim, 0.015) the
+        t = 0.02 state."""
+        g = FieldGrid((L,), np.zeros(16), POSITION)
+        spec = ModelSpec("DeathDiffusion", (L,), 1.0, {"mu": Rate(const=1.0)},
+                         g.with_values(wrapped_gaussian(g, 20.0, 1.0, L / 2)))
+        sim = SimConfig(dt=0.01, replicas=200, seed=1)
+        with pytest.raises(Unfit, match="whole number of dt = 0.01 steps"):
+            run(spec, sim, t_end)
+
+    @pytest.mark.parametrize("kind, rates, t, births, hazard", [
+        ("DeathDiffusion", {"mu": Rate(const=3.0)}, 2.0, 0.0, 0.0),
+        ("BrownianTree", {"mu": Rate(const=0.5, table=tuple(1 + np.sin(np.arange(N)) ** 2))},
+         2.0, 0.0, 0.5 * np.max(1 + np.sin(np.arange(N)) ** 2) * 2.0),
+        ("SpontBirth", {"mu": Rate(const=3.0, time="sin2")}, 2.0,
+         3.0 * (2.0 - math.cos(2.0) * math.sin(2.0)) / 2 * L, 0.0),
+        ("BirthDeathTimeDep", {"mu": Rate(const=3.0), "nu": Rate(const=50.0)}, 2.0,
+         3.0 * 2.0 * L, 0.0),
+        ("BrownianTree", {"mu": Rate(const=1000.0)}, 1.0, 0.0, 1000.0),
+    ], ids=["death", "branching-table", "births-sin2", "births-ignore-death", "overflow"])
+    def test_expected_particles_bound(self, kind, rates, t, births, hazard):
+        """n0 e^L + B: L the largest branching hazard on the grid, B the
+        births as if nothing died; inf, not an OverflowError, past e^709."""
+        spec = gauss_spec(kind, mass=5.0, rates=rates)
+        n0 = spec.grid().integral()
+        expect = n0 * math.exp(hazard) + births if hazard < 700 else math.inf
+        assert _expected_particles(spec, _event_rates(spec), t) == pytest.approx(expect,
+                                                                                 rel=1e-12)
+
+    def test_expected_particles_of_an_empty_branching_model(self):
+        """0 e^1000 is 0, not NaN, so the caps pass a model with no particles."""
+        spec = ModelSpec("BrownianTree", (L,), 1.0, {"mu": Rate(const=1000.0)}, make_grid())
+        assert _expected_particles(spec, _event_rates(spec), 1.0) == 0.0
 
     def test_determinism(self):
         spec = gauss_spec(mass=5.0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from rdito.grid import FieldGrid, POSITION
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv
-from rdito.perturb import dyson_tree_density, mean_field_pde, momentum_grid
+from rdito.perturb import dyson_tree_density, mean_field_pde
 from rdito.simulate import EstimatorReport
 
 BOX, SHAPE = (10.0, 6.0), (5, 3)
@@ -79,13 +79,14 @@ def test_time_series_csv_position_and_momentum():
     n = math.prod(SHAPE)
     for series, cols, axes_of in (
         (mean_field_pde(spec, 0.1, 3), "t,x0,x1,value", FieldGrid.axes),
-        (dyson_tree_density(momentum_grid(spec), 0.1, 3), "t,k0,k1,value", FieldGrid.kaxes),
+        (dyson_tree_density(spec, 0.1, 3), "t,k0,k1,value", FieldGrid.kaxes),
     ):
         head, rows = body(series.csv(), 1)
         assert head == [cols]
         assert len(rows) == len(series.times) * n
-        for k, (t, fg) in enumerate(zip(series.times, series.fields)):
-            check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), np.real(fg.values))
+        for k, (t, values) in enumerate(zip(series.times, series.values)):
+            fg = FieldGrid(series.box, values, series.rep)
+            check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), np.real(values))
 
 
 def test_grid_csv_2d_rows():
