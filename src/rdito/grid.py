@@ -16,6 +16,13 @@ convolution) wraps it in dense_map.  On grids of at most DENSE_CELLS cells
 the map becomes one vector-matrix product: its matrix is the map applied to
 the identity basis, so it is the same linear map, and it skips numpy's FFT
 call overhead, which dominates there.  Above the crossover the FFTs win.
+A map from a flat real vector to a flat real vector is then the bare product
+x @ matrix, the same matmul without the views and reshapes around it.
+
+Every CSV table is written by table_block: per grid, the parts of one block
+of rows `lead,label,value` are laid out once from the point labels, and a
+block (one time step, one field) is one join of them, with the lead put in
+once.  Values are written with repr, so float(cell) gives each back exactly.
 """
 
 from __future__ import annotations
@@ -159,7 +166,8 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
     The matrix is `op` applied to the identity basis (a complex entry counts
     as two real coordinates), so both paths compute the same map.  Only
     vector @ matrix products: OpenBLAS starts threads for a matrix @ matrix
-    product, which costs more than the FFTs it replaces at these sizes.
+    product, which costs more than the FFTs it replaces at these sizes.  A
+    map of flat real vectors to flat real vectors is the bare x @ matrix.
     """
     if math.prod(shape) > DENSE_CELLS:
         return op
@@ -167,6 +175,8 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
     images = op(np.eye(size).view(dtype).reshape(size, *shape))
     out_shape, out_dtype = images.shape[1:], images.dtype
     matrix = np.ascontiguousarray(images).reshape(size, -1).view(float)
+    if len(shape) == len(out_shape) == 1 and np.dtype(dtype) == out_dtype == float:
+        return lambda x: x @ matrix
 
     def apply(x):
         return (x.reshape(-1).view(float) @ matrix).view(out_dtype).reshape(out_shape)
@@ -192,10 +202,27 @@ def point_labels(axes, sep: str = ",") -> list[str]:
     return [sep.join(map(repr, p)) for p in zip(*cols)]
 
 
-def table_rows(lead: str, labels: list[str], values: np.ndarray) -> list[str]:
-    """CSV rows `lead,label,value` for values in C order, one per label.
+def table_block(labels: list[str]):
+    """The writer of a CSV table over the points `labels` (in C order):
+    block(lead, cells) is the rows `lead,label,cell`, one per label, each
+    ending in a newline, with `cells` one string per label.
 
-    Values are written with repr, so float(cell) gives back each value exactly.
-    """
-    values = np.ravel(values).tolist()
-    return [f"{lead},{lab},{v!r}" for lab, v in zip(labels, values, strict=True)]
+    The parts of a block are laid out here once; a block puts its lead and
+    cells into them by two slice assignments and is one str.join, which
+    sizes its result once.  (A `%` template grows its result as it fills
+    and leaves the heap more fragmented.)"""
+    n = len(labels)
+    parts = [None, None, None, "\n"] * n
+    parts[1::4] = [f",{lab}," for lab in labels]
+
+    def block(lead: str, cells) -> str:
+        parts[::4] = [lead] * n
+        parts[2::4] = cells
+        return "".join(parts)
+
+    return block
+
+
+def reprs(values: np.ndarray) -> tuple[str, ...]:
+    """repr of each value in C order, the cells of a table_block."""
+    return tuple(map(repr, np.ravel(values).tolist()))

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import FieldGrid, POSITION, point_labels, table_rows
+from .grid import FieldGrid, POSITION, point_labels, reprs, table_block
 from .grid import half_fft, half_ifft, half_spectrum, heat_change
 
 
@@ -616,20 +616,21 @@ def density_table(
     the same grid (ConvertAB), or a scalar (DiscreteDeath, coordinate 0).
     """
     tag = f"{tag}," if tag else ""
-    lines = [f"# model,{spec.kind},{tag}t={','.join(repr(float(t)) for t in times)}"]
     coord_names = ",".join(f"x{i}" for i in range(max(spec.d, 1)))
-    lines.append(f"t,{coord_names},value")
-    labels = None
+    chunks = [f"# model,{spec.kind},{tag}t={','.join(repr(float(t)) for t in times)}\n",
+              f"t,{coord_names},value\n"]
+    block = None
     for t in times:
+        lead = repr(float(t))
         res = evaluate(t)
         for fg in res if isinstance(res, tuple) else (res,):
             if not isinstance(fg, FieldGrid):
-                lines.append(f"{float(t)!r},0,{float(fg)!r}")
+                chunks.append(f"{lead},0,{float(fg)!r}\n")
                 continue
-            if labels is None:
-                labels = point_labels(fg.axes())
-            lines += table_rows(repr(float(t)), labels, fg.values)
-    return "\n".join(lines) + "\n"
+            if block is None:
+                block = table_block(point_labels(fg.axes()))
+            chunks.append(block(lead, reprs(fg.values)))
+    return "".join(chunks)
 
 
 def density_csv(spec: ModelSpec, times: Sequence[float]) -> str:

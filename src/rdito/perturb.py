@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
-from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, table_rows
+from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, table_block
 from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
 _TAYLOR_TERMS = 18  # terms of the scaled exponential in simplex_time_factor (1/18! < 2^-52)
@@ -35,6 +36,7 @@ FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves 
 FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
 
 _MAX_SAMPLES = 2 ** 24  # most field samples, (steps + 1) x cells, a tree-level solve stores
+_MIRROR_BLOCK = 2 ** 12  # most table cells whose mirrors TimeSeries.csv_chunks checks at once
 
 
 class PerturbError(Exception):
@@ -256,18 +258,51 @@ class TimeSeries:
 
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces: the header line, then the rows of one
-        time step each, so a writer never holds the whole table."""
+        time step each, so a writer never holds the whole table.  Each time
+        step is one block of grid.table_block; a momentum row whose mirrored
+        values repeat the half spectrum bit for bit takes repr on the half
+        spectrum only (_momentum_reprs).  The bytes are the same either way."""
         g = FieldGrid(self.box, self.values[0], self.rep)
         pos = self.rep == POSITION
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
-        labels = point_labels(g.axes() if pos else g.kaxes())
+        block = table_block(point_labels(g.axes() if pos else g.kaxes()))
         yield f"t,{cols},value\n"
-        for t, v in zip(self.times, np.real(self.values)):
-            yield "\n".join(table_rows(repr(float(t)), labels, v)) + "\n"
+        rows = np.real(self.values).reshape(len(self.times), -1)
+        cells = map(reprs, rows) if pos else _momentum_reprs(rows, g.shape)
+        for t, c in zip(self.times, cells):
+            yield block(repr(float(t)), c)
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
         return "".join(self.csv_chunks())
+
+
+def _momentum_reprs(rows: np.ndarray, shape: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
+    """reprs of each row of `rows`, the real parts of momentum fields on a
+    grid of `shape`, one flat row per field.
+
+    A row whose every value has the bit pattern of its mirror, the value at
+    -k that full_spectrum completes from the half spectrum, takes repr on the
+    half spectrum only and spreads the strings to the full grid.  Any other
+    row (a spectrum from fftn, say, whose mirrors differ in the last bits)
+    takes repr on every value.  The choice is made per row from the values.
+    """
+    cells = rows.shape[1]
+    half = half_spectrum(np.arange(cells).reshape(shape))
+    if half.size == cells:  # no mirrored cell; a one-index itemgetter returns a bare str
+        yield from map(reprs, rows)
+        return
+    source = full_spectrum(np.arange(half.size).reshape(half.shape), shape[-1]).ravel()
+    spread = itemgetter(*source.tolist())  # the half-spectrum string of each cell
+    half = half.ravel()
+    mirror = half[source]
+    step = max(1, _MIRROR_BLOCK // cells)
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        bits = block.view(np.int64)
+        mirrored = (bits[:, mirror] == bits).all(axis=1).tolist()
+        for row, halves, same in zip(block, block[:, half], mirrored):
+            yield spread(list(map(repr, halves.tolist()))) if same else reprs(row)
 
 
 def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
@@ -327,7 +362,7 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
         x = base - 0.5 * dt * step_prop * coll
         for _ in range(FIXED_POINT_SWEEPS):
             xn = base - 0.5 * dt * collision(x)
-            corr = float(np.max(np.abs(xn - x)))
+            corr = np.abs(xn - x).max()
             x = xn
             if corr < FIXED_POINT_TOL:
                 break

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import FieldGrid, POSITION, point_labels, table_rows
+from .grid import FieldGrid, POSITION, point_labels, reprs, table_block
 from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, births, check_keys
 
 MAX_EVENT_PROB = 0.1
@@ -223,12 +223,12 @@ class EstimatorReport:
         return json.dumps(obj, indent=2, sort_keys=True)
 
     def grid_csv(self) -> str:
-        lines = ["name,index,value"]
+        chunks = ["name,index,value\n"]
         for name in sorted(self.fields):
             fg = self.fields[name]
-            labels = point_labels([np.arange(n) for n in fg.shape], ":")
-            lines += table_rows(name, labels, fg.values)
-        return "\n".join(lines) + "\n"
+            block = table_block(point_labels([np.arange(n) for n in fg.shape], ":"))
+            chunks.append(block(name, reprs(fg.values)))
+        return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

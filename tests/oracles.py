@@ -4,13 +4,16 @@ No command runs these, so they live with the tests: the point-source heat
 kernel, Stirling numbers of the second kind, the discrete-death generating
 function, the free propagator, a normal-order predicate for operator terms,
 the inverse transform of a momentum field, one Monte Carlo chunk's
-per-replica tallies, and the particle placement wrapped by the float
-remainder.
+per-replica tallies, the particle placement wrapped by the float
+remainder, the exact law of the well-mixed A+A -> 0 particle number, and the
+per-row CSV writer that the package's table writer must match byte for byte.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.stats import poisson
 
 from rdito.grid import POSITION, FieldGrid
 from rdito.models import KINDS, ModelError, discrete_death_log_gf, image_sum
@@ -153,3 +156,27 @@ def add_poisson_by_remainder(grid: FieldGrid, weights, mean: float, nreplicas: i
         jitter = (rng.random(len(pos)) + rng.random(len(pos)) - 1.0) * h
         pos[:, ax] = (idx[ax] * h + jitter) % grid.box[ax]
     return pos, rng
+
+
+def annihilation_chain_law(mean0: float, c: float, t: float, tail: float = 1e-15) -> np.ndarray:
+    """P(N(t) = n) for n = 0, 1, ... of well-mixed A + A -> 0: the pure-death
+    chain n -> n - 2 at rate c n (n - 1) / 2 from a Poisson(mean0) start.
+
+    The chain only moves down, so truncating the start where its Poisson tail
+    is below `tail` truncates nothing else; the generator of the truncated
+    chain is exponentiated by scipy (Doi, J. Phys. A 9, 1465, 1976; the chain
+    Gillespie's algorithm samples exactly, J. Comput. Phys. 22, 403, 1976)."""
+    top = int(poisson.isf(tail, mean0)) + 1
+    n = np.arange(top + 1)
+    rate = c * n * (n - 1) / 2.0
+    Q = np.diag(-rate)
+    Q[n[2:], n[2:] - 2] = rate[2:]
+    return poisson.pmf(n, mean0) @ expm(Q * t)
+
+
+def table_rows(lead: str, labels: list[str], values: np.ndarray) -> list[str]:
+    """CSV rows `lead,label,value` for values in C order, one per label, each
+    value written with repr: the per-row f-string writer that grid.table_block
+    replaced, kept as the reference for its bytes."""
+    values = np.ravel(values).tolist()
+    return [f"{lead},{lab},{v!r}" for lab, v in zip(labels, values, strict=True)]

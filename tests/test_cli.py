@@ -1337,6 +1337,21 @@ def test_scipy_is_only_a_test_dependency():
     assert [k for k, v in extras.items() if "scipy" in v] == ["test"]
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module of the package and of the tests parses with the grammar
+    of the oldest Python that pyproject.toml declares."""
+    import tomllib
+
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        floor = tomllib.load(f)["project"]["requires-python"]
+    version = tuple(int(p) for p in floor.removeprefix(">=").split("."))
+    assert version == (3, 10)
+    paths = sorted([*(SRC / "rdito").glob("*.py"), *(SRC.parent / "tests").glob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=version)
+
+
 def test_cli_import_leaves_numpy_polynomial_unloaded(tmp_path):
     """The Gauss-Legendre nodes of the birth integral are made on first
     use, so a command that integrates no births never loads numpy.polynomial."""
@@ -1344,3 +1359,23 @@ def test_cli_import_leaves_numpy_polynomial_unloaded(tmp_path):
                        tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_perturb_run_leaves_numpy_ma_unloaded(tmp_path):
+    """Neither tree-level solver nor the table writer loads numpy.ma.  numpy
+    imports it on the first call of some functions, np.unique among them:
+    one np.unique call in the writer raised the tree-level benchmark's peak
+    RSS by about 0.8 MiB (78.6 to 79.35 MiB)."""
+    x = np.arange(N) * (L / N)
+    tab = 0.4 * np.exp(-np.minimum(x, L - x) ** 2 / 0.5)
+    model = write_json(tmp_path / "a.json",
+                       model_obj("Annihilation", rates={"R": {"table": list(tab)}}))
+    code = ("import sys\nfrom rdito.cli import main\n"
+            "for m in ('dyson', 'meanfield'):\n"
+            f"    assert main(['perturb', {model!r}, '--t-end', '0.1', '--steps', '20',\n"
+            "                 '--method', m, '--out', m + '.csv']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    res = fresh_python(code, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+    assert (tmp_path / "dyson.csv").stat().st_size > 0

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from rdito import algebra as alg
 from rdito.grid import DENSE_CELLS, FieldGrid, MOMENTUM, POSITION
-from rdito.grid import dense_map, full_spectrum, half_fft, half_ifft
+from rdito.grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 from rdito.models import ModelSpec, Rate, wrapped_gaussian
 from rdito.perturb import (
     GridTooCoarse,
@@ -617,6 +617,30 @@ class TestDenseTransforms:
         got = collision(dense_map(to_pair, xh.shape, complex), dense_map(to_half, shape))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, DENSE_CELLS])
+    def test_bare_product_keeps_the_general_path_bits(self, n):
+        """A map of flat real vectors is the bare x @ matrix.  The same map
+        on a 1 x n grid takes the general path, which reshapes and views its
+        vectors around the product, and gives the same bits: for the heat
+        map (heat_change itself) and for the mean field's convolution."""
+        rng = np.random.default_rng(4)
+        g = FieldGrid((10.0,), rng.uniform(0.0, 1.0, n))
+        x = rng.normal(size=n)
+        mults = {"heat": np.expm1(-0.7 * 0.01 * half_spectrum(g.ksquared())),
+                 "convolution": half_fft(g.values) * g.cell_volume}
+        bare = {}
+        for name, mult in mults.items():
+            def op(y):
+                return half_ifft(mult * half_fft(y, 1), (n,))
+
+            def op_1xn(y):
+                return op(y.reshape(*y.shape[:-2], n)).reshape(*y.shape[:-2], 1, n)
+
+            bare[name] = dense_map(op, (n,))(x).view(np.int64)
+            general = dense_map(op_1xn, (1, n))(x.reshape(1, n)).reshape(n).view(np.int64)
+            assert np.array_equal(bare[name], general), name
+        assert np.array_equal(heat_change(g, 0.7, 0.01)(x).view(np.int64), bare["heat"])
 
     def test_batched_full_spectrum_is_each_full_spectrum(self):
         x = np.random.default_rng(3).normal(size=(5, 7, 9))

@@ -43,7 +43,7 @@ from rdito.simulate import (
     sample_initial,
     step,
 )
-from oracles import add_poisson_by_remainder, chunk_tallies, replay_chunk
+from oracles import add_poisson_by_remainder, annihilation_chain_law, chunk_tallies, replay_chunk
 
 L, N = 10.0, 64
 
@@ -792,6 +792,25 @@ def _annihilation_3d():
     spec = ModelSpec("Annihilation", g.box, 0.3, {}, g)
     return spec, SimConfig(dt=0.01, replicas=40, seed=22, chunk=16,
                            kernel=RadialKernel(0.7, (3.0, 2.0, 0.0))), 0.1
+
+
+def test_well_mixed_annihilation_matches_the_exact_chain():
+    """With a flat kernel of cutoff L/2 every pair of a replica is in reach,
+    so N(t) is the pure-death chain n -> n - 2 at rate c n (n - 1) / 2
+    wherever the particles are (oracles.annihilation_chain_law); D = 0.  The
+    Monte Carlo lies within 3 SE of the chain's exact mean and more than 3 SE
+    from the mean field N0 / (1 + c N0 t)."""
+    c, v, t = 0.5, 0.4, 1.0
+    n0 = v * L
+    law = annihilation_chain_law(n0, c, t)
+    exact = law @ np.arange(len(law))
+    assert law.sum() == pytest.approx(1.0, abs=1e-14)
+    assert exact == pytest.approx(1.46434, abs=5e-6)
+    spec = ModelSpec("Annihilation", (L,), 0.0, {}, FieldGrid((L,), np.full(16, v), POSITION))
+    kern = RadialKernel(cutoff=L / 2, samples=(c, c))
+    m, se = run(spec, SimConfig(dt=0.01, replicas=4000, seed=3, kernel=kern), t).scalars["N"]
+    assert abs(m - exact) < 3 * se
+    assert abs(m - n0 / (1 + c * n0 * t)) > 3 * se
 
 
 @pytest.mark.parametrize("case, digest", [

@@ -1,15 +1,20 @@
 """What every CSV table writer must keep: one row per grid point and time, C
-order, coordinates equal to the grid's axes, values that round-trip exactly."""
+order, coordinates equal to the grid's axes, values that round-trip exactly,
+and the bytes of the per-row reference writer in oracles.table_rows."""
 
 import json
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rdito.grid import FieldGrid, POSITION
-from rdito.models import ModelSpec, convert_ab_densities, density, density_csv
-from rdito.perturb import dyson_tree_density, mean_field_pde
+from rdito.grid import MOMENTUM, FieldGrid, POSITION, full_spectrum, half_spectrum, point_labels
+from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
+from rdito.perturb import TimeSeries, dyson_tree_density, mean_field_pde
 from rdito.simulate import EstimatorReport
+from oracles import table_rows
 
 BOX, SHAPE = (10.0, 6.0), (5, 3)
 
@@ -104,3 +109,153 @@ def test_grid_csv_2d_rows():
             assert row[0] == name
             assert tuple(int(i) for i in row[1].split(":")) == idx
             assert float(row[2]) == fields[name].values[idx]
+
+
+# ---------------------------------------------------------------------------
+# Byte identity with the per-row reference writer
+# ---------------------------------------------------------------------------
+
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-308, 1e300, 0.1, -1.0)
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+SHAPES = [(1,), (2,), (3,), (6,), (7,), (1, 1), (2, 2), (3, 4), (4, 5), (1, 1, 1), (2, 3, 4),
+          (3, 1, 5), (2, 2, 2)]
+MATCH = settings(derandomize=True, database=None, deadline=None, max_examples=6)
+
+
+def series_csv_reference(series):
+    """TimeSeries.csv as the per-row writer wrote it: one f-string per row."""
+    g = FieldGrid(series.box, series.values[0], series.rep)
+    pos = series.rep == POSITION
+    cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
+    labels = point_labels(g.axes() if pos else g.kaxes())
+    return f"t,{cols},value\n" + "".join(
+        "\n".join(table_rows(repr(float(t)), labels, v)) + "\n"
+        for t, v in zip(series.times, np.real(series.values)))
+
+
+def grid_csv_reference(report):
+    lines = ["name,index,value"]
+    for name in sorted(report.fields):
+        fg = report.fields[name]
+        lines += table_rows(name, point_labels([np.arange(n) for n in fg.shape], ":"), fg.values)
+    return "\n".join(lines) + "\n"
+
+
+def density_table_reference(spec, times, evaluate, tag=""):
+    tag = f"{tag}," if tag else ""
+    lines = [f"# model,{spec.kind},{tag}t={','.join(repr(float(t)) for t in times)}",
+             f"t,{','.join(f'x{i}' for i in range(max(spec.d, 1)))},value"]
+    for t in times:
+        res = evaluate(t)
+        for fg in res if isinstance(res, tuple) else (res,):
+            if not isinstance(fg, FieldGrid):
+                lines.append(f"{float(t)!r},0,{float(fg)!r}")
+                continue
+            lines += table_rows(repr(float(t)), point_labels(fg.axes()), fg.values)
+    return "\n".join(lines) + "\n"
+
+
+def box_of(shape):
+    return tuple(1.5 * n + 0.25 for n in shape)
+
+
+def field(data, shape):
+    return data.draw(arrays(np.float64, shape, elements=VALUES))
+
+
+def complex_field(data, shape):
+    out = np.empty(shape, complex)
+    out.real, out.imag = field(data, shape), field(data, shape)
+    return out
+
+
+def momentum_row(data, shape):
+    """A full spectrum of one of four kinds: completed from a half spectrum by
+    full_spectrum (every real part equal to its mirror's bit for bit); from
+    fftn (mirrors that differ in the last bits); completed and then one
+    mirrored real part moved one ulp; completed with a real part 0.0 whose
+    mirror is -0.0, equal under == but written differently."""
+    kind = data.draw(st.sampled_from(["mirrored", "fftn", "broken", "signed-zero"]))
+    if kind == "fftn":
+        with np.errstate(all="ignore"):
+            return np.fft.fftn(field(data, shape))
+    half = half_spectrum(np.arange(math.prod(shape)).reshape(shape))
+    row = full_spectrum(complex_field(data, half.shape), shape[-1])
+    # the flat index of the half-spectrum value each cell is completed from
+    source = half.ravel()[full_spectrum(np.arange(half.size).reshape(half.shape), shape[-1])]
+    moved = np.flatnonzero(source.ravel() != np.arange(row.size))
+    if kind == "mirrored" or moved.size == 0:
+        return row
+    p = moved[data.draw(st.integers(0, moved.size - 1))]
+    re = row.reshape(-1).real
+    if kind == "broken":
+        with np.errstate(over="ignore"):
+            re[p] = np.nextafter(re[p], math.inf)
+    else:
+        re[source.ravel()[p]], re[p] = 0.0, -0.0
+    return row
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@MATCH
+@given(data=st.data())
+def test_time_series_bytes_match_the_per_row_writer(shape, data):
+    times = tuple(data.draw(st.lists(VALUES, min_size=1, max_size=4)))
+    pos = np.stack([field(data, shape) for _ in times])
+    mom = np.stack([momentum_row(data, shape) for _ in times])
+    for series in (TimeSeries(times, box_of(shape), POSITION, pos),
+                   TimeSeries(times, box_of(shape), MOMENTUM, mom)):
+        assert series.csv() == series_csv_reference(series)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@MATCH
+@given(data=st.data())
+def test_grid_and_density_tables_match_the_per_row_writer(shape, data):
+    names = data.draw(st.lists(st.sampled_from(["density", "density_b", "density_se", "%s"]),
+                               min_size=1, max_size=3, unique=True))
+    fields = {n: FieldGrid(box_of(shape), field(data, shape), POSITION) for n in names}
+    report = EstimatorReport(fields=fields, scalars={}, replicas=1)
+    assert report.grid_csv() == grid_csv_reference(report)
+
+    spec = ModelSpec.from_json(json.dumps({"kind": "DeathDiffusion", "box": list(box_of(shape)),
+                                           "shape": list(shape), "rates": {"mu": 1.0}, "v": 1.0}))
+    times = data.draw(st.lists(VALUES, min_size=1, max_size=3))
+    results = []
+    for _ in times:  # a grid, a pair of grids (ConvertAB) or a scalar (DiscreteDeath)
+        grids = tuple(spec.grid().with_values(field(data, shape)) for _ in range(2))
+        results.append(data.draw(st.sampled_from([grids[0], grids, float(data.draw(VALUES))])))
+
+    def replay():
+        it = iter(results)
+        return lambda t: next(it)
+
+    assert (density_table(spec, times, replay(), "tag")
+            == density_table_reference(spec, times, replay(), "tag"))
+
+
+def test_dyson_rows_after_the_first_are_written_from_the_half_spectrum(monkeypatch):
+    """Every Dyson row after the first is completed by full_spectrum, so it
+    takes the mirror path; row 0 comes from fftn, whose mirrors differ in the
+    last bits on these grids, so it alone is written value by value (through
+    reprs).  The bytes are the reference writer's either way.  Even and odd
+    last axes."""
+    from rdito import perturb
+
+    calls, reprs = [], perturb.reprs
+
+    def counted(row):
+        calls.append(row)
+        return reprs(row)
+
+    monkeypatch.setattr(perturb, "reprs", counted)
+    for shape in ((16,), (9, 7)):
+        d = len(shape)
+        spec = ModelSpec.from_json(json.dumps({
+            "kind": "Annihilation", "box": list(BOX[:d]), "shape": list(shape), "D": 0.7,
+            "rates": {"R": 0.3},
+            "v": {"expr": "gaussian", "mass": 7.0, "width": 1.3, "center": [4.0, 2.5][:d]}}))
+        series = dyson_tree_density(spec, 0.1, 4)
+        calls.clear()
+        assert series.csv() == series_csv_reference(series)
+        assert len(calls) == 1
