@@ -170,6 +170,9 @@ def cmd_derive_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_MAX_REFINED_POINTS = 2 ** 24  # most grid points on the refined grid of --cell-average
+
+
 def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: int) -> str:
     """Density CSV with cell averages over [i h, (i + 1) h) instead of the
     values at the grid points i h.
@@ -185,9 +188,9 @@ def _cell_averaged_csv(model_text: str, spec: models.ModelSpec, times, refine: i
         raise UsageError("--cell-average needs a grid model with an analytic v field")
     coarse = spec.grid()
     samples = coarse.values.size * refine ** spec.d
-    if samples > perturb._MAX_SAMPLES:
+    if samples > _MAX_REFINED_POINTS:
         raise UsageError(f"--refine {refine} gives {samples} grid points, more than the "
-                         f"{perturb._MAX_SAMPLES} (2^24) allowed")
+                         f"{_MAX_REFINED_POINTS} (2^24) allowed")
     if any(isinstance(r, dict) and "table" in r for r in obj.get("rates", {}).values()):
         raise UsageError("--cell-average cannot refine a tabulated rate")
     obj["shape"] = [int(n) * refine for n in obj["shape"]]

@@ -140,19 +140,12 @@ def half_ifft(xh: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfft(xh, n=shape[-1])
 
 
-def full_spectrum(xh: np.ndarray, n: int, ndim: int | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Full spectrum of a real array from its half spectrum `xh` over the
-    last `ndim` axes (all by default; the last of full length n), completed
-    by X(-k) = conj X(k), in `out` if given; leading axes index a batch."""
-    m = xh.shape[-1]
-    ndim = xh.ndim if ndim is None else ndim
-    neg = [(-np.arange(s)) % s for s in xh.shape[-ndim:-1]]
-    if out is None:
-        out = np.empty((*xh.shape[:-1], n), xh.dtype)
-    out[..., :m] = xh
-    np.conjugate(xh[(..., *np.ix_(*neg, np.arange(n - m, 0, -1)))], out=out[..., m:])
-    return out
+def full_spectrum(xh: np.ndarray, n: int) -> np.ndarray:
+    """Full spectrum of a real array from its half spectrum `xh` (the last
+    axis of full length n), completed by X(-k) = conj X(k)."""
+    neg = [(-np.arange(s)) % s for s in xh.shape[:-1]]
+    mirror = xh[np.ix_(*neg, np.arange(n - xh.shape[-1], 0, -1))]
+    return np.concatenate([xh, np.conjugate(mirror)], axis=-1)
 
 
 DENSE_CELLS = 128  # dense_map's crossover: largest grid (in cells) run as a matrix

@@ -368,9 +368,13 @@ def death_diffusion_fn(spec: ModelSpec, points: Sequence, t: float) -> float:
         p = p % np.asarray(g.box)  # image_sum reads 0 for a point boxes away
         if t > 0 and spec.D > 0:
             phi = np.ones(g.shape)
-            for ax in range(g.dim):
-                s = image_sum(p[ax] - mesh[ax], g.box[ax], 4 * spec.D * t)
-                phi = phi * s / math.sqrt(4 * math.pi * spec.D * t)
+            norm = math.sqrt(4 * math.pi * spec.D * t)
+            for ax, L in enumerate(g.box):
+                s = image_sum(p[ax] - mesh[ax], L, 4 * spec.D * t)
+                if math.isfinite(norm) and np.isfinite(s).all():
+                    phi = phi * s / norm
+                else:  # 4 pi D t overflowed: the kernel is flat, image_sum / norm -> 1 / L
+                    phi = phi / L
             val = float(np.sum(phi * g.values) * dV)
         else:
             # Phi -> delta: read v at the nearest grid point
@@ -505,7 +509,9 @@ def _births_integral(mu: Rate, nu: Rate, gn: np.ndarray, t0: float, t1: float) -
     wide, and at most 1/2 wide where a rate has a time profile (sin^2 and
     cos^2 vary at frequency 2): a panel then spans at most one decay length
     and one radian, where the rule is exact to rounding.  ModelError past
-    _GL_PANELS panels.
+    _GL_PANELS panels.  Past one panel, each distinct entry is integrated
+    once.  On one panel (every Monte Carlo step) each entry is, because
+    finding the distinct ones would cost more than the rows it saves.
     """
     need = (t1 - t0) * max(float(gn.max()), 2.0 if mu.time or nu.time else 0.0)
     if not need <= _GL_PANELS:
@@ -517,9 +523,10 @@ def _births_integral(mu: Rate, nu: Rate, gn: np.ndarray, t0: float, t1: float) -
     s = t0 + np.add.outer(np.arange(panels) * width, (x + 1) * (width / 2)).ravel()
     ws = np.tile(w * (width / 2), panels) * mu.temporal(s)
     cum = nu.temporal_integral(s, t1)
+    rates, cells = np.unique(gn, return_inverse=True) if panels > 1 else (gn, slice(None))
     rows = max(1, _GL_BLOCK // len(s))
-    return np.concatenate([np.exp(-np.outer(gn[i:i + rows], cum)) @ ws
-                           for i in range(0, len(gn), rows)])
+    return np.concatenate([np.exp(-np.outer(rates[i:i + rows], cum)) @ ws
+                           for i in range(0, len(rates), rows)])[cells]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves 
 FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
 
 _MAX_SAMPLES = 2 ** 24  # most field samples, (steps + 1) x cells, a tree-level solve stores
-_MIRROR_BLOCK = 2 ** 12  # most table cells whose mirrors TimeSeries.csv_chunks checks at once
 
 
 class PerturbError(Exception):
@@ -248,61 +247,50 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Fields on one grid at uniformly spaced times: values[i], of the grid's
-    shape, is the field at times[i] in representation rep."""
+    """Fields on one grid of `shape` in `box` at uniformly spaced times, in
+    representation rep: values[i] is the field at times[i].  A position
+    field is the grid's samples.  A momentum field is the half spectrum of a
+    real field, in grid.half_spectrum's layout; it stands for its Hermitian
+    completion X(-k) = conj X(k), which grid.full_spectrum gives and csv
+    writes."""
 
     times: tuple[float, ...]
     box: tuple[float, ...]
+    shape: tuple[int, ...]
     rep: str
-    values: np.ndarray  # (len(times), *grid shape)
+    values: np.ndarray  # (len(times), *shape), or (len(times), *half-spectrum shape)
+
+    def __post_init__(self):
+        grid = np.zeros(self.shape)
+        held = grid.shape if self.rep == POSITION else half_spectrum(grid).shape
+        if self.values.shape[1:] != held:
+            raise ValueError(f"{self.rep} fields on a grid of {self.shape} have shape "
+                             f"{held}, got {self.values.shape[1:]}")
 
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces: the header line, then the rows of one
-        time step each, so a writer never holds the whole table.  Each time
-        step is one block of grid.table_block; a momentum row whose mirrored
-        values repeat the half spectrum bit for bit takes repr on the half
-        spectrum only (_momentum_reprs).  The bytes are the same either way."""
-        g = FieldGrid(self.box, self.values[0], self.rep)
+        time step each (one block of grid.table_block), so a writer never
+        holds the whole table.  A momentum row takes repr on the real parts
+        of its half spectrum and spreads the strings to the full grid, so a
+        cell that the completion fills repeats the string of its mirror."""
+        g = FieldGrid(self.box, np.zeros(self.shape), self.rep)
         pos = self.rep == POSITION
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
         block = table_block(point_labels(g.axes() if pos else g.kaxes()))
         yield f"t,{cols},value\n"
         rows = np.real(self.values).reshape(len(self.times), -1)
-        cells = map(reprs, rows) if pos else _momentum_reprs(rows, g.shape)
+        cells = map(reprs, rows)
+        if rows.shape[1] < g.values.size:  # never on one cell: a one-index itemgetter returns a str
+            # the half-spectrum index that each cell of the grid is completed from
+            source = full_spectrum(np.arange(rows.shape[1]).reshape(self.values.shape[1:]),
+                                   self.shape[-1])
+            cells = map(itemgetter(*source.ravel().tolist()), cells)
         for t, c in zip(self.times, cells):
             yield block(repr(float(t)), c)
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
         return "".join(self.csv_chunks())
-
-
-def _momentum_reprs(rows: np.ndarray, shape: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
-    """reprs of each row of `rows`, the real parts of momentum fields on a
-    grid of `shape`, one flat row per field.
-
-    A row whose every value has the bit pattern of its mirror, the value at
-    -k that full_spectrum completes from the half spectrum, takes repr on the
-    half spectrum only and spreads the strings to the full grid.  Any other
-    row (a spectrum from fftn, say, whose mirrors differ in the last bits)
-    takes repr on every value.  The choice is made per row from the values.
-    """
-    cells = rows.shape[1]
-    half = half_spectrum(np.arange(cells).reshape(shape))
-    if half.size == cells:  # no mirrored cell; a one-index itemgetter returns a bare str
-        yield from map(reprs, rows)
-        return
-    source = full_spectrum(np.arange(half.size).reshape(half.shape), shape[-1]).ravel()
-    spread = itemgetter(*source.tolist())  # the half-spectrum string of each cell
-    half = half.ravel()
-    mirror = half[source]
-    step = max(1, _MIRROR_BLOCK // cells)
-    for i in range(0, len(rows), step):
-        block = rows[i:i + step]
-        bits = block.view(np.int64)
-        mirrored = (bits[:, mirror] == bits).all(axis=1).tolist()
-        for row, halves, same in zip(block, block[:, half], mirrored):
-            yield spread(list(map(repr, halves.tolist()))) if same else reprs(row)
 
 
 def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
@@ -327,19 +315,18 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     cost is O(steps) in time and O(grid) in history memory.
 
     The density is real, so the recursion runs on the half spectrum (last
-    axis k >= 0); the stored half spectra are completed to full spectra by
-    X(-k) = conj X(k) after the last step.
+    axis k >= 0), and the series holds the half spectrum of every step.
     """
     g = spec.grid()
     shape, d = g.shape, g.dim
     _check_steps(steps, shape)
     dt = t_end / steps
-    out = np.empty((steps + 1, *shape), complex)
-    out[0] = g.to_momentum().values
     k2 = half_spectrum(g.ksquared())
     rhat = half_spectrum(np.real(kernel_field(spec).to_momentum().values))
     dV = g.cell_volume
-    vhat = half_spectrum(out[0])
+    vhat = half_spectrum(g.to_momentum().values)
+    out = np.empty((steps + 1, *vhat.shape), complex)
+    out[0] = vhat
     step_prop = np.exp(-spec.D * dt * k2)
     # x and R*x from the half spectrum of x, and the half spectrum of a product
     to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),
@@ -351,7 +338,6 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
         x, rx = to_pair(xh)
         return to_half(x * rx)
 
-    halves = np.empty((steps, *vhat.shape), complex)
     coll = collision(vhat)
     hist = np.zeros_like(vhat)
     for i in range(1, steps + 1):
@@ -367,13 +353,10 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
             if corr < FIXED_POINT_TOL:
                 break
         else:
-            raise NonConvergence(
-                f"fixed point stalled at correction {corr:.3e} (step {i})"
-            )
+            raise NonConvergence(f"fixed point stalled at correction {corr:.3e} (step {i})")
         coll = collision(x)
-        halves[i - 1] = x
-    full_spectrum(halves, shape[-1], d, out=out[1:])
-    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, MOMENTUM, out)
+        out[i] = x
+    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, shape, MOMENTUM, out)
 
 
 def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
@@ -413,4 +396,4 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     if not np.all(np.isfinite(x)):
         raise Unstable(f"mean-field field is not finite by t = {t_end:g}: the step dt = {dt:g} "
                        "is too long; use more steps")
-    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, POSITION, out)
+    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, shape, POSITION, out)

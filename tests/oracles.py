@@ -3,10 +3,11 @@
 No command runs these, so they live with the tests: the point-source heat
 kernel, Stirling numbers of the second kind, the discrete-death generating
 function, the free propagator, a normal-order predicate for operator terms,
-the inverse transform of a momentum field, one Monte Carlo chunk's
-per-replica tallies, the particle placement wrapped by the float
-remainder, the exact law of the well-mixed A+A -> 0 particle number, and the
-per-row CSV writer that the package's table writer must match byte for byte.
+the inverse transform of a momentum field, the full spectra of a perturb
+momentum series, one Monte Carlo chunk's per-replica tallies, the particle
+placement wrapped by the float remainder, the exact law of the well-mixed
+A+A -> 0 particle number, and the per-row CSV writer that the package's
+table writer must match byte for byte.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from rdito.grid import POSITION, FieldGrid
+from rdito.grid import MOMENTUM, POSITION, FieldGrid, full_spectrum
 from rdito.models import KINDS, ModelError, discrete_death_log_gf, image_sum
 from rdito.simulate import sample_initial, step
 
@@ -99,9 +100,20 @@ def to_position(fg: FieldGrid) -> FieldGrid:
     return FieldGrid(fg.box, v.real, POSITION)
 
 
+def full_values(series) -> np.ndarray:
+    """The fields of a perturb TimeSeries on its whole grid: a momentum
+    series holds half spectra, each completed here by X(-k) = conj X(k)."""
+    if series.rep != MOMENTUM:
+        return series.values
+    return np.array([full_spectrum(x, series.shape[-1]) for x in series.values])
+
+
 def final_field(series) -> FieldGrid:
     """The last field of a perturb TimeSeries, as a FieldGrid."""
-    return FieldGrid(series.box, series.values[-1], series.rep)
+    x = series.values[-1]
+    if series.rep == MOMENTUM:
+        x = full_spectrum(x, series.shape[-1])
+    return FieldGrid(series.box, x, series.rep)
 
 
 def replay_chunk(spec, sim, t_end: float, chunk_index: int, nrep: int):

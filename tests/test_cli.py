@@ -409,6 +409,27 @@ class TestDensity:
         assert "--refine" in one_line_error(capsys)
         assert not list(tmp_path.glob("x*"))
 
+    def test_births_integrated_once_per_distinct_death_rate(self, tmp_path):
+        """256 cells whose death rate takes 4 values (1, 10, 100, 1000 in
+        turn, 64 cells each), mu = 2 and t = 65: 65,000 Gauss-Legendre
+        panels a row.  One row per cell took about 3 s; one row per distinct
+        rate takes about 0.1 s.  Every cell is v e^(-nu t) + mu / nu
+        (1 - e^(-nu t)).  Runs and is timed in its own process."""
+        nu = [(1.0, 10.0, 100.0, 1000.0)[i % 4] for i in range(256)]
+        model = write_json(tmp_path / "m.json", {
+            "kind": "BirthDeathTimeDep", "box": [L], "shape": [256], "D": 0.0,
+            "rates": {"mu": 2.0, "nu": {"table": nu}}, "v": {"expr": "uniform", "const": 1.0}})
+        res = fresh_python("import sys, time; from rdito.cli import main; "
+                           "start = time.perf_counter(); "
+                           f"code = main(['density', {model!r}, '--t', '65', '--out', 'd.csv']); "
+                           "print(time.perf_counter() - start); sys.exit(code)",
+                           tmp_path, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) < 1.0
+        got = np.array([float(r[2]) for r in read_rows(tmp_path / "d.csv")])
+        decay = np.exp(-65.0 * np.array(nu))
+        assert got == pytest.approx(decay + 2.0 / np.array(nu) * (1 - decay), rel=1e-11)
+
 
 class TestGfFn:
     def test_gf_conservation_at_unit_u(self, tmp_path, capsys):
@@ -509,6 +530,21 @@ class TestGfFn:
         assert main(["fn", model, "--t", "0.02", "--points", "0.05"]) == 0
         val = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[1])
         assert val == pytest.approx(math.exp(-math.exp(-0.02)) * math.exp(-0.02), rel=1e-12)
+
+    @pytest.mark.parametrize("D, t, box", [
+        (1.0, "1e308", [10.0]), (1.0, "2e307", [10.0]), (1e308, "10", [10.0, 6.0]),
+    ], ids=["4Dt", "4piDt", "D-2d"])
+    def test_fn_where_the_kernel_width_overflows(self, tmp_path, capsys, D, t, box):
+        """At t = 1e308, or t = 2e307 where only 4 pi D t overflows, fn printed
+        nan with exit 0 (image_sum read inf and was divided by
+        sqrt(4 pi D t) = inf).  The kernel is then flat, so uniform v = 0.1
+        with mu = 0 gives exp(-0.1 V) 0.1, V the box volume."""
+        model = write_json(tmp_path / "m.json", {
+            "kind": "DeathDiffusion", "box": box, "shape": [8, 4][:len(box)], "D": D,
+            "rates": {"mu": 0.0}, "v": {"expr": "uniform", "const": 0.1}})
+        assert main(["fn", model, "--t", t, "--points", "1" if len(box) == 1 else "1,2"]) == 0
+        val = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[1])
+        assert val == pytest.approx(math.exp(-0.1 * math.prod(box)) * 0.1, rel=1e-15)
 
     @pytest.mark.parametrize("points", ["a,b", "1,2", "1;2,3"])
     def test_fn_bad_points_usage_exit(self, tmp_path, capsys, points):
@@ -887,18 +923,24 @@ class TestPerturb:
 
     @pytest.mark.parametrize("box, shape, center, steps, digests", [
         ((10.0,), (64,), (5.0,), 300,
-         {"dyson": "fdded23381cd96ca0c3af1f0da2ff30bed47c29f5b0e058fdaafbacc610b16a7",
+         {"dyson": "78a2ac4515081daa34c802d81be28cfb48c68c8495ac64727dcf8220c979912c",
           "meanfield": "07736fca0f926a5db16aa453e2d525de1aaa2073f82897f602c8b3c8b2b5d796"}),
         ((6.0, 5.5), (12, 11), (2.2, 3.9), 200,
-         {"dyson": "55c079ab1ac1bef7e982f6d2e926a2eb4e1220926f154a387ad29301c4fec441",
+         {"dyson": "3c4b5e2dfb8a50c409884ae8ce4a650148771d76da739dd75174a697d8da3e56",
           "meanfield": "7fe89b6e177d2fe20a2b1cf3178528061774cff6b29fa02a1af140ecfff50138"}),
     ], ids=["1d-64", "2d-12x11"])
     def test_outputs_are_pinned(self, tmp_path, box, shape, center, steps, digests):
-        """SHA-256 of the CSV of both methods, recorded at d1cf296, before
-        Dyson took the model and both solvers returned one array.  The 1-D
-        model has the tree-level benchmark's inputs (a Gaussian kernel of mass
-        0.8 and width 0.6, an intensity of mass 8 and width 1, D = 0.7, t_end
-        0.4); its 64 cells take dense_map's matrix path.  The 2-D grid has 132
+        """SHA-256 of the CSV of both methods.  The mean-field digests were
+        recorded at d1cf296, before Dyson took the model and both solvers
+        returned one array.  The Dyson digests were recorded again when the
+        Dyson series came to hold half spectra: its t = 0 row is the half of
+        the initial intensity's fftn, completed by X(-k) = conj X(k) like
+        every later row, and only the t = 0 cells at mirrored k changed (22
+        of 64 in 1-D, 30 of 132 in 2-D; each now repeats its mirror's
+        string, where the full fftn differed in the last bits).  The 1-D
+        model has the tree-level benchmark's inputs (a Gaussian kernel of
+        mass 0.8 and width 0.6, an intensity of mass 8 and width 1, D = 0.7,
+        t_end 0.4); its 64 cells take dense_map's matrix path.  The 2-D grid has 132
         cells, past DENSE_CELLS, so it takes the FFT path, and an odd last
         axis, which the mirror X(-k) = conj X(k) completes."""
         from rdito.grid import FieldGrid

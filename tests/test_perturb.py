@@ -10,7 +10,7 @@ from scipy import integrate
 
 from rdito import algebra as alg
 from rdito.grid import DENSE_CELLS, FieldGrid, MOMENTUM, POSITION
-from rdito.grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
+from rdito.grid import dense_map, half_fft, half_ifft, half_spectrum, heat_change
 from rdito.models import ModelSpec, Rate, wrapped_gaussian
 from rdito.perturb import (
     GridTooCoarse,
@@ -27,7 +27,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import THETA0, final_field, propagator, to_position
+from oracles import THETA0, final_field, full_values, propagator, to_position
 from third_order_oracle import third_order_continuum
 
 
@@ -389,7 +389,7 @@ class TestDyson:
         spec = annih_spec(g, R.with_values(np.zeros(g.shape)), v, 0.7)
         series = dyson_tree_density(spec, 0.4, 20)
         exact = np.exp(-0.7 * 0.4 * g.ksquared()) * v.to_momentum().values
-        assert np.max(np.abs(series.values[-1] - exact)) < 1e-12
+        assert np.max(np.abs(final_field(series).values - exact)) < 1e-12
 
     def test_logistic_diffusion_limited(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
@@ -417,7 +417,7 @@ class TestDyson:
         g, R, v = gauss_fields(center=0.0)
         spec = annih_spec(g, R, v, 0.5)
         series = dyson_tree_density(spec, 0.3, 100)
-        x = series.values[-1]
+        x = final_field(series).values
         n = len(x)
         flipped = x[(-np.arange(n)) % n]
         assert np.max(np.abs(x - flipped)) < 1e-12
@@ -434,7 +434,7 @@ class TestDyson:
         def tilted(scale):
             """X at a kernel of scale * R; rates are >= 0, so scale is too."""
             spec = annih_spec(g, g.with_values(scale * Rpos), v, D)
-            return dyson_tree_density(spec, t, 1000).values[-1]
+            return final_field(dyson_tree_density(spec, t, 1000)).values
 
         # X(e) = X0 + e X1 + e^2 X2 + O(e^3), so this is X1 + O(eps^2)
         first = (4.0 * tilted(eps) - tilted(2.0 * eps) - 3.0 * tilted(0.0)) / (2.0 * eps)
@@ -471,7 +471,7 @@ class TestDyson:
         """The carried-forward history on the half spectrum equals the direct
         trapezoid sum on full spectra; odd last axes exercise the mirror."""
         spec = gauss_spec_nd((10.0,) * len(shape), shape, center)
-        got = dyson_tree_density(spec, 0.4, 200).values
+        got = full_values(dyson_tree_density(spec, 0.4, 200))
         assert np.max(np.abs(got - direct_sum_dyson(momentum_grid(spec), 0.4, 200))) <= 1e-12
 
     def test_nonconvergence(self):
@@ -641,13 +641,6 @@ class TestDenseTransforms:
             general = dense_map(op_1xn, (1, n))(x.reshape(1, n)).reshape(n).view(np.int64)
             assert np.array_equal(bare[name], general), name
         assert np.array_equal(heat_change(g, 0.7, 0.01)(x).view(np.int64), bare["heat"])
-
-    def test_batched_full_spectrum_is_each_full_spectrum(self):
-        x = np.random.default_rng(3).normal(size=(5, 7, 9))
-        batch = full_spectrum(half_fft(x, 2), 9, 2)
-        for xi, got in zip(x, batch):
-            assert np.array_equal(got, full_spectrum(half_fft(xi), 9))
-        assert np.max(np.abs(batch - np.fft.fftn(x, axes=(1, 2)))) < 1e-12
 
     @pytest.mark.parametrize("shape, center", [((8, 8), (3.0, 3.0)), ((7, 9), (2.2, 3.9))])
     def test_dyson_matches_mean_field_2d(self, shape, center):

@@ -799,18 +799,24 @@ def test_well_mixed_annihilation_matches_the_exact_chain():
     so N(t) is the pure-death chain n -> n - 2 at rate c n (n - 1) / 2
     wherever the particles are (oracles.annihilation_chain_law); D = 0.  The
     Monte Carlo lies within 3 SE of the chain's exact mean and more than 3 SE
-    from the mean field N0 / (1 + c N0 t)."""
+    from the mean field N0 / (1 + c N0 t).  The same run's second moment and
+    void probability lie within 3 SE of the chain's E[N^2] and P(N = 0)."""
     c, v, t = 0.5, 0.4, 1.0
     n0 = v * L
     law = annihilation_chain_law(n0, c, t)
-    exact = law @ np.arange(len(law))
+    n = np.arange(len(law))
+    exact = law @ n
     assert law.sum() == pytest.approx(1.0, abs=1e-14)
     assert exact == pytest.approx(1.46434, abs=5e-6)
     spec = ModelSpec("Annihilation", (L,), 0.0, {}, FieldGrid((L,), np.full(16, v), POSITION))
     kern = RadialKernel(cutoff=L / 2, samples=(c, c))
-    m, se = run(spec, SimConfig(dt=0.01, replicas=4000, seed=3, kernel=kern), t).scalars["N"]
+    scalars = run(spec, SimConfig(dt=0.01, replicas=4000, seed=3, kernel=kern), t).scalars
+    m, se = scalars["N"]
     assert abs(m - exact) < 3 * se
     assert abs(m - n0 / (1 + c * n0 * t)) > 3 * se
+    for key, want in (("N2", law @ n ** 2), ("void", law[0])):
+        got, se = scalars[key]
+        assert abs(got - want) < 3 * se, (key, (got - want) / se)
 
 
 @pytest.mark.parametrize("case, digest", [

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdito.grid import MOMENTUM, FieldGrid, POSITION, full_spectrum, half_spectrum, point_labels
+from rdito.grid import MOMENTUM, FieldGrid, POSITION, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
 from rdito.perturb import TimeSeries, dyson_tree_density, mean_field_pde
 from rdito.simulate import EstimatorReport
-from oracles import table_rows
+from oracles import full_values, table_rows
 
 BOX, SHAPE = (10.0, 6.0), (5, 3)
 
@@ -89,7 +89,7 @@ def test_time_series_csv_position_and_momentum():
         head, rows = body(series.csv(), 1)
         assert head == [cols]
         assert len(rows) == len(series.times) * n
-        for k, (t, values) in enumerate(zip(series.times, series.values)):
+        for k, (t, values) in enumerate(zip(series.times, full_values(series))):
             fg = FieldGrid(series.box, values, series.rep)
             check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), np.real(values))
 
@@ -123,14 +123,15 @@ MATCH = settings(derandomize=True, database=None, deadline=None, max_examples=6)
 
 
 def series_csv_reference(series):
-    """TimeSeries.csv as the per-row writer wrote it: one f-string per row."""
-    g = FieldGrid(series.box, series.values[0], series.rep)
+    """TimeSeries.csv as the per-row writer wrote it: one f-string per row,
+    a momentum row completed to the full spectrum first."""
+    g = FieldGrid(series.box, np.zeros(series.shape), series.rep)
     pos = series.rep == POSITION
     cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
     labels = point_labels(g.axes() if pos else g.kaxes())
     return f"t,{cols},value\n" + "".join(
         "\n".join(table_rows(repr(float(t)), labels, v)) + "\n"
-        for t, v in zip(series.times, np.real(series.values)))
+        for t, v in zip(series.times, np.real(full_values(series))))
 
 
 def grid_csv_reference(report):
@@ -169,42 +170,16 @@ def complex_field(data, shape):
     return out
 
 
-def momentum_row(data, shape):
-    """A full spectrum of one of four kinds: completed from a half spectrum by
-    full_spectrum (every real part equal to its mirror's bit for bit); from
-    fftn (mirrors that differ in the last bits); completed and then one
-    mirrored real part moved one ulp; completed with a real part 0.0 whose
-    mirror is -0.0, equal under == but written differently."""
-    kind = data.draw(st.sampled_from(["mirrored", "fftn", "broken", "signed-zero"]))
-    if kind == "fftn":
-        with np.errstate(all="ignore"):
-            return np.fft.fftn(field(data, shape))
-    half = half_spectrum(np.arange(math.prod(shape)).reshape(shape))
-    row = full_spectrum(complex_field(data, half.shape), shape[-1])
-    # the flat index of the half-spectrum value each cell is completed from
-    source = half.ravel()[full_spectrum(np.arange(half.size).reshape(half.shape), shape[-1])]
-    moved = np.flatnonzero(source.ravel() != np.arange(row.size))
-    if kind == "mirrored" or moved.size == 0:
-        return row
-    p = moved[data.draw(st.integers(0, moved.size - 1))]
-    re = row.reshape(-1).real
-    if kind == "broken":
-        with np.errstate(over="ignore"):
-            re[p] = np.nextafter(re[p], math.inf)
-    else:
-        re[source.ravel()[p]], re[p] = 0.0, -0.0
-    return row
-
-
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 @MATCH
 @given(data=st.data())
 def test_time_series_bytes_match_the_per_row_writer(shape, data):
     times = tuple(data.draw(st.lists(VALUES, min_size=1, max_size=4)))
+    half = (*shape[:-1], shape[-1] // 2 + 1)
     pos = np.stack([field(data, shape) for _ in times])
-    mom = np.stack([momentum_row(data, shape) for _ in times])
-    for series in (TimeSeries(times, box_of(shape), POSITION, pos),
-                   TimeSeries(times, box_of(shape), MOMENTUM, mom)):
+    mom = np.stack([complex_field(data, half) for _ in times])
+    for series in (TimeSeries(times, box_of(shape), shape, POSITION, pos),
+                   TimeSeries(times, box_of(shape), shape, MOMENTUM, mom)):
         assert series.csv() == series_csv_reference(series)
 
 
@@ -234,28 +209,35 @@ def test_grid_and_density_tables_match_the_per_row_writer(shape, data):
             == density_table_reference(spec, times, replay(), "tag"))
 
 
-def test_dyson_rows_after_the_first_are_written_from_the_half_spectrum(monkeypatch):
-    """Every Dyson row after the first is completed by full_spectrum, so it
-    takes the mirror path; row 0 comes from fftn, whose mirrors differ in the
-    last bits on these grids, so it alone is written value by value (through
-    reprs).  The bytes are the reference writer's either way.  Even and odd
-    last axes."""
-    from rdito import perturb
-
-    calls, reprs = [], perturb.reprs
-
-    def counted(row):
-        calls.append(row)
-        return reprs(row)
-
-    monkeypatch.setattr(perturb, "reprs", counted)
+def test_dyson_rows_write_each_real_part_as_its_mirror():
+    """Every Dyson row, t = 0 included, writes Re X(-k) as the same string
+    as Re X(k) at every cell that the Hermitian completion of the stored half
+    spectrum fills (last-axis index above n // 2).  The t = 0 row was once
+    the fftn of the initial intensity, whose mirrored real parts differ in
+    the last bits on these grids.  Where k and -k both lie in the half
+    spectrum (last-axis index 0 in 2-D), both are solved values.  Even and
+    odd last axes."""
     for shape in ((16,), (9, 7)):
         d = len(shape)
         spec = ModelSpec.from_json(json.dumps({
             "kind": "Annihilation", "box": list(BOX[:d]), "shape": list(shape), "D": 0.7,
             "rates": {"R": 0.3},
             "v": {"expr": "gaussian", "mass": 7.0, "width": 1.3, "center": [4.0, 2.5][:d]}}))
-        series = dyson_tree_density(spec, 0.1, 4)
-        calls.clear()
-        assert series.csv() == series_csv_reference(series)
-        assert len(calls) == 1
+        _, rows = body(dyson_tree_density(spec, 0.1, 4).csv(), 1)
+        idx = np.indices(shape).reshape(d, -1)
+        mirror = np.ravel_multi_index(tuple(-i % m for i, m in zip(idx, shape)), shape)
+        filled = np.flatnonzero(idx[-1] > shape[-1] // 2)
+        n = math.prod(shape)
+        assert len(rows) == 5 * n
+        for k in range(5):
+            values = [row[-1] for row in rows[k * n:(k + 1) * n]]
+            assert [values[j] for j in filled] == [values[j] for j in mirror[filled]], k
+
+
+def test_time_series_refuses_fields_of_another_layout():
+    """A momentum series holds half spectra, a position series whole grids."""
+    times, shape = (0.0, 1.0), (4, 6)
+    with pytest.raises(ValueError, match="shape"):
+        TimeSeries(times, box_of(shape), shape, MOMENTUM, np.zeros((2, 4, 6), complex))
+    with pytest.raises(ValueError, match="shape"):
+        TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((2, 4, 4)))
