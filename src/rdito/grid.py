@@ -16,19 +16,25 @@ convolution) wraps it in dense_map.  On grids of at most DENSE_CELLS cells
 the map becomes one vector-matrix product: its matrix is the map applied to
 the identity basis, so it is the same linear map, and it skips numpy's FFT
 call overhead, which dominates there.  Above the crossover the FFTs win.
-A map from a flat real vector to a flat real vector is then the bare product
-x @ matrix, the same matmul without the views and reshapes around it.
+A map of a flat vector takes only the views it needs around that product
+(a flat real vector to a flat real vector, none: the bare x @ matrix).
 
 Every CSV table is written by table_block: per grid, the parts of one block
 of rows `lead,label,value` are laid out once from the point labels, and a
 block (one time step, one field) is one join of them, with the lead put in
 once.  Values are written with repr, so float(cell) gives each back exactly.
+repr holds the GIL, so a large table (of SPLIT_CELLS cells or more) is
+formatted by split_rows on two cores in two processes: a forked child
+formats the second half of the rows and hands the text back through a pipe.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -160,7 +166,9 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
     as two real coordinates), so both paths compute the same map.  Only
     vector @ matrix products: OpenBLAS starts threads for a matrix @ matrix
     product, which costs more than the FFTs it replaces at these sizes.  A
-    map of flat real vectors to flat real vectors is the bare x @ matrix.
+    map of flat vectors (contiguous if complex) takes only the views it
+    needs around the product: a map of flat real vectors to flat real
+    vectors is the bare x @ matrix.
     """
     if math.prod(shape) > DENSE_CELLS:
         return op
@@ -168,13 +176,13 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
     images = op(np.eye(size).view(dtype).reshape(size, *shape))
     out_shape, out_dtype = images.shape[1:], images.dtype
     matrix = np.ascontiguousarray(images).reshape(size, -1).view(float)
-    if len(shape) == len(out_shape) == 1 and np.dtype(dtype) == out_dtype == float:
-        return lambda x: x @ matrix
-
-    def apply(x):
-        return (x.reshape(-1).view(float) @ matrix).view(out_dtype).reshape(out_shape)
-
-    return apply
+    if len(shape) > 1:
+        return lambda x: (x.reshape(-1).view(float) @ matrix).view(out_dtype).reshape(out_shape)
+    if np.dtype(dtype) != float:
+        return lambda x: (x.view(float) @ matrix).view(out_dtype).reshape(out_shape)
+    if out_dtype != float or len(out_shape) > 1:
+        return lambda x: (x @ matrix).view(out_dtype).reshape(out_shape)
+    return lambda x: x @ matrix
 
 
 def heat_change(g: FieldGrid, D: float, t: float):
@@ -219,3 +227,56 @@ def table_block(labels: list[str]):
 def reprs(values: np.ndarray) -> tuple[str, ...]:
     """repr of each value in C order, the cells of a table_block."""
     return tuple(map(repr, np.ravel(values).tolist()))
+
+
+SPLIT_CELLS = 2 ** 15  # split_rows' crossover: fewest table cells formatted in two processes
+_READ_BYTES = 2 ** 20  # most bytes split_rows reads from its child at once
+
+
+def split_rows(n: int, width: int, text: Callable[[int, int], Iterable[str]]) -> Iterator[str]:
+    """The text of the n rows of a table of `width` cells per row, where
+    text(lo, hi) yields the blocks of rows [lo, hi).
+
+    A table of SPLIT_CELLS cells or more is formatted on two cores, because
+    repr holds the GIL and threads do not overlap: a forked child formats
+    rows [n // 2, n) into one bytes object and writes it to a pipe, while
+    this process yields rows [0, n // 2) and then the child's text, read in
+    pieces (the text is ASCII).  RuntimeError if the child fails.  The child
+    leaves only by os._exit, so it never runs the caller's code or flushes an
+    inherited buffer; the child is killed and reaped on every other exit,
+    such as a generator closed early.  Smaller tables, and platforms without
+    fork, are formatted here."""
+    if n * width < SPLIT_CELLS or not hasattr(os, "fork"):
+        yield from text(0, n)
+        return
+    r, w = os.pipe()
+    pid = 0
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                view = memoryview("".join(text(n // 2, n)).encode())
+                while view:
+                    view = view[os.write(w, view):]
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        w = -1
+        yield from text(0, n // 2)
+        while piece := os.read(r, _READ_BYTES):
+            yield piece.decode()
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+        if status:
+            raise RuntimeError(f"the process writing rows {n // 2} to {n} of a table failed "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(r)
+        if w >= 0:
+            os.close(w)

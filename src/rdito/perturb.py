@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, table_block
+from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, split_rows, table_block
 from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
 _TAYLOR_TERMS = 18  # terms of the scaled exponential in simplex_time_factor (1/18! < 2^-52)
@@ -270,23 +270,32 @@ class TimeSeries:
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces: the header line, then the rows of one
         time step each (one block of grid.table_block), so a writer never
-        holds the whole table.  A momentum row takes repr on the real parts
-        of its half spectrum and spreads the strings to the full grid, so a
-        cell that the completion fills repeats the string of its mirror."""
+        holds the whole table; a table of grid.SPLIT_CELLS cells or more gets
+        the second half of its rows from grid.split_rows' child in larger
+        pieces.  A momentum row takes repr on the real parts of its half
+        spectrum and spreads the strings to the full grid, so a cell that the
+        completion fills repeats the string of its mirror."""
         g = FieldGrid(self.box, np.zeros(self.shape), self.rep)
         pos = self.rep == POSITION
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
         block = table_block(point_labels(g.axes() if pos else g.kaxes()))
         yield f"t,{cols},value\n"
         rows = np.real(self.values).reshape(len(self.times), -1)
-        cells = map(reprs, rows)
+        spread = None
         if rows.shape[1] < g.values.size:  # never on one cell: a one-index itemgetter returns a str
             # the half-spectrum index that each cell of the grid is completed from
             source = full_spectrum(np.arange(rows.shape[1]).reshape(self.values.shape[1:]),
                                    self.shape[-1])
-            cells = map(itemgetter(*source.ravel().tolist()), cells)
-        for t, c in zip(self.times, cells):
-            yield block(repr(float(t)), c)
+            spread = itemgetter(*source.ravel().tolist())
+
+        def text(lo, hi):
+            cells = map(reprs, rows[lo:hi])
+            if spread is not None:
+                cells = map(spread, cells)
+            for t, c in zip(self.times[lo:hi], cells):
+                yield block(repr(float(t)), c)
+
+        yield from split_rows(len(self.times), g.values.size, text)
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""

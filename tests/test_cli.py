@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, artifacts, manifests."""
 
 import ast
+import errno
 import hashlib
 import json
 import math
@@ -790,6 +791,26 @@ class TestSimulate:
         assert "DiscreteDeath" in one_line_error(capsys)
 
 
+# sha256 of the tree-level benchmark's two perturb tables
+TREE_LEVEL_DIGESTS = {
+    "dyson": "ccf5b378795a79f45e2196eb323570d633d095e991bb2956684817df74ae7019",
+    "meanfield": "a2f9f2db7c5b22e25794136830a87d040e1d7f80d31bd9cd937b65f401b443c4"}
+
+
+def gaussian_annihilation_model(path, box=(10.0,), shape=(64,), center=(5.0,)):
+    """The tree-level benchmark's model (by default) on any grid: a Gaussian
+    kernel of mass 0.8 and width 0.6, an intensity of mass 8 and width 1 at
+    `center`, D = 0.7."""
+    from rdito.grid import FieldGrid
+    from rdito.models import wrapped_gaussian
+
+    R = wrapped_gaussian(FieldGrid(box, np.zeros(shape)), 0.8, 0.6, [0.0] * len(box))
+    return write_json(path, {
+        "kind": "Annihilation", "box": list(box), "shape": list(shape), "D": 0.7,
+        "rates": {"R": {"table": R.tolist()}},
+        "v": {"expr": "gaussian", "mass": 8.0, "width": 1.0, "center": list(center)}})
+
+
 class TestPerturb:
     def annih_model(self, tmp_path):
         g = np.zeros(N)
@@ -928,7 +949,8 @@ class TestPerturb:
         ((6.0, 5.5), (12, 11), (2.2, 3.9), 200,
          {"dyson": "3c4b5e2dfb8a50c409884ae8ce4a650148771d76da739dd75174a697d8da3e56",
           "meanfield": "7fe89b6e177d2fe20a2b1cf3178528061774cff6b29fa02a1af140ecfff50138"}),
-    ], ids=["1d-64", "2d-12x11"])
+        ((10.0,), (64,), (5.0,), 3000, TREE_LEVEL_DIGESTS),
+    ], ids=["1d-64", "2d-12x11", "tree-level"])
     def test_outputs_are_pinned(self, tmp_path, box, shape, center, steps, digests):
         """SHA-256 of the CSV of both methods.  The mean-field digests were
         recorded at d1cf296, before Dyson took the model and both solvers
@@ -942,21 +964,85 @@ class TestPerturb:
         mass 0.8 and width 0.6, an intensity of mass 8 and width 1, D = 0.7,
         t_end 0.4); its 64 cells take dense_map's matrix path.  The 2-D grid has 132
         cells, past DENSE_CELLS, so it takes the FFT path, and an odd last
-        axis, which the mirror X(-k) = conj X(k) completes."""
-        from rdito.grid import FieldGrid
-        from rdito.models import wrapped_gaussian
-
-        g = FieldGrid(box, np.zeros(shape))
-        R = wrapped_gaussian(g, 0.8, 0.6, [0.0] * len(box))
-        model = write_json(tmp_path / "m.json", {
-            "kind": "Annihilation", "box": list(box), "shape": list(shape), "D": 0.7,
-            "rates": {"R": {"table": R.tolist()}},
-            "v": {"expr": "gaussian", "mass": 8.0, "width": 1.0, "center": list(center)}})
+        axis, which the mirror X(-k) = conj X(k) completes.  The tree-level
+        id is the benchmark's run of 3,000 steps: its tables of 192,064 cells
+        are past grid.SPLIT_CELLS, so two processes format them (the other
+        ids are below it); its digests were recorded at fc18455, where one
+        process did."""
+        model = gaussian_annihilation_model(tmp_path / "m.json", box, shape, center)
         for method, digest in digests.items():
             out = tmp_path / f"{method}.csv"
             assert main(["perturb", model, "--t-end", "0.4", "--steps", str(steps),
                          "--method", method, "--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, method
+
+    def test_tree_level_stdout_in_a_fresh_interpreter(self, tmp_path):
+        """Without --out, the tree-level table goes to stdout with the bytes
+        of the --out file, and with every warning an error the run exits 0
+        with nothing on stderr: the child that formats the second half of
+        the rows writes only to its pipe."""
+        argv = ["perturb", gaussian_annihilation_model(tmp_path / "m.json"),
+                "--t-end", "0.4", "--steps", "3000"]
+        out = tmp_path / "dyson.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        res = subprocess.run([sys.executable, "-W", "error", "-c",
+                              f"import sys; from rdito.cli import main; sys.exit(main({argv!r}))"],
+                             cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert res.returncode == 0 and res.stderr == b"", res.stderr
+        assert res.stdout == out.read_bytes()
+        assert hashlib.sha256(res.stdout).hexdigest() == TREE_LEVEL_DIGESTS["dyson"]
+
+    @pytest.mark.parametrize("side", ["child", "parent", "consumer"])
+    def test_failed_split_table_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          side):
+        """A table formatted in two processes fails as one command: when the
+        child that formats the second half fails, when this process fails
+        mid-way through the first half, or when the file write fails mid-way,
+        perturb exits 4 with one stderr line and leaves neither the output,
+        nor a temp file, nor a child process."""
+        from rdito import perturb
+
+        parent, real_reprs, real_fdopen, calls = os.getpid(), perturb.reprs, os.fdopen, []
+
+        def reprs(values):
+            calls.append(values)
+            if (side == "child" and os.getpid() != parent
+                    or side == "parent" and len(calls) == 100):
+                raise MemoryError("formatting failed")
+            return real_reprs(values)
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text)
+
+            def writelines(self, chunks):
+                for i, chunk in enumerate(chunks):
+                    if i == 100:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    self.f.write(chunk)
+
+        monkeypatch.setattr(perturb, "reprs", reprs)
+        if side == "consumer":
+            monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+        model = gaussian_annihilation_model(tmp_path / "m.json")
+        code = main(["perturb", model, "--t-end", "0.4", "--steps", "3000",
+                     "--method", "meanfield", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_solvers_called_through_module_attributes(self, tmp_path, monkeypatch):
         """perturb looks each solver up on the perturb module when it is

@@ -620,26 +620,37 @@ class TestDenseTransforms:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, DENSE_CELLS])
     def test_bare_product_keeps_the_general_path_bits(self, n):
-        """A map of flat real vectors is the bare x @ matrix.  The same map
-        on a 1 x n grid takes the general path, which reshapes and views its
+        """A map of flat vectors takes only the views it needs around its
+        product: none for flat real vectors (x @ matrix).  The same map on a
+        1 x n grid takes the general path, which reshapes and views its
         vectors around the product, and gives the same bits: for the heat
-        map (heat_change itself) and for the mean field's convolution."""
+        map (heat_change itself), the mean field's convolution, and Dyson's
+        to_pair (a complex half spectrum to a real pair) and to_half (a real
+        field to a complex half spectrum)."""
         rng = np.random.default_rng(4)
         g = FieldGrid((10.0,), rng.uniform(0.0, 1.0, n))
+        h = n // 2 + 1
         x = rng.normal(size=n)
+        xh = rng.normal(size=h) + 1j * rng.normal(size=h)
+        rhat = np.real(half_fft(g.values)) * g.cell_volume
         mults = {"heat": np.expm1(-0.7 * 0.01 * half_spectrum(g.ksquared())),
                  "convolution": half_fft(g.values) * g.cell_volume}
+        maps = {name: (lambda y, mult=mult: half_ifft(mult * half_fft(y, 1), (n,)), x, float)
+                for name, mult in mults.items()}
+        maps["to_pair"] = (lambda y: half_ifft(np.stack([y, rhat * y], axis=-2), (n,)),
+                           xh, complex)
+        maps["to_half"] = (lambda y: half_fft(y, 1) / g.cell_volume, x, float)
         bare = {}
-        for name, mult in mults.items():
-            def op(y):
-                return half_ifft(mult * half_fft(y, 1), (n,))
+        for name, (op, arg, dtype) in maps.items():
+            def op_1xn(y, op=op):
+                image = op(y.reshape(*y.shape[:-2], y.shape[-1]))
+                return image.reshape(*y.shape[:-2], 1, *image.shape[y.ndim - 2:])
 
-            def op_1xn(y):
-                return op(y.reshape(*y.shape[:-2], n)).reshape(*y.shape[:-2], 1, n)
-
-            bare[name] = dense_map(op, (n,))(x).view(np.int64)
-            general = dense_map(op_1xn, (1, n))(x.reshape(1, n)).reshape(n).view(np.int64)
-            assert np.array_equal(bare[name], general), name
+            got = dense_map(op, arg.shape, dtype)(arg)
+            general = dense_map(op_1xn, (1, *arg.shape), dtype)(arg.reshape(1, -1))
+            assert got.shape == general.shape[1:] == op(arg).shape, name
+            bare[name] = got.view(np.int64)
+            assert np.array_equal(bare[name], general.reshape(got.shape).view(np.int64)), name
         assert np.array_equal(heat_change(g, 0.7, 0.01)(x).view(np.int64), bare["heat"])
 
     @pytest.mark.parametrize("shape, center", [((8, 8), (3.0, 3.0)), ((7, 9), (2.2, 3.9))])

@@ -2,15 +2,18 @@
 order, coordinates equal to the grid's axes, values that round-trip exactly,
 and the bytes of the per-row reference writer in oracles.table_rows."""
 
+import contextlib
 import json
 import math
+import os
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdito.grid import MOMENTUM, FieldGrid, POSITION, point_labels
+from rdito.grid import MOMENTUM, SPLIT_CELLS, FieldGrid, POSITION, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
 from rdito.perturb import TimeSeries, dyson_tree_density, mean_field_pde
 from rdito.simulate import EstimatorReport
@@ -241,3 +244,154 @@ def test_time_series_refuses_fields_of_another_layout():
         TimeSeries(times, box_of(shape), shape, MOMENTUM, np.zeros((2, 4, 6), complex))
     with pytest.raises(ValueError, match="shape"):
         TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((2, 4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Tables formatted in two processes (grid.split_rows)
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def counted_forks():
+    """os.fork, recording each child's pid in the yielded list."""
+    real, forks = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork)
+        yield forks
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_text(got, want):
+    """got == want, else the first line that differs (pytest's own diff of
+    tables this size takes minutes)."""
+    if got != want:
+        lines = enumerate(zip_longest(got.split("\n"), want.split("\n")))
+        i, (a, b) = next((i, pair) for i, pair in lines if pair[0] != pair[1])
+        pytest.fail(f"line {i}: {a!r} != {b!r}")
+
+
+def drawn_series(rep, shape, times, seed):
+    """A series of len(times) fields on `shape` whose values mix SPECIAL with
+    normal draws scaled by powers of two from 2^-64 to 2^63."""
+    rng = np.random.default_rng(seed)
+    held = shape if rep == POSITION else (*shape[:-1], shape[-1] // 2 + 1)
+
+    def draw(dtype=float):
+        size = (len(times), *held)
+        v = np.empty(size, dtype)
+        for part in (v.real, v.imag) if dtype == complex else (v,):
+            part[...] = rng.standard_normal(size) * np.exp2(rng.integers(-64, 64, size))
+            part.flat[rng.integers(0, v.size, 16)] = rng.choice(SPECIAL, 16)
+        return v
+
+    values = draw(float if rep == POSITION else complex)
+    return TimeSeries(times, box_of(shape), shape, rep, values)
+
+
+def large_series(rep=MOMENTUM, shape=(64,), rows=1001):
+    return drawn_series(rep, shape, tuple(i * 1e-3 for i in range(rows)), 7)
+
+
+@pytest.mark.parametrize("rows, side, dim", [(1, -1, 1), (1, 0, 2), (1, 1, 1), (2, -1, 2),
+                                             (2, 0, 1), (2, 1, 2), (3, -1, 1), (5, 1, 2)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_split_tables_match_the_per_row_writer(rows, side, dim, seed, data):
+    """Tables just under (side -1), at (0) and just over (+1) SPLIT_CELLS
+    cells, with 1, 2 and odd row counts, position and momentum series, on
+    1-D and 2 x m grids with odd and even last axes: the bytes of the
+    per-row writer, formatted in two processes from SPLIT_CELLS cells on
+    and in this one below.  An odd row count cannot hit SPLIT_CELLS exactly."""
+    width = (SPLIT_CELLS + side) // rows if side <= 0 else SPLIT_CELLS // rows + 1
+    shape = (width,) if dim == 1 else (2, width // 2 if side <= 0 else -(-width // 2))
+    times = tuple(data.draw(st.lists(VALUES, min_size=rows, max_size=rows)))
+    for rep in (POSITION, MOMENTUM):
+        series = drawn_series(rep, shape, times, seed)
+        with counted_forks() as forks:
+            text = series.csv()
+        assert len(forks) == (rows * math.prod(shape) >= SPLIT_CELLS)
+        assert_same_text(text, series_csv_reference(series))
+    assert_no_children()
+
+
+def test_split_table_leaves_no_process():
+    """The child that formats a table's second half is reaped after a full
+    write, after the consumer closes the stream after its first row, after
+    an exception thrown into the stream mid-way (KeyboardInterrupt too), and
+    when the first call after fork returns in this process raises."""
+    series = large_series()
+    with counted_forks() as forks:
+        whole = series.csv()
+        assert_no_children()
+        chunks = series.csv_chunks()
+        next(chunks), next(chunks)  # the header, then the first row with the child running
+        chunks.close()
+        assert_no_children()
+        for exc in (ValueError, KeyboardInterrupt):
+            chunks = series.csv_chunks()
+            for _ in range(300):
+                next(chunks)
+            with pytest.raises(exc):
+                chunks.throw(exc)
+            assert_no_children()
+    assert len(forks) == 4
+
+    real_close, parent = os.close, os.getpid()
+    calls = []
+
+    def close(fd):
+        calls.append(fd)
+        if os.getpid() == parent and len(calls) == 1:
+            raise OSError("close failed")
+        real_close(fd)
+
+    with counted_forks() as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "close", close)
+        with pytest.raises(OSError, match="close failed"):
+            series.csv()
+    assert len(forks) == 1
+    assert_no_children()
+    assert_same_text(series.csv(), whole)
+
+
+def test_split_table_raises_when_its_child_fails(monkeypatch):
+    """A child that fails writes nothing and exits 1; the stream raises
+    after the first half instead of ending short."""
+    import rdito.perturb as perturb
+
+    parent, real = os.getpid(), perturb.reprs
+
+    def reprs(values):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(values)
+
+    monkeypatch.setattr(perturb, "reprs", reprs)
+    series = large_series()
+    got = []
+    with pytest.raises(RuntimeError, match="exit code 1"):
+        got.extend(series.csv_chunks())
+    assert len(got) == 1 + len(series.times) // 2
+    assert_no_children()
+
+
+def test_split_table_without_fork_has_the_same_bytes(monkeypatch):
+    """Where os.fork does not exist, the table is formatted in this process."""
+    for series in (large_series(), large_series(POSITION, (6, 9), 700)):
+        whole = series.csv()
+        with monkeypatch.context() as mp:
+            mp.delattr(os, "fork")
+            assert_same_text(series.csv(), whole)
+        assert_same_text(whole, series_csv_reference(series))
