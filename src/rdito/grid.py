@@ -23,9 +23,11 @@ Every CSV table is written by table_block: per grid, the parts of one block
 of rows `lead,label,value` are laid out once from the point labels, and a
 block (one time step, one field) is one join of them, with the lead put in
 once.  Values are written with repr, so float(cell) gives each back exactly.
-repr holds the GIL, so a large table (of SPLIT_CELLS cells or more) is
-formatted by split_rows on two cores in two processes: a forked child
-formats the second half of the rows and hands the text back through a pipe.
+A table whose rows are solved one at a time goes through stream_rows, which
+formats them while they are solved: repr holds the GIL, so from SPLIT_CELLS
+cells on, one forked child formats the rows sent down a pipe while this
+process solves, and the two share the rows left when the solve ends.  It
+holds O(_HELD_CELLS) cells and yields nothing before the last row.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -229,54 +232,208 @@ def reprs(values: np.ndarray) -> tuple[str, ...]:
     return tuple(map(repr, np.ravel(values).tolist()))
 
 
-SPLIT_CELLS = 2 ** 15  # split_rows' crossover: fewest table cells formatted in two processes
-_READ_BYTES = 2 ** 20  # most bytes split_rows reads from its child at once
+SPLIT_CELLS = 2 ** 15  # fewest table cells formatted with a forked process
+_PIECE_CELLS = 2 ** 11  # cells per piece, the rows stream_rows holds, sends and formats at once
+_HELD_CELLS = 2 ** 15  # most cells stream_rows holds unformatted while its child is behind
+_READ_BYTES = 2 ** 16  # most bytes stream_rows reads back at once
 
 
-def split_rows(n: int, width: int, text: Callable[[int, int], Iterable[str]]) -> Iterator[str]:
-    """The text of the n rows of a table of `width` cells per row, where
-    text(lo, hi) yields the blocks of rows [lo, hi).
+def _temp_fd() -> int:
+    """A read-write temp file that is gone once closed, as a descriptor."""
+    with tempfile.TemporaryFile() as f:
+        return os.dup(f.fileno())
 
-    A table of SPLIT_CELLS cells or more is formatted on two cores, because
-    repr holds the GIL and threads do not overlap: a forked child formats
-    rows [n // 2, n) into one bytes object and writes it to a pipe, while
-    this process yields rows [0, n // 2) and then the child's text, read in
-    pieces (the text is ASCII).  RuntimeError if the child fails.  The child
-    leaves only by os._exit, so it never runs the caller's code or flushes an
-    inherited buffer; the child is killed and reaped on every other exit,
-    such as a generator closed early.  Smaller tables, and platforms without
-    fork, are formatted here."""
-    if n * width < SPLIT_CELLS or not hasattr(os, "fork"):
-        yield from text(0, n)
-        return
-    r, w = os.pipe()
-    pid = 0
-    try:
-        pid = os.fork()
-        if pid == 0:
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Formatter:
+    """A forked child that formats rows of a table: first the blocks it is
+    forked with, then each piece of rows sent down its pipe (the row count
+    as 8 bytes, then the rows of `row_floats` floats).  After each of these
+    messages it appends its text to the temp file `texts` and the new
+    length of that file, as 8 bytes, to the temp file `ends`, so the parent
+    sees how many messages it has done and where each one's text ends.  It
+    leaves only by os._exit: 0 once the pipe is closed and all is written,
+    1 on any error; so it never runs the caller's code or flushes an
+    inherited buffer."""
+
+    def __init__(self, text, blocks, row_floats: int):
+        self.texts, self.ends, self.sent = _temp_fd(), _temp_fd(), 1
+        r, self.pipe = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (r, self.pipe, self.texts, self.ends):
+                os.close(fd)
+            raise
+        if self.pid == 0:
             code = 1
             try:
-                os.close(r)
-                view = memoryview("".join(text(n // 2, n)).encode())
-                while view:
-                    view = view[os.write(w, view):]
+                os.close(self.pipe)
+                self._format(text, blocks, r, row_floats)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(w)
-        w = -1
-        yield from text(0, n // 2)
-        while piece := os.read(r, _READ_BYTES):
-            yield piece.decode()
-        status = os.waitpid(pid, 0)[1]
-        pid = 0
+        try:
+            os.close(r)
+        except BaseException:
+            self.close()
+            raise
+
+    def _format(self, text, blocks, r: int, row_floats: int) -> None:
+        """The child's work: `blocks`, then every message read from `r`."""
+        size = 0
+        with open(r, "rb") as pipe:
+            while True:
+                for block in blocks:
+                    data = "".join(text(block)).encode()
+                    _write_all(self.texts, data)
+                    size += len(data)
+                _write_all(self.ends, size.to_bytes(8, "little"))
+                head = pipe.read(8)
+                if not head:
+                    return
+                rows = int.from_bytes(head, "little")
+                blocks = [np.frombuffer(pipe.read(rows * row_floats * 8)).reshape(rows, row_floats)]
+
+    def in_flight(self) -> int:
+        """Messages sent and not yet formatted."""
+        return self.sent - os.fstat(self.ends).st_size // 8
+
+    def send(self, block: np.ndarray) -> None:
+        try:
+            _write_all(self.pipe, len(block).to_bytes(8, "little") + block.tobytes())
+        except BrokenPipeError:
+            self.finish()  # it failed: raises
+            raise
+        self.sent += 1
+
+    def finish(self) -> list[int]:
+        """Close the pipe and reap the child; where each message's text
+        ends.  RuntimeError if the child failed."""
+        if self.pipe >= 0:
+            os.close(self.pipe)
+            self.pipe = -1
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = 0
         if status:
-            raise RuntimeError(f"the process writing rows {n // 2} to {n} of a table failed "
+            raise RuntimeError("the process formatting a table failed "
                                f"(exit code {os.waitstatus_to_exitcode(status)})")
+        os.lseek(self.ends, 0, os.SEEK_SET)
+        ends = b"".join(iter(lambda: os.read(self.ends, _READ_BYTES), b""))
+        return [int.from_bytes(ends[i:i + 8], "little") for i in range(0, len(ends), 8)]
+
+    def close(self) -> None:
+        """Kill and reap the child if it runs, and close every file."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        for fd in (self.pipe, self.texts, self.ends):
+            if fd >= 0:
+                os.close(fd)
+        self.pipe = self.texts = self.ends = -1
+
+
+def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int,
+                text: Callable[[np.ndarray], Iterable[str]]) -> Iterator[str]:
+    """The text of a table of `count` rows of `width` cells each, which come
+    one at a time from `rows` as (lead, values), values a flat float array
+    of at most `width` entries, where text(block) yields the text of the
+    rows of a 2-D array whose row i is [lead, *values] of one row.
+
+    Nothing is yielded until `rows` is exhausted and every row is
+    formatted, so a failed solve or a failed formatter writes no byte.
+    repr holds the GIL, so threads cannot share the formatting, but a
+    forked process can.  Rows are held in pieces of about _PIECE_CELLS
+    cells.  A table of SPLIT_CELLS cells or more forks one child (a
+    _Formatter) with its first piece, and sends it each later piece down
+    its pipe while it has at most one waiting, so it formats while `rows`
+    runs; once more than _HELD_CELLS cells are held, the oldest piece is
+    formatted here, so memory stays O(_HELD_CELLS) whatever the table's
+    length.  When `rows` ends, the child takes the first held pieces in the
+    same way and this process formats the last, until they meet.  Smaller
+    tables, and platforms without fork, are formatted here.  Every text
+    goes to a temp file that has no name, and once the child is reaped the
+    texts are yielded in row order, read back in pieces (the text is ASCII).
+
+    RuntimeError if the child fails.  The child is killed and reaped on
+    every other exit, such as an exception from `rows` or a generator
+    closed early."""
+    per_piece = max(1, _PIECE_CELLS // width)
+    most_held = max(1, _HELD_CELLS // (per_piece * width))  # in pieces
+    forks = hasattr(os, "fork") and count * width >= SPLIT_CELLS
+    held, piece, n = [], None, 0  # the full pieces held, the piece being filled and its rows
+    # every formatted piece in row order, as the child's message number or
+    # as (start, stop) of its text in `here`; `tail` holds the pieces this
+    # process formats from the back once `rows` ends, last first
+    order, tail = [], []
+    here, here_size, child = -1, 0, None
+
+    def format_here(block, into):
+        nonlocal here, here_size
+        if here < 0:
+            here = _temp_fd()
+        data = "".join(text(block)).encode()
+        _write_all(here, data)
+        into.append((here_size, here_size + len(data)))
+        here_size += len(data)
+
+    def feed(keep: int) -> None:
+        """Send the child the oldest held pieces while it has at most one
+        waiting, keeping `keep` pieces here."""
+        while len(held) > keep and child.in_flight() < 2:
+            order.append(child.sent)
+            child.send(held.pop(0))
+
+    try:
+        for lead, values in rows:
+            if n == per_piece:  # a full piece, and more rows to come
+                held.append(piece)
+                piece = None
+                if child:
+                    feed(0)
+                elif forks:
+                    order.append(0)
+                    child = _Formatter(text, held, 1 + len(values))
+                    held = []
+                if len(held) > most_held:
+                    format_here(held.pop(0), order)
+            if piece is None:
+                piece, n = np.empty((per_piece, 1 + len(values))), 0
+            piece[n, 0] = lead
+            piece[n, 1:] = values
+            n += 1
+        if n:
+            held.append(piece[:n])
+        if forks and not child:  # one row
+            order.append(0)
+            child = _Formatter(text, held[:1], held[0].shape[1])
+            del held[0]
+        while held:
+            if child:
+                feed(1)
+            format_here(held.pop(), tail)
+        order += reversed(tail)
+        ends = child.finish() if child else []
+        for item in order:
+            if isinstance(item, tuple):
+                fd, (lo, hi) = here, item
+            else:
+                fd, lo, hi = child.texts, ends[item - 1] if item else 0, ends[item]
+            os.lseek(fd, lo, os.SEEK_SET)
+            while lo < hi:
+                chunk = os.read(fd, min(_READ_BYTES, hi - lo))
+                if not chunk:
+                    raise RuntimeError("a table's text ended short")
+                lo += len(chunk)
+                yield chunk.decode()
     finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(r)
-        if w >= 0:
-            os.close(w)
+        if child:
+            child.close()
+        if here >= 0:
+            os.close(here)

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, split_rows, table_block
+from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, stream_rows, table_block
 from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
 _TAYLOR_TERMS = 18  # terms of the scaled exponential in simplex_time_factor (1/18! < 2^-52)
@@ -35,7 +35,7 @@ _BLOCK = 2 ** 16  # most summands third_order_term holds at once
 FIXED_POINT_TOL = 1e-10  # a dyson_tree_density step is done once a sweep moves it less
 FIXED_POINT_SWEEPS = 50  # and raises NonConvergence after this many sweeps
 
-_MAX_SAMPLES = 2 ** 24  # most field samples, (steps + 1) x cells, a tree-level solve stores
+_MAX_CELLS = 2 ** 24  # most table cells, (steps + 1) x cells, of a tree-level solve
 
 
 class PerturbError(Exception):
@@ -245,57 +245,82 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Steps:
+    """The times i * dt, i = 0, ..., count - 1, of a time-stepped solve, as a
+    sized iterable that stores none of them.  (Not a dataclass: making one
+    costs about 1.5 ms of every command's start.)"""
+
+    def __init__(self, dt: float, count: int):
+        self.dt, self.count = dt, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[float]:
+        return (i * self.dt for i in range(self.count))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
-    """Fields on one grid of `shape` in `box` at uniformly spaced times, in
-    representation rep: values[i] is the field at times[i].  A position
-    field is the grid's samples.  A momentum field is the half spectrum of a
-    real field, in grid.half_spectrum's layout; it stands for its Hermitian
-    completion X(-k) = conj X(k), which grid.full_spectrum gives and csv
-    writes."""
+    """Fields on one grid of `shape` in `box` at the given times, in
+    representation rep: the i-th of `fields` is the field at the i-th of
+    `times`.  The fields are drawn once, as the table is written, so a
+    solver can hand over each field as it is solved; `times` is sized, so
+    the writer knows the table's length up front.  A position field is the
+    grid's samples.  A momentum field is the half spectrum of a real field,
+    in grid.half_spectrum's layout; it stands for its Hermitian completion
+    X(-k) = conj X(k), which grid.full_spectrum gives and csv writes."""
 
-    times: tuple[float, ...]
+    times: Collection[float]
     box: tuple[float, ...]
     shape: tuple[int, ...]
     rep: str
-    values: np.ndarray  # (len(times), *shape), or (len(times), *half-spectrum shape)
-
-    def __post_init__(self):
-        grid = np.zeros(self.shape)
-        held = grid.shape if self.rep == POSITION else half_spectrum(grid).shape
-        if self.values.shape[1:] != held:
-            raise ValueError(f"{self.rep} fields on a grid of {self.shape} have shape "
-                             f"{held}, got {self.values.shape[1:]}")
+    fields: Iterable[np.ndarray]  # each of shape `shape`, or of its half spectrum's
 
     def csv_chunks(self) -> Iterator[str]:
-        """The csv() table in pieces: the header line, then the rows of one
-        time step each (one block of grid.table_block), so a writer never
-        holds the whole table; a table of grid.SPLIT_CELLS cells or more gets
-        the second half of its rows from grid.split_rows' child in larger
-        pieces.  A momentum row takes repr on the real parts of its half
-        spectrum and spreads the strings to the full grid, so a cell that the
-        completion fills repeats the string of its mirror."""
+        """The csv() table in pieces, through grid.stream_rows, which formats
+        rows on a second core while the fields are drawn and yields nothing
+        before the last one: the header line, then the text of the rows, in
+        pieces that never hold the whole table.  ValueError if a field has
+        another shape, or if the times and the fields differ in number.
+
+        A momentum row takes repr on the real parts of its half spectrum,
+        and one itemgetter spreads the strings to the full grid, so a cell
+        that the completion fills repeats the string of its mirror, and both
+        cells of a pair k, -k that the half spectrum holds take the string of
+        the first in C order, so the table is exactly Hermitian."""
         g = FieldGrid(self.box, np.zeros(self.shape), self.rep)
         pos = self.rep == POSITION
+        held = g.shape if pos else half_spectrum(g.values).shape
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
         block = table_block(point_labels(g.axes() if pos else g.kaxes()))
-        yield f"t,{cols},value\n"
-        rows = np.real(self.values).reshape(len(self.times), -1)
-        spread = None
-        if rows.shape[1] < g.values.size:  # never on one cell: a one-index itemgetter returns a str
-            # the half-spectrum index that each cell of the grid is completed from
-            source = full_spectrum(np.arange(rows.shape[1]).reshape(self.values.shape[1:]),
-                                   self.shape[-1])
-            spread = itemgetter(*source.ravel().tolist())
+        pick = itemgetter(slice(1, None))  # a row's cells, after its lead
+        if not pos:
+            # the half-spectrum index each cell of the grid is written from
+            source = full_spectrum(np.arange(math.prod(held)).reshape(held), self.shape[-1])
+            source = np.minimum(source, _reflect(source)).ravel()
+            if np.any(source != np.arange(source.size)):
+                pick = itemgetter(*(1 + source).tolist())
 
-        def text(lo, hi):
-            cells = map(reprs, rows[lo:hi])
-            if spread is not None:
-                cells = map(spread, cells)
-            for t, c in zip(self.times[lo:hi], cells):
-                yield block(repr(float(t)), c)
+        def rows():
+            for t, x in zip(self.times, self.fields, strict=True):
+                if x.shape != held:
+                    raise ValueError(f"{self.rep} fields on a grid of {self.shape} have shape "
+                                     f"{held}, got {x.shape}")
+                yield t, x.reshape(-1).real
 
-        yield from split_rows(len(self.times), g.values.size, text)
+        def text(rows):
+            for strs in map(reprs, rows):
+                yield block(strs[0], pick(strs))
+
+        body = stream_rows(rows(), len(self.times), g.values.size, text)
+        try:
+            first = next(body, "")  # the whole solve
+            yield f"t,{cols},value\n"
+            yield first
+            yield from body
+        finally:
+            body.close()
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
@@ -303,14 +328,15 @@ class TimeSeries:
 
 
 def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
-    """PerturbError unless 1 <= steps and the solve stores at most _MAX_SAMPLES
-    samples: both solvers keep the field of every step."""
+    """PerturbError unless 1 <= steps and the table has at most _MAX_CELLS
+    cells, (steps + 1) x cells: a bound on the output's size and the run
+    time, since the fields stream and memory does not grow with the steps."""
     if steps < 1:
         raise PerturbError("steps must be >= 1")
     cells = math.prod(shape)
-    if (steps + 1) * cells > _MAX_SAMPLES:
-        raise PerturbError(f"{steps} steps on {cells} cells store {(steps + 1) * cells} field "
-                           f"samples, more than the {_MAX_SAMPLES} (2^24) allowed")
+    if (steps + 1) * cells > _MAX_CELLS:
+        raise PerturbError(f"{steps} steps on {cells} cells make a table of {(steps + 1) * cells} "
+                           f"cells, more than the {_MAX_CELLS} (2^24) allowed")
 
 
 def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
@@ -324,7 +350,9 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     cost is O(steps) in time and O(grid) in history memory.
 
     The density is real, so the recursion runs on the half spectrum (last
-    axis k >= 0), and the series holds the half spectrum of every step.
+    axis k >= 0), and the series holds the half spectrum of every step, each
+    handed over as it is solved.  NonConvergence, from the step that stalls,
+    reaches whoever draws the fields.
     """
     g = spec.grid()
     shape, d = g.shape, g.dim
@@ -334,8 +362,6 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     rhat = half_spectrum(np.real(kernel_field(spec).to_momentum().values))
     dV = g.cell_volume
     vhat = half_spectrum(g.to_momentum().values)
-    out = np.empty((steps + 1, *vhat.shape), complex)
-    out[0] = vhat
     step_prop = np.exp(-spec.D * dt * k2)
     # x and R*x from the half spectrum of x, and the half spectrum of a product
     to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),
@@ -347,25 +373,28 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
         x, rx = to_pair(xh)
         return to_half(x * rx)
 
-    coll = collision(vhat)
-    hist = np.zeros_like(vhat)
-    for i in range(1, steps + 1):
-        # trapezoid weight 1/2 on the s = 0 end of the history
-        hist = step_prop * (hist + (0.5 if i == 1 else 1.0) * coll)
-        base = np.exp(-spec.D * (i * dt) * k2) * vhat - dt * hist
-        # first-order guess for the implicit endpoint term
-        x = base - 0.5 * dt * step_prop * coll
-        for _ in range(FIXED_POINT_SWEEPS):
-            xn = base - 0.5 * dt * collision(x)
-            corr = np.abs(xn - x).max()
-            x = xn
-            if corr < FIXED_POINT_TOL:
-                break
-        else:
-            raise NonConvergence(f"fixed point stalled at correction {corr:.3e} (step {i})")
-        coll = collision(x)
-        out[i] = x
-    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, shape, MOMENTUM, out)
+    def fields():
+        yield vhat
+        coll = collision(vhat)
+        hist = np.zeros_like(vhat)
+        for i in range(1, steps + 1):
+            # trapezoid weight 1/2 on the s = 0 end of the history
+            hist = step_prop * (hist + (0.5 if i == 1 else 1.0) * coll)
+            base = np.exp(-spec.D * (i * dt) * k2) * vhat - dt * hist
+            # first-order guess for the implicit endpoint term
+            x = base - 0.5 * dt * step_prop * coll
+            for _ in range(FIXED_POINT_SWEEPS):
+                xn = base - 0.5 * dt * collision(x)
+                corr = np.abs(xn - x).max()
+                x = xn
+                if corr < FIXED_POINT_TOL:
+                    break
+            else:
+                raise NonConvergence(f"fixed point stalled at correction {corr:.3e} (step {i})")
+            coll = collision(x)
+            yield x
+
+    return TimeSeries(_Steps(dt, steps + 1), g.box, shape, MOMENTUM, fields())
 
 
 def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
@@ -373,9 +402,10 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
 
     Diffusion half-steps are exact (spectral); the reaction substep advances
     the coupled local ODE with classical RK4.  Every transform is of a real
-    field, so all of them run on the half spectrum.  A step too long for RK4
-    overflows, and a value that is not finite stays so, so Unstable is
-    raised once, after the last step.
+    field, so all of them run on the half spectrum.  Each field is handed
+    over as it is solved.  A step too long for RK4 overflows, and a value
+    that is not finite stays so, so Unstable is raised once, after the last
+    field.
     """
     g = spec.grid()
     shape = g.shape
@@ -385,24 +415,48 @@ def mean_field_pde(spec, t_end: float, steps: int) -> TimeSeries:
     heat_half_change = heat_change(g, spec.D, dt / 2.0)
     convolve = dense_map(lambda x: half_ifft(rhat * half_fft(x, g.dim), shape), shape)
 
+    # Each step makes few temporaries and updates them in place: on small
+    # grids a step is mostly NumPy's per-call cost.  RK4 runs on the loss
+    # rate m = x (R*x) = -dX/dt, so every sign is carried by a subtraction;
+    # the bits are those of x + h k with k = -x (R*x), since negation is
+    # exact and a + (-b) is a - b.
     def diffuse_half_step(x):
-        return x + heat_half_change(x)
+        y = heat_half_change(x)
+        y += x
+        return y
 
-    def rhs(x):
-        return -x * convolve(x)
+    def loss(x):
+        y = convolve(x)
+        y *= x
+        return y
 
-    out = np.empty((steps + 1, *shape))
-    x = out[0] = g.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            x = diffuse_half_step(x)
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = out[i] = diffuse_half_step(x)
-    if not np.all(np.isfinite(x)):
-        raise Unstable(f"mean-field field is not finite by t = {t_end:g}: the step dt = {dt:g} "
-                       "is too long; use more steps")
-    return TimeSeries(tuple(i * dt for i in range(steps + 1)), g.box, shape, POSITION, out)
+    def ahead(x, h, m):
+        """x - h m, in a new array."""
+        y = h * m
+        return np.subtract(x, y, out=y)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def step(x):
+        x = diffuse_half_step(x)
+        m1 = loss(x)
+        m2 = loss(ahead(x, 0.5 * dt, m1))
+        m3 = loss(ahead(x, 0.5 * dt, m2))
+        m4 = loss(ahead(x, dt, m3))
+        m2 *= 2  # ((m1 + 2 m2) + 2 m3) + m4, in the order RK4 sums them
+        m2 += m1
+        m3 *= 2
+        m2 += m3
+        m2 += m4
+        return diffuse_half_step(ahead(x, dt / 6.0, m2))
+
+    def fields():
+        x = g.values
+        yield x
+        for _ in range(steps):
+            x = step(x)
+            yield x
+        if not np.all(np.isfinite(x)):
+            raise Unstable(f"mean-field field is not finite by t = {t_end:g}: the step dt = {dt:g} "
+                           "is too long; use more steps")
+
+    return TimeSeries(_Steps(dt, steps + 1), g.box, shape, POSITION, fields())

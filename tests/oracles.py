@@ -101,16 +101,18 @@ def to_position(fg: FieldGrid) -> FieldGrid:
 
 
 def full_values(series) -> np.ndarray:
-    """The fields of a perturb TimeSeries on its whole grid: a momentum
-    series holds half spectra, each completed here by X(-k) = conj X(k)."""
+    """The fields of a perturb TimeSeries on its whole grid, drawn from it:
+    a momentum series holds half spectra, each completed here by
+    X(-k) = conj X(k)."""
     if series.rep != MOMENTUM:
-        return series.values
-    return np.array([full_spectrum(x, series.shape[-1]) for x in series.values])
+        return np.array(list(series.fields))
+    return np.array([full_spectrum(x, series.shape[-1]) for x in series.fields])
 
 
 def final_field(series) -> FieldGrid:
-    """The last field of a perturb TimeSeries, as a FieldGrid."""
-    x = series.values[-1]
+    """The last field of a perturb TimeSeries, drawn from it, as a FieldGrid."""
+    for x in series.fields:
+        pass
     if series.rep == MOMENTUM:
         x = full_spectrum(x, series.shape[-1])
     return FieldGrid(series.box, x, series.rep)

@@ -483,7 +483,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     t2, steps = 0.4, 800
     dy = dyson_tree_density(spec2, t2, steps)
     mf2 = mean_field_pde(spec2, t2, steps)
-    sup = float(np.max(np.abs(to_position(final_field(dy)).values - mf2.values[-1])))
+    sup = float(np.max(np.abs(to_position(final_field(dy)).values - final_field(mf2).values)))
     ok &= sup < 1e-6
 
     # the same in 2-D, on an even square grid and an odd non-square one
@@ -497,7 +497,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
         dy3 = dyson_tree_density(spec3, 0.4, 400)
         mf3 = mean_field_pde(spec3, 0.4, 400)
         sups2d.append(float(np.max(np.abs(to_position(final_field(dy3)).values
-                                          - mf3.values[-1]))))
+                                          - final_field(mf3).values))))
     ok &= max(sups2d) < 1e-6
 
     # early-time particle MC within 3 SE of mean field (Rvt <= 0.2)
@@ -512,7 +512,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     tabm = np.asarray(kern(np.minimum(x, L - x)), float)
     specm = ModelSpec("Annihilation", (L,), D,
                       {"R": Rate(const=1.0, table=tuple(tabm))}, gm)
-    mfv = mean_field_pde(specm, tmc, 200).values[-1]
+    mfv = final_field(mean_field_pde(specm, tmc, 200)).values
     rep = run(specm, SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern), tmc)
     dV = rep.fields["density"].cell_volume
     pred = np.sqrt(np.maximum(mfv, 0) * dV / rep.replicas) / dV
@@ -524,7 +524,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
 
     # qualitative, non-gated: at later times fluctuations slow the decay
     tlate = 1.5
-    mflate = float(np.mean(mean_field_pde(specm, tlate, 600).values[-1]))
+    mflate = float(np.mean(final_field(mean_field_pde(specm, tlate, 600)).values))
     replate = run(specm, SimConfig(dt=0.02, replicas=1500, seed=6, kernel=kern), tlate)
     mclate = float(np.mean(replate.fields["density"].values))
     with capsys.disabled():

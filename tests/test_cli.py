@@ -947,7 +947,7 @@ class TestPerturb:
          {"dyson": "78a2ac4515081daa34c802d81be28cfb48c68c8495ac64727dcf8220c979912c",
           "meanfield": "07736fca0f926a5db16aa453e2d525de1aaa2073f82897f602c8b3c8b2b5d796"}),
         ((6.0, 5.5), (12, 11), (2.2, 3.9), 200,
-         {"dyson": "3c4b5e2dfb8a50c409884ae8ce4a650148771d76da739dd75174a697d8da3e56",
+         {"dyson": "a0044176693026adfe33a2cdc78fb2c3f234506ac7ba0000f74fba4b124fb9d3",
           "meanfield": "7fe89b6e177d2fe20a2b1cf3178528061774cff6b29fa02a1af140ecfff50138"}),
         ((10.0,), (64,), (5.0,), 3000, TREE_LEVEL_DIGESTS),
     ], ids=["1d-64", "2d-12x11", "tree-level"])
@@ -964,11 +964,16 @@ class TestPerturb:
         mass 0.8 and width 0.6, an intensity of mass 8 and width 1, D = 0.7,
         t_end 0.4); its 64 cells take dense_map's matrix path.  The 2-D grid has 132
         cells, past DENSE_CELLS, so it takes the FFT path, and an odd last
-        axis, which the mirror X(-k) = conj X(k) completes.  The tree-level
-        id is the benchmark's run of 3,000 steps: its tables of 192,064 cells
-        are past grid.SPLIT_CELLS, so two processes format them (the other
-        ids are below it); its digests were recorded at fc18455, where one
-        process did."""
+        axis, which the mirror X(-k) = conj X(k) completes.  The 2-D Dyson
+        digest was recorded again when momentum tables came to be written
+        exactly Hermitian: where the half spectrum holds both k and -k (the
+        last-axis-0 column of this grid), each pair now takes the string of
+        the first in C order, and 776 cells changed, by at most 8.9e-16
+        (one rounding unit of the values near 8); no other byte changed.
+        The tree-level id is the benchmark's run of 3,000 steps: its tables
+        of 192,064 cells are past grid.SPLIT_CELLS, so two processes format
+        them (the other ids are below it); its digests were recorded at
+        fc18455, where one process did."""
         model = gaussian_annihilation_model(tmp_path / "m.json", box, shape, center)
         for method, digest in digests.items():
             out = tmp_path / f"{method}.csv"
@@ -979,8 +984,8 @@ class TestPerturb:
     def test_tree_level_stdout_in_a_fresh_interpreter(self, tmp_path):
         """Without --out, the tree-level table goes to stdout with the bytes
         of the --out file, and with every warning an error the run exits 0
-        with nothing on stderr: the child that formats the second half of
-        the rows writes only to its pipe."""
+        with nothing on stderr: the formatter child writes only to its temp
+        files."""
         argv = ["perturb", gaussian_annihilation_model(tmp_path / "m.json"),
                 "--t-end", "0.4", "--steps", "3000"]
         out = tmp_path / "dyson.csv"
@@ -997,8 +1002,8 @@ class TestPerturb:
     def test_failed_split_table_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                           side):
         """A table formatted in two processes fails as one command: when the
-        child that formats the second half fails, when this process fails
-        mid-way through the first half, or when the file write fails mid-way,
+        formatter child fails, when this process fails mid-way through its
+        own pieces, or when the file write fails mid-way,
         perturb exits 4 with one stderr line and leaves neither the output,
         nor a temp file, nor a child process."""
         from rdito import perturb
@@ -1044,6 +1049,113 @@ class TestPerturb:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("case", ["nonconvergence", "unstable", "closed", "child"])
+    def test_streamed_failures_write_nothing(self, tmp_path, capfd, monkeypatch, case, out):
+        """A perturb table is streamed to its writer while the solve runs,
+        and a failure at any point leaves nothing behind: NonConvergence mid-
+        way through a Dyson solve, with the formatter child busy; the mean
+        field's Unstable, raised after its last field; the stream closed
+        early by a writer that fails on its first chunk; and a formatter
+        child that fails.  Each exits 3 (4 for the writer and the child)
+        with one stderr line, writes no byte to stdout, and leaves no output,
+        no temp file and no child process."""
+        import dataclasses
+
+        from rdito import perturb
+
+        model = gaussian_annihilation_model(tmp_path / "m.json")
+        argv = ["perturb", model, "--t-end", "0.4", "--steps", "3000", "--method", "meanfield"]
+        code = 3
+        if case == "nonconvergence":
+            real = perturb.dyson_tree_density
+
+            def dyson(*args):
+                series = real(*args)
+
+                def fields():
+                    for i, x in enumerate(series.fields):
+                        if i == 1500:  # a fixed point that never reaches its tolerance
+                            monkeypatch.setattr(perturb, "FIXED_POINT_TOL", 0.0)
+                        yield x
+
+                return dataclasses.replace(series, fields=fields())
+
+            monkeypatch.setattr(perturb, "dyson_tree_density", dyson)
+            argv[-1] = "dyson"
+        elif case == "unstable":
+            argv[3] = "4000"  # a step of 1.33, too long for RK4: the field overflows
+        elif case == "closed":
+            code = 4
+
+            class Closing:
+                def __init__(self, f):
+                    self.f = f
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.f.close()
+
+                def write(self, text):
+                    self.f.write(text)
+
+                def writelines(self, chunks):
+                    for i, chunk in enumerate(chunks):
+                        if i == 0:
+                            raise OSError(errno.EPIPE, "Broken pipe")
+                        self.f.write(chunk)
+
+            real_fdopen = os.fdopen
+            monkeypatch.setattr(os, "fdopen", lambda fd, mode: Closing(real_fdopen(fd, mode)))
+            monkeypatch.setattr(sys, "stdout", Closing(sys.stdout))
+        else:
+            code, parent, real_write = 4, os.getpid(), os.write
+
+            def write(fd, data):
+                if os.getpid() != parent:
+                    raise MemoryError("formatting failed")
+                return real_write(fd, data)
+
+            monkeypatch.setattr(os, "write", write)
+        if out:
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == code
+        monkeypatch.undo()
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("runtime error: " if code == 3 else "internal error: ")
+        assert {"nonconvergence": "fixed point stalled", "unstable": "not finite",
+                "closed": "Broken pipe", "child": "exit code 1"}[case] in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_meanfield_memory_does_not_grow_with_steps(self, tmp_path):
+        """The fields stream into the table writer, which holds at most
+        grid._HELD_CELLS cells unformatted, so the traced peak of a mean-field
+        run on 8 cells grows by less than 256 KiB from 2,000 steps (16,008
+        cells, all held) to 20,000.  When the solvers kept every step, the
+        peak grew by about 2.6 MiB: the (steps + 1) x cells array and the
+        tuple of times."""
+        import tracemalloc
+
+        model = write_json(tmp_path / "m.json", {
+            "kind": "Annihilation", "box": [10.0], "shape": [8], "D": 0.5, "rates": {"R": 0.3},
+            "v": {"expr": "gaussian", "mass": 4.0, "width": 1.5, "center": [5.0]}})
+        peaks = []
+        for steps in (2000, 20000):
+            tracemalloc.start()
+            try:
+                assert main(["perturb", model, "--t-end", "1", "--steps", str(steps),
+                             "--method", "meanfield", "--out", str(tmp_path / "x.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
     def test_solvers_called_through_module_attributes(self, tmp_path, monkeypatch):
         """perturb looks each solver up on the perturb module when it is
         called, so a wrapper set on the attribute (perfbench times calls that
@@ -1064,9 +1176,11 @@ class TestPerturb:
 
     @pytest.mark.parametrize("method", ["dyson", "meanfield"])
     def test_too_many_samples_runtime_exit(self, tmp_path, method):
-        """Both solvers keep every step's field: 10^9 steps on 32 cells made
-        dyson exit 4 on a MemoryError, and the mean field would grow its
-        lists for hours.  Past the sample cap both refuse before any step."""
+        """10^9 steps on 32 cells made dyson exit 4 on a MemoryError when
+        the solvers kept every step's field, and would run the mean field
+        for hours.  The fields now stream, but the cap on the table's cells,
+        (steps + 1) x cells, bounds the output's size and the run time:
+        past it both refuse before any step."""
         model = self.annih_model(tmp_path)
         res = fresh_python("import sys, time; from rdito.cli import main; "
                            "start = time.perf_counter(); "

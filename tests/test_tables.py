@@ -3,9 +3,11 @@ order, coordinates equal to the grid's axes, values that round-trip exactly,
 and the bytes of the per-row reference writer in oracles.table_rows."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
+import time
 from itertools import zip_longest
 
 import numpy as np
@@ -85,16 +87,18 @@ def annihilation_2d():
 def test_time_series_csv_position_and_momentum():
     spec = annihilation_2d()
     n = math.prod(SHAPE)
-    for series, cols, axes_of in (
-        (mean_field_pde(spec, 0.1, 3), "t,x0,x1,value", FieldGrid.axes),
-        (dyson_tree_density(spec, 0.1, 3), "t,k0,k1,value", FieldGrid.kaxes),
+    for solve, cols, axes_of in (
+        (mean_field_pde, "t,x0,x1,value", FieldGrid.axes),
+        (dyson_tree_density, "t,k0,k1,value", FieldGrid.kaxes),
     ):
-        head, rows = body(series.csv(), 1)
+        head, rows = body(solve(spec, 0.1, 3).csv(), 1)
         assert head == [cols]
-        assert len(rows) == len(series.times) * n
-        for k, (t, values) in enumerate(zip(series.times, full_values(series))):
-            fg = FieldGrid(series.box, values, series.rep)
-            check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), np.real(values))
+        series = solve(spec, 0.1, 3)  # a series is drawn once
+        times = list(series.times)
+        assert len(rows) == len(times) * n
+        for k, (t, values) in enumerate(zip(times, written_values(series))):
+            fg = FieldGrid(series.box, values.reshape(SHAPE), series.rep)
+            check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), fg.values)
 
 
 def test_grid_csv_2d_rows():
@@ -125,16 +129,30 @@ SHAPES = [(1,), (2,), (3,), (6,), (7,), (1, 1), (2, 2), (3, 4), (4, 5), (1, 1, 1
 MATCH = settings(derandomize=True, database=None, deadline=None, max_examples=6)
 
 
+def written_values(series) -> np.ndarray:
+    """The values a TimeSeries table writes, one row of the grid's cells
+    per time, drawn from the series: a momentum row completed to the full
+    spectrum and written exactly Hermitian, taking at k and -k the real part
+    of whichever comes first in C order (the two differ only where the half
+    spectrum holds both)."""
+    values = np.real(full_values(series)).reshape(-1, math.prod(series.shape))
+    if series.rep == POSITION:
+        return values
+    idx = np.indices(series.shape).reshape(len(series.shape), -1)
+    mirror = np.ravel_multi_index(tuple(-i % n for i, n in zip(idx, series.shape)), series.shape)
+    return values[:, np.minimum(np.arange(values.shape[1]), mirror)]
+
+
 def series_csv_reference(series):
-    """TimeSeries.csv as the per-row writer wrote it: one f-string per row,
-    a momentum row completed to the full spectrum first."""
+    """TimeSeries.csv as the per-row writer wrote it: one f-string per row
+    of written_values."""
     g = FieldGrid(series.box, np.zeros(series.shape), series.rep)
     pos = series.rep == POSITION
     cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
     labels = point_labels(g.axes() if pos else g.kaxes())
     return f"t,{cols},value\n" + "".join(
         "\n".join(table_rows(repr(float(t)), labels, v)) + "\n"
-        for t, v in zip(series.times, np.real(full_values(series))))
+        for t, v in zip(series.times, written_values(series)))
 
 
 def grid_csv_reference(report):
@@ -214,13 +232,15 @@ def test_grid_and_density_tables_match_the_per_row_writer(shape, data):
 
 def test_dyson_rows_write_each_real_part_as_its_mirror():
     """Every Dyson row, t = 0 included, writes Re X(-k) as the same string
-    as Re X(k) at every cell that the Hermitian completion of the stored half
-    spectrum fills (last-axis index above n // 2).  The t = 0 row was once
-    the fftn of the initial intensity, whose mirrored real parts differ in
-    the last bits on these grids.  Where k and -k both lie in the half
-    spectrum (last-axis index 0 in 2-D), both are solved values.  Even and
-    odd last axes."""
-    for shape in ((16,), (9, 7)):
+    as Re X(k) at every cell.  Where the Hermitian completion of the stored
+    half spectrum fills the cell (last-axis index above n // 2), the string
+    is spread from the mirror.  The t = 0 row was once the fftn of the
+    initial intensity, whose mirrored real parts differ in the last bits on
+    these grids.  Where k and -k both lie in the half spectrum (last-axis
+    index 0, and n / 2 on an even last axis, in 2-D), both are solved and
+    differ in the last bits, so both take the string of the first in C
+    order.  Even and odd last axes."""
+    for shape in ((16,), (9, 7), (6, 8)):
         d = len(shape)
         spec = ModelSpec.from_json(json.dumps({
             "kind": "Annihilation", "box": list(BOX[:d]), "shape": list(shape), "D": 0.7,
@@ -229,25 +249,31 @@ def test_dyson_rows_write_each_real_part_as_its_mirror():
         _, rows = body(dyson_tree_density(spec, 0.1, 4).csv(), 1)
         idx = np.indices(shape).reshape(d, -1)
         mirror = np.ravel_multi_index(tuple(-i % m for i, m in zip(idx, shape)), shape)
-        filled = np.flatnonzero(idx[-1] > shape[-1] // 2)
         n = math.prod(shape)
         assert len(rows) == 5 * n
         for k in range(5):
             values = [row[-1] for row in rows[k * n:(k + 1) * n]]
-            assert [values[j] for j in filled] == [values[j] for j in mirror[filled]], k
+            assert values == [values[j] for j in mirror], k
+        if d > 1:  # the solved pairs do differ, or the test shows nothing
+            fields = full_values(dyson_tree_density(spec, 0.1, 4))
+            re = np.real(fields).reshape(5, n)
+            assert np.any(re != re[:, mirror]), shape
 
 
 def test_time_series_refuses_fields_of_another_layout():
-    """A momentum series holds half spectra, a position series whole grids."""
+    """A momentum series holds half spectra, a position series whole grids,
+    and it has one field per time."""
     times, shape = (0.0, 1.0), (4, 6)
     with pytest.raises(ValueError, match="shape"):
-        TimeSeries(times, box_of(shape), shape, MOMENTUM, np.zeros((2, 4, 6), complex))
+        TimeSeries(times, box_of(shape), shape, MOMENTUM, np.zeros((2, 4, 6), complex)).csv()
     with pytest.raises(ValueError, match="shape"):
-        TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((2, 4, 4)))
+        TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((2, 4, 4))).csv()
+    with pytest.raises(ValueError, match="shorter"):
+        TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((1, 4, 6))).csv()
 
 
 # ---------------------------------------------------------------------------
-# Tables formatted in two processes (grid.split_rows)
+# Tables streamed through forked formatters (grid.stream_rows)
 # ---------------------------------------------------------------------------
 
 
@@ -267,10 +293,41 @@ def counted_forks():
         yield forks
 
 
+@contextlib.contextmanager
+def live_children():
+    """os.fork and os.waitpid, tracking the children forked and not yet
+    reaped; yields a dict whose "most" is the largest number alive at once
+    and "forks" the number forked."""
+    real_fork, real_wait, live = os.fork, os.waitpid, set()
+    seen = {"most": 0, "forks": 0}
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            live.add(pid)
+            seen["forks"] += 1
+            seen["most"] = max(seen["most"], len(live))
+        return pid
+
+    def waitpid(pid, options):
+        got = real_wait(pid, options)
+        live.discard(got[0])
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork)
+        mp.setattr(os, "waitpid", waitpid)
+        yield seen
+
+
 def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
 
 
 def assert_same_text(got, want):
@@ -304,6 +361,23 @@ def large_series(rep=MOMENTUM, shape=(64,), rows=1001):
     return drawn_series(rep, shape, tuple(i * 1e-3 for i in range(rows)), 7)
 
 
+def streamed(series, spin=0.0, fail_after=None):
+    """`series` with its fields drawn from a generator, as a solver hands
+    them over: each after `spin` seconds of work, and ValueError in place
+    of field number `fail_after`."""
+
+    def fields():
+        for i, x in enumerate(series.fields):
+            if i == fail_after:
+                raise ValueError("the solve failed")
+            stop = time.perf_counter() + spin
+            while time.perf_counter() < stop:
+                pass
+            yield x
+
+    return dataclasses.replace(series, fields=fields())
+
+
 @pytest.mark.parametrize("rows, side, dim", [(1, -1, 1), (1, 0, 2), (1, 1, 1), (2, -1, 2),
                                              (2, 0, 1), (2, 1, 2), (3, -1, 1), (5, 1, 2)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=2)
@@ -326,27 +400,87 @@ def test_split_tables_match_the_per_row_writer(rows, side, dim, seed, data):
     assert_no_children()
 
 
+BLOCK = SPLIT_CELLS // 64  # rows of 64 cells in which the writer forks its first child
+
+
+@pytest.mark.parametrize("rows, forks", [(BLOCK - 1, 0), (BLOCK, 1), (BLOCK + 1, 1),
+                                         (BLOCK + 2, 1), (6 * BLOCK + 5, None)])
+def test_streamed_tables_match_the_per_row_writer(rows, forks):
+    """Rows of 64 cells drawn from a generator, at one block of SPLIT_CELLS
+    cells, one block and one row either side of it, just past it, and over
+    several blocks (a first child, larger ones, pieces formatted here while
+    a child is busy, and a last split): the bytes of the per-row writer.
+    One block or less is one table for one process to format, or two to
+    split at the end; a row more and a child takes the first block while
+    the rows are drawn."""
+    for rep in (POSITION, MOMENTUM):
+        series = large_series(rep, rows=rows)
+        with counted_forks() as got:
+            text = streamed(series).csv()
+        assert forks is None or len(got) == forks
+        assert_same_text(text, series_csv_reference(series))
+    assert_no_children()
+
+
+def test_streamed_table_yields_nothing_before_the_last_field():
+    """The header comes only once every field has been drawn and formatted,
+    so a solve that fails part-way writes no byte."""
+    series = large_series(rows=BLOCK + 100)
+    drawn = []
+
+    def fields():
+        for x in series.fields:
+            drawn.append(x)
+            yield x
+
+    chunks = dataclasses.replace(series, fields=fields()).csv_chunks()
+    assert next(chunks).startswith("t,k0,value") and len(drawn) == BLOCK + 100
+    chunks.close()
+    assert_no_children()
+
+
+@pytest.mark.parametrize("spin", [0.0, 20e-6])
+def test_streamed_table_keeps_one_child(spin):
+    """One formatter child is forked for a table, and it is the only child
+    alive (forked and not reaped) at any moment, whether the fields come at
+    once (the child falls behind and this process formats pieces too) or
+    after some work each (the child keeps up)."""
+    series = large_series(rows=4000)
+    with live_children() as seen:
+        text = streamed(series, spin).csv()
+    assert seen["most"] == seen["forks"] == 1
+    assert_same_text(text, series_csv_reference(series))
+    assert_no_children()
+
+
 def test_split_table_leaves_no_process():
-    """The child that formats a table's second half is reaped after a full
-    write, after the consumer closes the stream after its first row, after
-    an exception thrown into the stream mid-way (KeyboardInterrupt too), and
+    """The formatter child is reaped, and every temp file closed, after a
+    full write, after the consumer closes the stream after its header or
+    mid-way, after an exception thrown into the stream mid-way
+    (KeyboardInterrupt too), when the solve fails with the child busy, and
     when the first call after fork returns in this process raises."""
-    series = large_series()
+    series = large_series(rows=3000)
+    fds = open_fds()
     with counted_forks() as forks:
         whole = series.csv()
         assert_no_children()
-        chunks = series.csv_chunks()
-        next(chunks), next(chunks)  # the header, then the first row with the child running
-        chunks.close()
-        assert_no_children()
+        for reads in (1, 2):
+            chunks = series.csv_chunks()
+            for _ in range(reads):
+                next(chunks)
+            chunks.close()
+            assert_no_children()
         for exc in (ValueError, KeyboardInterrupt):
             chunks = series.csv_chunks()
-            for _ in range(300):
-                next(chunks)
+            next(chunks), next(chunks)
             with pytest.raises(exc):
                 chunks.throw(exc)
             assert_no_children()
-    assert len(forks) == 4
+        with pytest.raises(ValueError, match="the solve failed"):
+            streamed(series, fail_after=2 * BLOCK).csv()
+        assert_no_children()
+    assert len(forks) == 6
+    assert open_fds() == fds
 
     real_close, parent = os.close, os.getpid()
     calls = []
@@ -363,35 +497,37 @@ def test_split_table_leaves_no_process():
             series.csv()
     assert len(forks) == 1
     assert_no_children()
+    assert open_fds() == fds + 1  # the pipe end whose close failed
+    real_close(calls[0])
     assert_same_text(series.csv(), whole)
 
 
 def test_split_table_raises_when_its_child_fails(monkeypatch):
-    """A child that fails writes nothing and exits 1; the stream raises
-    after the first half instead of ending short."""
-    import rdito.perturb as perturb
+    """A child that fails exits 1; the stream raises RuntimeError before
+    it yields anything, instead of ending short."""
+    parent, real = os.getpid(), os.write
 
-    parent, real = os.getpid(), perturb.reprs
-
-    def reprs(values):
+    def write(fd, data):
         if os.getpid() != parent:
             raise MemoryError
-        return real(values)
+        return real(fd, data)
 
-    monkeypatch.setattr(perturb, "reprs", reprs)
-    series = large_series()
-    got = []
-    with pytest.raises(RuntimeError, match="exit code 1"):
-        got.extend(series.csv_chunks())
-    assert len(got) == 1 + len(series.times) // 2
-    assert_no_children()
+    monkeypatch.setattr(os, "write", write)
+    for series in (large_series(), streamed(large_series(rows=3000), 20e-6)):
+        got = []
+        with pytest.raises(RuntimeError, match="exit code 1"):
+            got.extend(series.csv_chunks())
+        assert got == []
+        assert_no_children()
 
 
 def test_split_table_without_fork_has_the_same_bytes(monkeypatch):
-    """Where os.fork does not exist, the table is formatted in this process."""
-    for series in (large_series(), large_series(POSITION, (6, 9), 700)):
+    """Where os.fork does not exist, the table is formatted in this
+    process, in pieces past the rows it holds at most."""
+    for series in (large_series(), large_series(POSITION, (6, 9), 700),
+                   large_series(rows=3000)):
         whole = series.csv()
         with monkeypatch.context() as mp:
             mp.delattr(os, "fork")
-            assert_same_text(series.csv(), whole)
+            assert_same_text(streamed(series).csv(), whole)
         assert_same_text(whole, series_csv_reference(series))
