@@ -43,20 +43,29 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def atomic_write(path: str, text: str, chunks: Iterable[str] = ()) -> None:
-    """Write text, then each of chunks as it comes, to path via a temp file
-    in the same directory + rename."""
+def atomic_write(path: str, text: str, chunks: Iterable[str] = ()) -> str:
+    """Write text, then each of chunks as it comes, UTF-8 encoded, to path
+    via a temp file in the same directory + rename.  Returns the SHA-256
+    of the bytes written, as "sha256:<hex>", hashed as they are written."""
     path = os.path.abspath(path)
+    h = hashlib.sha256()
+
+    def encoded(part: str) -> bytes:
+        data = part.encode()
+        h.update(data)
+        return data
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rdito-tmp-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-            f.writelines(chunks)
+        with os.fdopen(fd, "wb") as f:
+            f.write(encoded(text))
+            f.writelines(map(encoded, chunks))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return "sha256:" + h.hexdigest()
 
 
 def _digest(path: str) -> str:
@@ -67,15 +76,16 @@ def _digest(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def write_manifest(base: str, command: str, config: dict, seed, outputs) -> str:
-    """Emit `<base>.manifest.json` describing a completed run."""
+def write_manifest(base: str, command: str, config: dict, seed, outputs: dict) -> str:
+    """Emit `<base>.manifest.json` describing a completed run whose outputs
+    are {path: digest}."""
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "version": __version__,
         "wall_clock": datetime.now(timezone.utc).isoformat(),
-        "outputs": {os.path.basename(p): _digest(p) for p in outputs},
+        "outputs": {os.path.basename(p): d for p, d in outputs.items()},
     }
     path = base + ".manifest.json"
     atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -119,12 +129,11 @@ def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
     if not args.out:
         sys.stdout.writelines(_chunks(next(iter(outputs.values()))))
         return
-    paths = []
+    digests = {}
     for suffix, body in outputs.items():
         chunks = _chunks(body)
-        atomic_write(args.out + suffix, next(chunks, ""), chunks)
-        paths.append(args.out + suffix)
-    write_manifest(args.out, command, config, seed, paths)
+        digests[args.out + suffix] = atomic_write(args.out + suffix, next(chunks, ""), chunks)
+    write_manifest(args.out, command, config, seed, digests)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ block (one time step, one field) is one join of them, with the lead put in
 once.  Values are written with repr, so float(cell) gives each back exactly.
 A table whose rows are solved one at a time goes through stream_rows, which
 formats them while they are solved: repr holds the GIL, so from SPLIT_CELLS
-cells on, one forked child formats the rows sent down a pipe while this
-process solves, and the two share the rows left when the solve ends.  It
-holds O(_HELD_CELLS) cells and yields nothing before the last row.
+cells on, one forked child formats the pieces of rows sent down a pipe while
+this process solves.  A full piece goes to the child if it has at most one
+waiting, and is formatted here at once otherwise.  It holds O(_PIECE_CELLS)
+cells and yields nothing before the last row.
 """
 
 from __future__ import annotations
@@ -234,7 +235,6 @@ def reprs(values: np.ndarray) -> tuple[str, ...]:
 
 SPLIT_CELLS = 2 ** 15  # fewest table cells formatted with a forked process
 _PIECE_CELLS = 2 ** 11  # cells per piece, the rows stream_rows holds, sends and formats at once
-_HELD_CELLS = 2 ** 15  # most cells stream_rows holds unformatted while its child is behind
 _READ_BYTES = 2 ** 16  # most bytes stream_rows reads back at once
 
 
@@ -251,18 +251,17 @@ def _write_all(fd: int, data) -> None:
 
 
 class _Formatter:
-    """A forked child that formats rows of a table: first the blocks it is
-    forked with, then each piece of rows sent down its pipe (the row count
-    as 8 bytes, then the rows of `row_floats` floats).  After each of these
-    messages it appends its text to the temp file `texts` and the new
-    length of that file, as 8 bytes, to the temp file `ends`, so the parent
-    sees how many messages it has done and where each one's text ends.  It
-    leaves only by os._exit: 0 once the pipe is closed and all is written,
-    1 on any error; so it never runs the caller's code or flushes an
-    inherited buffer."""
+    """A forked child that formats each piece of rows of a table sent down
+    its pipe (the row count as 8 bytes, then the rows of `row_floats`
+    floats).  After each piece it appends its text to the temp file `texts`
+    and the new length of that file, as 8 bytes, to the temp file `ends`,
+    so the parent sees how many pieces it has done and where each one's
+    text ends.  It leaves only by os._exit: 0 once the pipe is closed and
+    all is written, 1 on any error; so it never runs the caller's code or
+    flushes an inherited buffer."""
 
-    def __init__(self, text, blocks, row_floats: int):
-        self.texts, self.ends, self.sent = _temp_fd(), _temp_fd(), 1
+    def __init__(self, text, row_floats: int):
+        self.texts, self.ends, self.sent = _temp_fd(), _temp_fd(), 0
         r, self.pipe = os.pipe()
         try:
             self.pid = os.fork()
@@ -274,7 +273,7 @@ class _Formatter:
             code = 1
             try:
                 os.close(self.pipe)
-                self._format(text, blocks, r, row_floats)
+                self._format(text, r, row_floats)
                 code = 0
             finally:
                 os._exit(code)
@@ -284,24 +283,20 @@ class _Formatter:
             self.close()
             raise
 
-    def _format(self, text, blocks, r: int, row_floats: int) -> None:
-        """The child's work: `blocks`, then every message read from `r`."""
+    def _format(self, text, r: int, row_floats: int) -> None:
+        """The child's work: every piece read from `r`."""
         size = 0
         with open(r, "rb") as pipe:
-            while True:
-                for block in blocks:
-                    data = "".join(text(block)).encode()
-                    _write_all(self.texts, data)
-                    size += len(data)
-                _write_all(self.ends, size.to_bytes(8, "little"))
-                head = pipe.read(8)
-                if not head:
-                    return
+            while head := pipe.read(8):
                 rows = int.from_bytes(head, "little")
-                blocks = [np.frombuffer(pipe.read(rows * row_floats * 8)).reshape(rows, row_floats)]
+                block = np.frombuffer(pipe.read(rows * row_floats * 8)).reshape(rows, row_floats)
+                data = "".join(text(block)).encode()
+                _write_all(self.texts, data)
+                size += len(data)
+                _write_all(self.ends, size.to_bytes(8, "little"))
 
     def in_flight(self) -> int:
-        """Messages sent and not yet formatted."""
+        """Pieces sent and not yet formatted."""
         return self.sent - os.fstat(self.ends).st_size // 8
 
     def send(self, block: np.ndarray) -> None:
@@ -313,8 +308,9 @@ class _Formatter:
         self.sent += 1
 
     def finish(self) -> list[int]:
-        """Close the pipe and reap the child; where each message's text
-        ends.  RuntimeError if the child failed."""
+        """Close the pipe and reap the child; where each piece's text
+        starts, then where the last one ends: [0, end_1, ..., end_sent].
+        RuntimeError if the child failed."""
         if self.pipe >= 0:
             os.close(self.pipe)
             self.pipe = -1
@@ -325,7 +321,7 @@ class _Formatter:
                                f"(exit code {os.waitstatus_to_exitcode(status)})")
         os.lseek(self.ends, 0, os.SEEK_SET)
         ends = b"".join(iter(lambda: os.read(self.ends, _READ_BYTES), b""))
-        return [int.from_bytes(ends[i:i + 8], "little") for i in range(0, len(ends), 8)]
+        return [0] + [int.from_bytes(ends[i:i + 8], "little") for i in range(0, len(ends), 8)]
 
     def close(self) -> None:
         """Kill and reap the child if it runs, and close every file."""
@@ -349,82 +345,62 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
     Nothing is yielded until `rows` is exhausted and every row is
     formatted, so a failed solve or a failed formatter writes no byte.
     repr holds the GIL, so threads cannot share the formatting, but a
-    forked process can.  Rows are held in pieces of about _PIECE_CELLS
+    forked process can.  Rows are gathered in pieces of about _PIECE_CELLS
     cells.  A table of SPLIT_CELLS cells or more forks one child (a
-    _Formatter) with its first piece, and sends it each later piece down
-    its pipe while it has at most one waiting, so it formats while `rows`
-    runs; once more than _HELD_CELLS cells are held, the oldest piece is
-    formatted here, so memory stays O(_HELD_CELLS) whatever the table's
-    length.  When `rows` ends, the child takes the first held pieces in the
-    same way and this process formats the last, until they meet.  Smaller
-    tables, and platforms without fork, are formatted here.  Every text
-    goes to a temp file that has no name, and once the child is reaped the
-    texts are yielded in row order, read back in pieces (the text is ASCII).
+    _Formatter) when its first piece fills.  Each piece, once full, goes
+    down the child's pipe if the child has at most one piece waiting, and
+    is formatted here at once otherwise, so the child formats while `rows`
+    runs, this process takes what the child cannot keep up with, and memory
+    stays O(_PIECE_CELLS) whatever the table's length.  Smaller tables, and
+    platforms without fork, are formatted here.  Every text goes to a temp
+    file that has no name, and once the child is reaped the texts are
+    yielded in row order, read back in pieces (the text is ASCII).
 
     RuntimeError if the child fails.  The child is killed and reaped on
     every other exit, such as an exception from `rows` or a generator
     closed early."""
     per_piece = max(1, _PIECE_CELLS // width)
-    most_held = max(1, _HELD_CELLS // (per_piece * width))  # in pieces
     forks = hasattr(os, "fork") and count * width >= SPLIT_CELLS
-    held, piece, n = [], None, 0  # the full pieces held, the piece being filled and its rows
-    # every formatted piece in row order, as the child's message number or
-    # as (start, stop) of its text in `here`; `tail` holds the pieces this
-    # process formats from the back once `rows` ends, last first
-    order, tail = [], []
-    here, here_size, child = -1, 0, None
+    piece, n = None, 0  # the piece being filled and its rows
+    # every formatted piece in row order, as the child's piece number or
+    # as (start, stop) of its text in `here`
+    order, here, here_size, child = [], -1, 0, None
 
-    def format_here(block, into):
-        nonlocal here, here_size
+    def put(block: np.ndarray) -> None:
+        """Send `block` to the child if it has at most one piece waiting,
+        else format it here now."""
+        nonlocal here, here_size, child
+        if forks and child is None:
+            child = _Formatter(text, block.shape[1])
+        if child and child.in_flight() < 2:
+            order.append(child.sent)
+            child.send(block)
+            return
         if here < 0:
             here = _temp_fd()
         data = "".join(text(block)).encode()
         _write_all(here, data)
-        into.append((here_size, here_size + len(data)))
+        order.append((here_size, here_size + len(data)))
         here_size += len(data)
-
-    def feed(keep: int) -> None:
-        """Send the child the oldest held pieces while it has at most one
-        waiting, keeping `keep` pieces here."""
-        while len(held) > keep and child.in_flight() < 2:
-            order.append(child.sent)
-            child.send(held.pop(0))
 
     try:
         for lead, values in rows:
-            if n == per_piece:  # a full piece, and more rows to come
-                held.append(piece)
-                piece = None
-                if child:
-                    feed(0)
-                elif forks:
-                    order.append(0)
-                    child = _Formatter(text, held, 1 + len(values))
-                    held = []
-                if len(held) > most_held:
-                    format_here(held.pop(0), order)
             if piece is None:
-                piece, n = np.empty((per_piece, 1 + len(values))), 0
+                piece = np.empty((per_piece, 1 + len(values)))
+            elif n == per_piece:  # a full piece, and more rows to come
+                put(piece)
+                n = 0
             piece[n, 0] = lead
             piece[n, 1:] = values
             n += 1
         if n:
-            held.append(piece[:n])
-        if forks and not child:  # one row
-            order.append(0)
-            child = _Formatter(text, held[:1], held[0].shape[1])
-            del held[0]
-        while held:
-            if child:
-                feed(1)
-            format_here(held.pop(), tail)
-        order += reversed(tail)
+            put(piece[:n])
         ends = child.finish() if child else []
         for item in order:
             if isinstance(item, tuple):
                 fd, (lo, hi) = here, item
             else:
-                fd, lo, hi = child.texts, ends[item - 1] if item else 0, ends[item]
+                fd, lo, hi = child.texts, ends[item], ends[item + 1]
             os.lseek(fd, lo, os.SEEK_SET)
             while lo < hi:
                 chunk = os.read(fd, min(_READ_BYTES, hi - lo))

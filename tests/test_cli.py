@@ -836,7 +836,7 @@ class TestPerturb:
         from rdito.models import ModelSpec
         from rdito.perturb import kernel_field
 
-        spec = ModelSpec.from_json(open(model).read())
+        spec = ModelSpec.from_json(Path(model).read_text())
         Rbar = kernel_field(spec).integral()
         exact = 1.5 / (1.0 + Rbar * 1.5 * 0.2)
         assert np.allclose(finals, exact, atol=1e-6)
@@ -1134,12 +1134,12 @@ class TestPerturb:
             os.waitpid(-1, os.WNOHANG)
 
     def test_meanfield_memory_does_not_grow_with_steps(self, tmp_path):
-        """The fields stream into the table writer, which holds at most
-        grid._HELD_CELLS cells unformatted, so the traced peak of a mean-field
-        run on 8 cells grows by less than 256 KiB from 2,000 steps (16,008
-        cells, all held) to 20,000.  When the solvers kept every step, the
-        peak grew by about 2.6 MiB: the (steps + 1) x cells array and the
-        tuple of times."""
+        """The fields stream into the table writer, which holds one piece
+        of rows unformatted, so the traced peak of a mean-field run on 8
+        cells grows by less than 256 KiB from 2,000 steps (16,008 cells,
+        formatted in this process) to 20,000.  When the solvers kept every
+        step, the peak grew by about 2.6 MiB: the (steps + 1) x cells array
+        and the tuple of times."""
         import tracemalloc
 
         model = write_json(tmp_path / "m.json", {
@@ -1194,6 +1194,46 @@ class TestPerturb:
         assert "2^24" in res.stderr
         assert float(res.stdout) < 2.0
         assert not (tmp_path / "x.csv").exists()
+
+
+# (argv, the files its manifest names, forks) for every command that writes
+# a file; a perturb table of 101 x 64 cells is below grid.SPLIT_CELLS and one
+# of 601 x 64 above it, so one forked child formats it
+MANIFEST_RUNS = {
+    "derive-table": (["derive-table", "A", "Adag"], {"o.txt", "o.json"}, 0),
+    "density": (["density", "{model}", "--t", "0.5"], {"o"}, 0),
+    "simulate": (["simulate", "{model}", "{sim}", "--t-end", "0.1"],
+                 {"o_grid.csv", "o_scalars.json"}, 0),
+    **{f"perturb-{method}-{steps}": (["perturb", "{annih}", "--t-end", "0.4", "--steps",
+                                      str(steps), "--method", method], {"o"}, int(steps > 100))
+       for method in ("dyson", "meanfield") for steps in (100, 600)},
+}
+
+
+@pytest.mark.parametrize("run", MANIFEST_RUNS)
+def test_manifest_digests_are_the_bytes_written(tmp_path, monkeypatch, run):
+    """Each output's digest in the manifest is "sha256:" and the SHA-256 of
+    the file's bytes, for every command that writes files, and for perturb
+    tables formatted in this process and by a forked child."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    files = {"model": write_json(tmp_path / "m.json", model_obj()),
+             "sim": write_json(tmp_path / "s.json", {"dt": 0.01, "replicas": 100, "seed": 7}),
+             "annih": gaussian_annihilation_model(tmp_path / "a.json")}
+    argv, names, fork_count = MANIFEST_RUNS[run]
+    assert main([*(a.format(**files) for a in argv), "--out", str(tmp_path / "o")]) == 0
+    outputs = json.loads((tmp_path / "o.manifest.json").read_text())["outputs"]
+    assert set(outputs) == names
+    for name, digest in outputs.items():
+        assert digest == "sha256:" + hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert len(forks) == fork_count
 
 
 # The rates of one small valid model per kind, all at D = 0; None for the
