@@ -6,10 +6,11 @@ The momentum representation uses the physicists' convention
     vhat(k) = sum_x v(x) e^{-i k.x} dV,      k = 2 pi m / L,
 
 so that vhat(0) approximates the integral of v over the box and the inverse
-carries the 1/(2 pi)^d in its measure.  FieldGrid keeps full complex spectra,
-so it can hold any momentum field.  Solvers whose fields are real work on the
-half spectrum instead (last axis k >= 0, since X(-k) = conj X(k)) through one
-unnormalized transform pair, half_fft and half_ifft.
+carries the 1/(2 pi)^d in its measure.  A FieldGrid holds real position
+samples only; FieldGrid.to_momentum returns its full complex spectrum as a
+plain array.  Solvers whose fields are real work on the half spectrum instead
+(last axis k >= 0, since X(-k) = conj X(k)) through one unnormalized
+transform pair, half_fft and half_ifft.
 
 A solver that repeats one linear map built from that pair (a heat step, a
 convolution) wraps it in dense_map.  On grids of at most DENSE_CELLS cells
@@ -42,30 +43,23 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-POSITION = "position"
-MOMENTUM = "momentum"
-
-
 @dataclass(frozen=True)
 class FieldGrid:
-    """Sampled field on a periodic box, in position or momentum representation."""
+    """Real field sampled on a regular grid of a periodic box."""
 
     box: tuple[float, ...]
     values: np.ndarray
-    rep: str = POSITION
 
     def __post_init__(self):
         object.__setattr__(self, "box", tuple(float(b) for b in self.box))
         vals = np.asarray(self.values)
-        if self.rep == POSITION:
-            vals = np.asarray(vals, dtype=float)
-        object.__setattr__(self, "values", vals)
+        if np.iscomplexobj(vals):
+            raise ValueError("a FieldGrid holds real position samples, got complex values")
+        object.__setattr__(self, "values", np.asarray(vals, dtype=float))
         if vals.ndim != len(self.box):
             raise ValueError(
                 f"values have {vals.ndim} axes but box has {len(self.box)}"
             )
-        if self.rep not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown representation {self.rep!r}")
 
     @property
     def dim(self) -> int:
@@ -106,20 +100,16 @@ class FieldGrid:
             out = out + (k ** 2).reshape(sh)
         return out
 
-    def to_momentum(self) -> "FieldGrid":
-        if self.rep == MOMENTUM:
-            return self
-        vhat = np.fft.fftn(self.values) * self.cell_volume
-        return FieldGrid(self.box, vhat, MOMENTUM)
+    def to_momentum(self) -> np.ndarray:
+        """The full complex spectrum vhat(k), fftfreq layout."""
+        return np.fft.fftn(self.values) * self.cell_volume
 
     def integral(self) -> float:
-        """Integral over the box (position rep) or value at k=0 (momentum)."""
-        if self.rep == POSITION:
-            return float(np.sum(self.values) * self.cell_volume)
-        return float(np.real(self.values[(0,) * self.dim]))
+        """Integral over the box."""
+        return float(np.sum(self.values) * self.cell_volume)
 
     def with_values(self, values: np.ndarray) -> "FieldGrid":
-        return FieldGrid(self.box, values, self.rep)
+        return FieldGrid(self.box, values)
 
 
 def half_spectrum(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import FieldGrid, POSITION, point_labels, reprs, table_block
+from .grid import FieldGrid, point_labels, reprs, table_block
 from .grid import half_fft, half_ifft, half_spectrum, heat_change
 
 
@@ -185,7 +185,7 @@ _FIELD_KEYS = {"table": ("table",), "uniform": ("expr", "const"),
 
 
 def _field_from_json(obj, box, shape) -> FieldGrid:
-    g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
+    g = FieldGrid(box, np.zeros(tuple(shape)))
     if not isinstance(obj, dict):
         return g.with_values(np.full(g.shape, as_number(obj, "a field spec other than an object")))
     form = "table" if "table" in obj else obj.get("expr")

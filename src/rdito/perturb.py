@@ -26,7 +26,7 @@ from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-from .grid import MOMENTUM, POSITION, FieldGrid, point_labels, reprs, stream_rows, table_block
+from .grid import FieldGrid, point_labels, reprs, stream_rows, table_block
 from .grid import dense_map, full_spectrum, half_fft, half_ifft, half_spectrum, heat_change
 
 _TAYLOR_TERMS = 18  # terms of the scaled exponential in simplex_time_factor (1/18! < 2^-52)
@@ -61,7 +61,8 @@ class Unstable(PerturbError):
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Reaction kernel and initial intensity in the momentum representation.
+    """Reaction kernel and initial intensity in the momentum representation,
+    as full spectra (FieldGrid.to_momentum) on the position grid `grid`.
 
     ``Rhat`` must be the transform of a real even (radial) kernel, so it is
     real and even on the grid, as kernel_field ensures; ``vhat`` is the
@@ -69,37 +70,25 @@ class MomentumGrid:
     vhat(-k) = conj vhat(k).
     """
 
-    Rhat: FieldGrid
-    vhat: FieldGrid
+    grid: FieldGrid
+    Rhat: np.ndarray
+    vhat: np.ndarray
     D: float
 
     def __post_init__(self):
-        if self.Rhat.rep != MOMENTUM or self.vhat.rep != MOMENTUM:
-            raise PerturbError("MomentumGrid fields must be momentum-representation")
-        if self.Rhat.box != self.vhat.box or self.Rhat.shape != self.vhat.shape:
-            raise PerturbError("kernel and intensity grids must match")
+        if self.Rhat.shape != self.grid.shape or self.vhat.shape != self.grid.shape:
+            raise PerturbError("kernel and intensity spectra must have the grid's shape "
+                               f"{self.grid.shape}")
         if self.D < 0:
             raise PerturbError("D must be >= 0")
-        v = self.vhat.values
+        v = self.vhat
         scale = max(float(np.max(np.abs(v))), 1.0)
         if np.max(np.abs(v - np.conj(_reflect(v)))) > 1e-10 * scale:
             raise PerturbError("intensity transform must be Hermitian (intensity real)")
 
     @property
-    def d(self) -> int:
-        return self.Rhat.dim
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.Rhat.shape
-
-    @property
-    def box(self) -> tuple[float, ...]:
-        return self.Rhat.box
-
-    @property
     def dk(self) -> tuple[float, ...]:
-        return tuple(2.0 * math.pi / b for b in self.box)
+        return tuple(2.0 * math.pi / b for b in self.grid.box)
 
 
 def _reflect(a: np.ndarray) -> np.ndarray:
@@ -126,11 +115,9 @@ def kernel_field(spec) -> FieldGrid:
 def momentum_grid(spec) -> MomentumGrid:
     """Momentum-space view of an Annihilation model specification, the
     input of third_order_term."""
-    return MomentumGrid(
-        Rhat=kernel_field(spec).to_momentum(),
-        vhat=spec.grid().to_momentum(),
-        D=float(spec.D),
-    )
+    g = spec.grid()
+    return MomentumGrid(grid=g, Rhat=kernel_field(spec).to_momentum(), vhat=g.to_momentum(),
+                        D=float(spec.D))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +193,16 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
     negligible against the accumulated sum.
     """
     ik = (k,) if isinstance(k, (int, np.integer)) else tuple(int(i) for i in k)
-    if len(ik) != grid.d:
-        raise PerturbError(f"k index has {len(ik)} axes, grid has {grid.d}")
-    shape = grid.shape
-    kax = grid.Rhat.kaxes()
-    idx = np.indices(shape).reshape(grid.d, -1)  # per axis, the grid index of each cell
+    d, shape = grid.grid.dim, grid.grid.shape
+    if len(ik) != d:
+        raise PerturbError(f"k index has {len(ik)} axes, grid has {d}")
+    kax = grid.grid.kaxes()
+    idx = np.indices(shape).reshape(d, -1)  # per axis, the grid index of each cell
     mom = np.stack([kax[a][i] for a, i in enumerate(idx)], axis=-1)
     edge = np.any(np.abs(mom) == np.abs(mom).max(axis=0), axis=-1)
     kvec = np.array([kax[a][i] for a, i in enumerate(ik)])
-    rv = np.real(grid.Rhat.values).ravel()
-    vv = grid.vhat.values.ravel()
+    rv = np.real(grid.Rhat).ravel()
+    vv = grid.vhat.ravel()
     iv = np.ravel_multi_index(tuple(i - j[:, None] - j for i, j in zip(ik, idx)), shape, mode="wrap")
     w_mn = np.outer(rv * vv, rv * vv) * vv[iv]  # the (m, n) weights, k - m - n wrapped
 
@@ -236,7 +223,7 @@ def third_order_term(grid: MomentumGrid, k, t: float) -> float:
             f"boundary tail {tail_abs:.3e} exceeds 1e-6 of sum {total_abs:.3e}"
         )
     measure = float(np.prod(grid.dk)) ** 3
-    pref = -measure / (2.0 * (2.0 * math.pi) ** grid.d)
+    pref = -measure / (2.0 * (2.0 * math.pi) ** d)
     return float(np.real(pref * total))
 
 
@@ -260,10 +247,15 @@ class _Steps:
         return (i * self.dt for i in range(self.count))
 
 
+POSITION = "position"  # a TimeSeries of position fields
+MOMENTUM = "momentum"  # a TimeSeries of half spectra
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Fields on one grid of `shape` in `box` at the given times, in
-    representation rep: the i-th of `fields` is the field at the i-th of
+    representation rep, POSITION or MOMENTUM (ValueError for any other):
+    the i-th of `fields` is the field at the i-th of
     `times`.  The fields are drawn once, as the table is written, so a
     solver can hand over each field as it is solved; `times` is sized, so
     the writer knows the table's length up front.  A position field is the
@@ -277,6 +269,10 @@ class TimeSeries:
     rep: str
     fields: Iterable[np.ndarray]  # each of shape `shape`, or of its half spectrum's
 
+    def __post_init__(self):
+        if self.rep not in (POSITION, MOMENTUM):
+            raise ValueError(f"unknown representation {self.rep!r}")
+
     def csv_chunks(self) -> Iterator[str]:
         """The csv() table in pieces, through grid.stream_rows, which formats
         rows on a second core while the fields are drawn and yields nothing
@@ -289,7 +285,7 @@ class TimeSeries:
         that the completion fills repeats the string of its mirror, and both
         cells of a pair k, -k that the half spectrum holds take the string of
         the first in C order, so the table is exactly Hermitian."""
-        g = FieldGrid(self.box, np.zeros(self.shape), self.rep)
+        g = FieldGrid(self.box, np.zeros(self.shape))
         pos = self.rep == POSITION
         held = g.shape if pos else half_spectrum(g.values).shape
         cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
@@ -359,9 +355,9 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     _check_steps(steps, shape)
     dt = t_end / steps
     k2 = half_spectrum(g.ksquared())
-    rhat = half_spectrum(np.real(kernel_field(spec).to_momentum().values))
+    rhat = half_spectrum(np.real(kernel_field(spec).to_momentum()))
     dV = g.cell_volume
-    vhat = half_spectrum(g.to_momentum().values)
+    vhat = half_spectrum(g.to_momentum())
     step_prop = np.exp(-spec.D * dt * k2)
     # x and R*x from the half spectrum of x, and the half spectrum of a product
     to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import FieldGrid, POSITION, point_labels, reprs, table_block
+from .grid import FieldGrid, point_labels, reprs, table_block
 from .models import KINDS, ModelSpec, Rate, Unsupported, as_int, as_number, births, check_keys
 
 MAX_EVENT_PROB = 0.1
@@ -595,8 +595,8 @@ def run(
     for s in (0, 1) if KINDS[spec.kind].converts else (0,):
         mean, se = reduce(f"counts{s}")
         name = "density" if s == 0 else "density_b"
-        fields[name] = FieldGrid(g.box, (mean / dV).reshape(g.shape), POSITION)
-        fields[name + "_se"] = FieldGrid(g.box, (se / dV).reshape(g.shape), POSITION)
+        fields[name] = FieldGrid(g.box, (mean / dV).reshape(g.shape))
+        fields[name + "_se"] = FieldGrid(g.box, (se / dV).reshape(g.shape))
 
     for key in ("N", "N2", "void"):
         scalars[key] = reduce(key)

@@ -16,8 +16,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from rdito.grid import MOMENTUM, POSITION, FieldGrid, full_spectrum
+from rdito.grid import FieldGrid, full_spectrum
 from rdito.models import KINDS, ModelError, discrete_death_log_gf, image_sum
+from rdito.perturb import MOMENTUM
 from rdito.simulate import sample_initial, step
 
 
@@ -93,11 +94,10 @@ def is_normal(t) -> bool:
     return True
 
 
-def to_position(fg: FieldGrid) -> FieldGrid:
-    """The position field of a momentum FieldGrid: the inverse of
-    FieldGrid.to_momentum."""
-    v = np.fft.ifftn(fg.values) / fg.cell_volume
-    return FieldGrid(fg.box, v.real, POSITION)
+def to_position(grid, spectrum: np.ndarray) -> np.ndarray:
+    """The position samples on `grid` (a FieldGrid) of a full spectrum: the
+    inverse of FieldGrid.to_momentum."""
+    return (np.fft.ifftn(spectrum) / grid.cell_volume).real
 
 
 def full_values(series) -> np.ndarray:
@@ -109,13 +109,12 @@ def full_values(series) -> np.ndarray:
     return np.array([full_spectrum(x, series.shape[-1]) for x in series.fields])
 
 
-def final_field(series) -> FieldGrid:
-    """The last field of a perturb TimeSeries, drawn from it, as a FieldGrid."""
+def final_field(series) -> np.ndarray:
+    """The last field of a perturb TimeSeries, drawn from it: the full
+    spectrum of a momentum series, completed by X(-k) = conj X(k)."""
     for x in series.fields:
         pass
-    if series.rep == MOMENTUM:
-        x = full_spectrum(x, series.shape[-1])
-    return FieldGrid(series.box, x, series.rep)
+    return full_spectrum(x, series.shape[-1]) if series.rep == MOMENTUM else x
 
 
 def replay_chunk(spec, sim, t_end: float, chunk_index: int, nrep: int):

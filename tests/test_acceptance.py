@@ -18,7 +18,7 @@ from scipy import integrate, linalg, stats
 
 from rdito import algebra as alg
 from rdito import cli, models, perturb
-from rdito.grid import FieldGrid, POSITION
+from rdito.grid import FieldGrid
 from rdito.models import (
     ModelSpec,
     Rate,
@@ -62,14 +62,14 @@ def fam(name, param=None):
 
 
 def gauss_spec(kind="DeathDiffusion", mu=1.0, D=1.0, mass=20.0):
-    g = FieldGrid((L,), np.zeros(N), POSITION)
+    g = FieldGrid((L,), np.zeros(N))
     v = g.with_values(wrapped_gaussian(g, mass, 1.0, L / 2))
     return ModelSpec(kind, (L,), D, {"mu": Rate(const=mu)}, v)
 
 
 def cell_averaged(kind, t, refine=8, mu=1.0, D=1.0, mass=20.0):
     """Analytic density block-averaged over histogram cells."""
-    fine = FieldGrid((L,), np.zeros(N * refine), POSITION)
+    fine = FieldGrid((L,), np.zeros(N * refine))
     vf = fine.with_values(wrapped_gaussian(fine, mass, 1.0, L / 2))
     spec = ModelSpec(kind, (L,), D, {"mu": Rate(const=mu)}, vf)
     if kind == "DeathDiffusion":
@@ -322,7 +322,7 @@ def test_criterion_06_stirling(capsys):
 
 
 def test_criterion_07_convert_ab(capsys):
-    g = FieldGrid((L,), np.zeros(N), POSITION)
+    g = FieldGrid((L,), np.zeros(N))
     va = g.with_values(np.full(N, 2.0))
     vb = g.with_values(np.full(N, 0.5))
     x = g.axes()[0]
@@ -353,7 +353,7 @@ def test_criterion_07_convert_ab(capsys):
 
 
 def test_criterion_08_birth_death_timedep(capsys):
-    g = FieldGrid((L,), np.zeros(N), POSITION)
+    g = FieldGrid((L,), np.zeros(N))
     v = g.with_values(np.full(N, 2.0))
     mu, nu, t = 0.7, 1.3, 0.9
     spec = ModelSpec("BirthDeathTimeDep", (L,), 0.0,
@@ -441,7 +441,7 @@ def test_criterion_10_perturbative_rules(capsys):
     # (c) third-order diagram vs continuum Gauss-Hermite/expm oracle, on a
     # box wide enough (4 pi) that periodic images are below 1e-12
     cR, sR, cv, sv, D, tt = 0.7, 1.0, 2.0, 0.8, 0.6, 0.5
-    g = FieldGrid((4 * math.pi,), np.zeros(32), POSITION)
+    g = FieldGrid((4 * math.pi,), np.zeros(32))
     R = g.with_values(wrapped_gaussian(g, cR, sR, [0.0]))
     v = g.with_values(wrapped_gaussian(g, cv, sv, [0.0]))
     spec = ModelSpec("Annihilation", g.box, D,
@@ -449,7 +449,7 @@ def test_criterion_10_perturbative_rules(capsys):
     mg = momentum_grid(spec)
     kidx = 1
     term3 = third_order_term(mg, kidx, tt)
-    oracle = third_order_continuum(mg.Rhat.kaxes()[0][kidx], tt, D, cR, sR, cv, sv)
+    oracle = third_order_continuum(mg.grid.kaxes()[0][kidx], tt, D, cR, sR, cv, sv)
     rel3 = abs(term3 - oracle) / abs(oracle)
     ok &= rel3 <= 1e-9
     report(capsys, 10, "perturbative rules (propagator, simplex, 3rd order)", ok,
@@ -465,17 +465,17 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     ok = True
     # uniform intensity + delta-like kernel: logistic decay
     v0, Rbar, tlog = 1.7, 0.9, 1.0
-    g = FieldGrid((L,), np.full(32, v0), POSITION)
+    g = FieldGrid((L,), np.full(32, v0))
     tab = np.zeros(32)
     tab[0] = Rbar / g.cell_volume
     spec_log = ModelSpec("Annihilation", (L,), 1.0,
                          {"R": Rate(const=1.0, table=tuple(tab))}, g)
     series = dyson_tree_density(spec_log, tlog, 1000)
-    xlog = to_position(final_field(series)).values
+    xlog = to_position(g, final_field(series))
     ok &= np.max(np.abs(xlog - v0 / (1.0 + Rbar * v0 * tlog))) < 1e-6
 
     # smooth kernel: resummed series equals the mean-field PDE to 1e-6
-    g2 = FieldGrid((L,), np.zeros(N), POSITION)
+    g2 = FieldGrid((L,), np.zeros(N))
     R2 = g2.with_values(wrapped_gaussian(g2, 0.8, 0.6, [0.0]))
     v2 = g2.with_values(wrapped_gaussian(g2, 8.0, 1.0, [5.0]))
     spec2 = ModelSpec("Annihilation", (L,), 0.7,
@@ -483,21 +483,20 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     t2, steps = 0.4, 800
     dy = dyson_tree_density(spec2, t2, steps)
     mf2 = mean_field_pde(spec2, t2, steps)
-    sup = float(np.max(np.abs(to_position(final_field(dy)).values - final_field(mf2).values)))
+    sup = float(np.max(np.abs(to_position(g2, final_field(dy)) - final_field(mf2))))
     ok &= sup < 1e-6
 
     # the same in 2-D, on an even square grid and an odd non-square one
     sups2d = []
     for shape in ((24, 24), (25, 18)):
-        g3 = FieldGrid((6.0, 6.0), np.zeros(shape), POSITION)
+        g3 = FieldGrid((6.0, 6.0), np.zeros(shape))
         R3 = g3.with_values(wrapped_gaussian(g3, 0.8, 0.6, [0.0, 0.0]))
         v3 = g3.with_values(wrapped_gaussian(g3, 8.0, 1.0, [3.0, 3.0]))
         spec3 = ModelSpec("Annihilation", g3.box, 0.7,
                           {"R": Rate(const=1.0, table=tuple(R3.values))}, v3)
         dy3 = dyson_tree_density(spec3, 0.4, 400)
         mf3 = mean_field_pde(spec3, 0.4, 400)
-        sups2d.append(float(np.max(np.abs(to_position(final_field(dy3)).values
-                                          - final_field(mf3).values))))
+        sups2d.append(float(np.max(np.abs(to_position(g3, final_field(dy3)) - final_field(mf3)))))
     ok &= max(sups2d) < 1e-6
 
     # early-time particle MC within 3 SE of mean field (Rvt <= 0.2)
@@ -507,12 +506,12 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
     c = 0.5 / (sigma * math.sqrt(2 * math.pi)
                * math.erf(cutoff / (sigma * math.sqrt(2))))
     kern = RadialKernel(cutoff, tuple(c * np.exp(-xs ** 2 / (2 * sigma ** 2))))
-    gm = FieldGrid((L,), np.full(n, v0mc), POSITION)
+    gm = FieldGrid((L,), np.full(n, v0mc))
     x = gm.axes()[0]
     tabm = np.asarray(kern(np.minimum(x, L - x)), float)
     specm = ModelSpec("Annihilation", (L,), D,
                       {"R": Rate(const=1.0, table=tuple(tabm))}, gm)
-    mfv = final_field(mean_field_pde(specm, tmc, 200)).values
+    mfv = final_field(mean_field_pde(specm, tmc, 200))
     rep = run(specm, SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern), tmc)
     dV = rep.fields["density"].cell_volume
     pred = np.sqrt(np.maximum(mfv, 0) * dV / rep.replicas) / dV
@@ -524,7 +523,7 @@ def test_criterion_11_dyson_vs_mean_field_vs_mc(capsys):
 
     # qualitative, non-gated: at later times fluctuations slow the decay
     tlate = 1.5
-    mflate = float(np.mean(final_field(mean_field_pde(specm, tlate, 600)).values))
+    mflate = float(np.mean(final_field(mean_field_pde(specm, tlate, 600))))
     replate = run(specm, SimConfig(dt=0.02, replicas=1500, seed=6, kernel=kern), tlate)
     mclate = float(np.mean(replate.fields["density"].values))
     with capsys.disabled():

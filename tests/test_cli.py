@@ -1605,6 +1605,25 @@ def test_every_traced_benchmark_target_is_an_attribute_of_its_owner(monkeypatch)
     assert spans.TARGETS and not missing, f"not in its owner's __dict__: {missing}"
 
 
+def test_every_benchmark_workload_runs_clean(monkeypatch, tmp_path):
+    """Each perfbench workload's prepare, timed section and checks, once, at
+    seed 1, as perfbench/run.py calls them: no command raises or exits with
+    a code it does not allow, and every check holds.  The import writes no
+    bytecode into perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import workloads
+
+    assert "third-order" in workloads.WORKLOADS  # the one caller of perturb.momentum_grid
+    for name, cls in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl, session = cls(), workloads.Session()
+        wl.prepare(session, work, 1)
+        wl.check(session, wl.timed(session))
+        assert session.attempted and session.failed == 0, (name, session.failures)
+
+
 def test_scipy_is_only_a_test_dependency():
     import tomllib
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, stats
 
-from rdito.grid import POSITION, FieldGrid, full_spectrum, half_fft, half_ifft, half_spectrum
+from rdito.grid import FieldGrid, full_spectrum, half_fft, half_ifft, half_spectrum
 from rdito.models import (
     KINDS,
     ModelError,
@@ -39,19 +39,19 @@ L, N = 10.0, 64
 
 
 def position_grid(box, values) -> FieldGrid:
-    return FieldGrid(tuple(np.atleast_1d(box)), np.asarray(values, float), POSITION)
+    return FieldGrid(tuple(np.atleast_1d(box)), np.asarray(values, float))
 
 
 def sample_function(box, shape, f) -> FieldGrid:
     """Sample f(x1, ..., xd) on the grid; f must accept broadcast arrays."""
     box = tuple(np.atleast_1d(box))
-    g = FieldGrid(box, np.zeros(tuple(shape)), POSITION)
+    g = FieldGrid(box, np.zeros(tuple(shape)))
     mesh = np.meshgrid(*g.axes(), indexing="ij")
     return g.with_values(np.asarray(f(*mesh), float))
 
 
 def gaussian_spec(kind="DeathDiffusion", mu=1.0, D=1.0, mass=20.0, **kw):
-    g = FieldGrid((L,), np.zeros(N), POSITION)
+    g = FieldGrid((L,), np.zeros(N))
     v = g.with_values(wrapped_gaussian(g, mass, 1.0, L / 2))
     return ModelSpec(kind=kind, box=(L,), D=D, rates={"mu": Rate(const=mu)}, v=v, **kw)
 
@@ -68,9 +68,9 @@ class TestFieldGrid:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(7)
         for shape, box in [((64,), (10.0,)), ((16, 24), (4.0, 6.0))]:
-            g = FieldGrid(box, rng.normal(size=shape), POSITION)
-            back = to_position(g.to_momentum())
-            assert np.max(np.abs(back.values - g.values)) < 1e-12 * max(
+            g = FieldGrid(box, rng.normal(size=shape))
+            back = to_position(g, g.to_momentum())
+            assert np.max(np.abs(back - g.values)) < 1e-12 * max(
                 1.0, np.max(np.abs(g.values))
             )
 
@@ -89,11 +89,22 @@ class TestFieldGrid:
 
     def test_momentum_zero_mode_is_integral(self):
         g = sample_function((10.0,), (64,), lambda x: np.exp(-((x - 5) ** 2)))
-        assert g.to_momentum().integral() == pytest.approx(g.integral(), rel=1e-12)
+        assert g.to_momentum()[0].real == pytest.approx(g.integral(), rel=1e-12)
 
     def test_shape_box_mismatch(self):
         with pytest.raises(ValueError):
-            FieldGrid((1.0, 2.0), np.zeros(8), POSITION)
+            FieldGrid((1.0, 2.0), np.zeros(8))
+
+    @pytest.mark.parametrize("values", [
+        np.array([1 + 1j, 2]), np.array([1.0, 2.0], complex), [1.0, 2j],
+    ], ids=["complex", "zero-imaginary", "list"])
+    def test_complex_values_refused(self, values):
+        """A FieldGrid holds position samples; a spectrum handed to it is an
+        error, not cut to its real part."""
+        with pytest.raises(ValueError, match="complex"):
+            FieldGrid((1.0,), values)
+        with pytest.raises(ValueError, match="complex"):
+            FieldGrid((1.0,), np.zeros(2)).with_values(values)
 
 
 class TestHeatKernel:
@@ -170,7 +181,7 @@ class TestImageSum:
         rng = np.random.default_rng(100 + dim)
         for _ in range(150):
             box = tuple(rng.uniform(0.5, 20.0, dim))
-            g = FieldGrid(box, np.zeros(tuple(rng.integers(1, 65, dim))), POSITION)
+            g = FieldGrid(box, np.zeros(tuple(rng.integers(1, 65, dim))))
             width = rng.uniform(0.05, 3.0) * rng.choice(box)
             center = rng.uniform(0.0, box)
             mass = rng.uniform(0.1, 50.0)
@@ -316,7 +327,7 @@ class TestDeathDiffusion:
             death_diffusion_fn(gaussian_spec(mu=0.7, D=0.9), [[2.0], [p]], t)
 
     def test_nonconstant_rate_rejected(self):
-        g = FieldGrid((L,), np.zeros(N), POSITION)
+        g = FieldGrid((L,), np.zeros(N))
         v = g.with_values(np.ones(N))
         spec = ModelSpec(
             "DeathDiffusion", (L,), 1.0,
@@ -472,7 +483,7 @@ class TestBrownianTree:
 
 class TestConvertAB:
     def spec(self, mu):
-        g = FieldGrid((L,), np.zeros(N), POSITION)
+        g = FieldGrid((L,), np.zeros(N))
         va = g.with_values(wrapped_gaussian(g, 8.0, 1.0, 4.0))
         vb = g.with_values(wrapped_gaussian(g, 2.0, 1.5, 7.0))
         return ModelSpec("ConvertAB", (L,), 0.0, {"mu": mu}, va, vb=vb)
@@ -517,7 +528,7 @@ class TestConvertAB:
 
 class TestTimeDependent:
     def base(self, rates):
-        g = FieldGrid((L,), np.zeros(N), POSITION)
+        g = FieldGrid((L,), np.zeros(N))
         v = g.with_values(wrapped_gaussian(g, 6.0, 1.0, L / 2))
         return ModelSpec("SpontBirth", (L,), 0.0, rates, v)
 

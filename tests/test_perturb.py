@@ -9,7 +9,7 @@ import sympy
 from scipy import integrate
 
 from rdito import algebra as alg
-from rdito.grid import DENSE_CELLS, FieldGrid, MOMENTUM, POSITION
+from rdito.grid import DENSE_CELLS, FieldGrid
 from rdito.grid import dense_map, half_fft, half_ifft, half_spectrum, heat_change
 from rdito.models import ModelSpec, Rate, wrapped_gaussian
 from rdito.perturb import (
@@ -33,7 +33,7 @@ from third_order_oracle import third_order_continuum
 
 def gauss_fields(L=2 * math.pi, n=16, cR=0.7, sR=1.0, cv=2.0, sv=0.8, center=0.0):
     """Position-space Gaussian kernel/intensity whose transforms are Gaussian."""
-    g = FieldGrid((L,), np.zeros(n), POSITION)
+    g = FieldGrid((L,), np.zeros(n))
     R = g.with_values(wrapped_gaussian(g, cR, sR, [0.0]))
     v = g.with_values(wrapped_gaussian(g, cv, sv, [center]))
     return g, R, v
@@ -49,13 +49,13 @@ def direct_sum_dyson(grid, t_end, steps):
     """Reference Dyson recursion that re-sums the whole trapezoid history at
     every step (O(steps^2)); returns the (steps+1, *grid) momentum fields."""
     dt = t_end / steps
-    k2, rhat, dV = grid.Rhat.ksquared(), np.real(grid.Rhat.values), grid.Rhat.cell_volume
+    k2, rhat, dV = grid.grid.ksquared(), np.real(grid.Rhat), grid.grid.cell_volume
 
     def collision(xh):
         x, rx = np.fft.ifftn(xh) / dV, np.fft.ifftn(rhat * xh) / dV
         return np.fft.fftn(x * rx) * dV
 
-    xs = [np.asarray(grid.vhat.values, complex)]
+    xs = [np.asarray(grid.vhat, complex)]
     colls = [collision(xs[0])]
     for i in range(1, steps + 1):
         hist = sum((0.5 if j == 0 else 1.0) * np.exp(-grid.D * (i - j) * dt * k2) * c
@@ -105,7 +105,7 @@ def gauss_spec_nd(box, shape, center, D=0.7):
     every axis, the intensity is even on the grid and so is its transform,
     and a mirror X(-k) = conj X(k) that forgot to negate k would pass; other
     centres give transforms that are not even."""
-    g = FieldGrid(box, np.zeros(shape), POSITION)
+    g = FieldGrid(box, np.zeros(shape))
     R = g.with_values(wrapped_gaussian(g, 0.8, 0.6, [0.0] * len(box)))
     v = g.with_values(wrapped_gaussian(g, 8.0, 1.0, center))
     return annih_spec(g, R, v, D)
@@ -358,13 +358,13 @@ class TestThirdOrder:
         mg = momentum_grid(annih_spec(g, R, v, D))
         kidx = 3
         got = third_order_term(mg, kidx, t)
-        oracle = third_order_continuum(mg.Rhat.kaxes()[0][kidx], t, D, cR, sR, cv, sv)
+        oracle = third_order_continuum(mg.grid.kaxes()[0][kidx], t, D, cR, sR, cv, sv)
         assert got == pytest.approx(oracle, rel=1e-9)
 
     def test_two_dimensional_value_is_pinned(self):
         """2-D 6x6 grid in a 2 pi x 2 pi box at k = (1, 0): the same diagram
         as the benchmark's third-order workload, and its value there."""
-        g = FieldGrid((2 * math.pi,) * 2, np.zeros((6, 6)), POSITION)
+        g = FieldGrid((2 * math.pi,) * 2, np.zeros((6, 6)))
         R = g.with_values(wrapped_gaussian(g, 0.7, 2.0, [0.0, 0.0]))
         v = g.with_values(wrapped_gaussian(g, 2.0, 2.0, [0.0, 0.0]))
         mg = momentum_grid(annih_spec(g, R, v, 0.6))
@@ -388,19 +388,19 @@ class TestDyson:
         g, R, v = gauss_fields(L=10.0, n=64, sv=1.0, center=5.0)
         spec = annih_spec(g, R.with_values(np.zeros(g.shape)), v, 0.7)
         series = dyson_tree_density(spec, 0.4, 20)
-        exact = np.exp(-0.7 * 0.4 * g.ksquared()) * v.to_momentum().values
-        assert np.max(np.abs(final_field(series).values - exact)) < 1e-12
+        exact = np.exp(-0.7 * 0.4 * g.ksquared()) * v.to_momentum()
+        assert np.max(np.abs(final_field(series) - exact)) < 1e-12
 
     def test_logistic_diffusion_limited(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
-        g = FieldGrid((L,), np.full(n, v0), POSITION)
+        g = FieldGrid((L,), np.full(n, v0))
         tab = np.zeros(n)
         tab[0] = Rbar / g.cell_volume
         spec = ModelSpec(
             "Annihilation", (L,), 1.0, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
         series = dyson_tree_density(spec, t, 1000)
-        x = to_position(final_field(series)).values
+        x = to_position(g, final_field(series))
         exact = v0 / (1.0 + Rbar * v0 * t)
         assert np.max(np.abs(x - exact)) < 1e-6
 
@@ -410,14 +410,14 @@ class TestDyson:
         t, steps = 0.4, 800
         dy = dyson_tree_density(spec, t, steps)
         mf = mean_field_pde(spec, t, steps)
-        diff = np.max(np.abs(to_position(final_field(dy)).values - final_field(mf).values))
+        diff = np.max(np.abs(to_position(g, final_field(dy)) - final_field(mf)))
         assert diff < 1e-6
 
     def test_momentum_symmetry(self):
         g, R, v = gauss_fields(center=0.0)
         spec = annih_spec(g, R, v, 0.5)
         series = dyson_tree_density(spec, 0.3, 100)
-        x = final_field(series).values
+        x = final_field(series)
         n = len(x)
         flipped = x[(-np.arange(n)) % n]
         assert np.max(np.abs(x - flipped)) < 1e-12
@@ -425,7 +425,7 @@ class TestDyson:
     def test_first_order_in_kernel(self):
         """First order in R equals one vertex dressed with free propagators."""
         L, n, D, t = 2 * math.pi, 8, 0.5, 0.1
-        g = FieldGrid((L,), np.zeros(n), POSITION)
+        g = FieldGrid((L,), np.zeros(n))
         Rpos = wrapped_gaussian(g, 1.0, 0.7, [0.0])
         v = g.with_values(wrapped_gaussian(g, 0.8, 0.9, [L / 2]))
         vhat = v.to_momentum()
@@ -434,13 +434,13 @@ class TestDyson:
         def tilted(scale):
             """X at a kernel of scale * R; rates are >= 0, so scale is too."""
             spec = annih_spec(g, g.with_values(scale * Rpos), v, D)
-            return final_field(dyson_tree_density(spec, t, 1000)).values
+            return final_field(dyson_tree_density(spec, t, 1000))
 
         # X(e) = X0 + e X1 + e^2 X2 + O(e^3), so this is X1 + O(eps^2)
         first = (4.0 * tilted(eps) - tilted(2.0 * eps) - 3.0 * tilted(0.0)) / (2.0 * eps)
 
-        rh = g.with_values(Rpos).to_momentum().values.real
-        vv = vhat.values
+        rh = g.with_values(Rpos).to_momentum().real
+        vv = vhat
         kax = g.kaxes()[0]
         V = L
         for ik in range(n):
@@ -475,7 +475,7 @@ class TestDyson:
         assert np.max(np.abs(got - direct_sum_dyson(momentum_grid(spec), 0.4, 200))) <= 1e-12
 
     def test_nonconvergence(self):
-        g = FieldGrid((10.0,), np.full(16, 50.0), POSITION)
+        g = FieldGrid((10.0,), np.full(16, 50.0))
         tab = np.full(16, 1.0)
         spec = ModelSpec(
             "Annihilation", (10.0,), 0.0, {"R": Rate(const=1.0, table=tuple(tab))}, g
@@ -497,7 +497,7 @@ class TestMeanField:
         series = mean_field_pde(spec, 0.7, 35)
         k2 = g.ksquared()
         exact = np.real(np.fft.ifftn(np.exp(-1.3 * 0.7 * k2) * np.fft.fftn(v.values)))
-        assert np.max(np.abs(final_field(series).values - exact)) < 1e-10
+        assert np.max(np.abs(final_field(series) - exact)) < 1e-10
 
     @pytest.mark.parametrize("shape, center", [
         ((64,), (3.7,)), ((63,), (3.7,)), ((24, 24), (2.2, 3.9)), ((25, 18), (2.2, 3.9)),
@@ -510,7 +510,7 @@ class TestMeanField:
 
     def test_logistic_uniform(self):
         L, n, v0, Rbar, t = 10.0, 32, 1.7, 0.9, 1.0
-        g = FieldGrid((L,), np.full(n, v0), POSITION)
+        g = FieldGrid((L,), np.full(n, v0))
         tab = np.zeros(n)
         tab[0] = Rbar / g.cell_volume
         spec = ModelSpec(
@@ -518,7 +518,7 @@ class TestMeanField:
         )
         series = mean_field_pde(spec, t, 200)
         exact = v0 / (1.0 + Rbar * v0 * t)
-        assert np.max(np.abs(final_field(series).values - exact)) < 1e-9
+        assert np.max(np.abs(final_field(series) - exact)) < 1e-9
 
     def test_monotone_mass_decay(self):
         g, R, v = gauss_fields(L=10.0, n=64, cR=0.8, sR=0.6, cv=8.0, sv=1.0, center=5.0)
@@ -535,7 +535,7 @@ class TestMeanField:
         t = 5e-4
         mf = mean_field_pde(spec, t, 50)
         mem = memory_form_density(spec, t, 50)
-        x = final_field(mf).values
+        x = final_field(mf)
         rel = np.max(np.abs(x - mem)) / np.max(x)
         assert rel < 1e-3
 
@@ -547,14 +547,14 @@ class TestMeanField:
         c = 0.5 / (sigma * math.sqrt(2 * math.pi) * math.erf(cutoff / (sigma * math.sqrt(2))))
         kern = RadialKernel(cutoff, tuple(c * np.exp(-xs ** 2 / (2 * sigma ** 2))))
 
-        g = FieldGrid((L,), np.full(n, v0), POSITION)
+        g = FieldGrid((L,), np.full(n, v0))
         x = g.axes()[0]
         dist = np.minimum(x, L - x)
         tab = np.asarray(kern(dist), float)
         spec = ModelSpec(
             "Annihilation", (L,), D, {"R": Rate(const=1.0, table=tuple(tab))}, g
         )
-        mf = final_field(mean_field_pde(spec, t, 200)).values
+        mf = final_field(mean_field_pde(spec, t, 200))
 
         sim = SimConfig(dt=0.02, replicas=3000, seed=5, kernel=kern)
         report = run(spec, sim, t)
@@ -660,7 +660,7 @@ class TestDenseTransforms:
         spec = gauss_spec_nd((6.0, 6.0), shape, center)
         dy = dyson_tree_density(spec, 0.4, 400)
         mf = mean_field_pde(spec, 0.4, 400)
-        sup = np.max(np.abs(to_position(final_field(dy)).values - final_field(mf).values))
+        sup = np.max(np.abs(to_position(spec.grid(), final_field(dy)) - final_field(mf)))
         assert sup < 1e-6
 
 
@@ -671,9 +671,16 @@ class TestDenseTransforms:
 
 class TestPlumbing:
     def test_momentum_grid_validation(self):
+        """Both spectra have the grid's shape, and D >= 0."""
         g, R, v = gauss_fields()
-        with pytest.raises(PerturbError):
-            MomentumGrid(Rhat=R.to_momentum(), vhat=v, D=1.0)
+        Rhat, vhat = R.to_momentum(), v.to_momentum()
+        MomentumGrid(grid=g, Rhat=Rhat, vhat=vhat, D=1.0)
+        with pytest.raises(PerturbError, match="shape"):
+            MomentumGrid(grid=g, Rhat=Rhat[:-1], vhat=vhat, D=1.0)
+        with pytest.raises(PerturbError, match="shape"):
+            MomentumGrid(grid=g, Rhat=Rhat, vhat=half_spectrum(vhat), D=1.0)
+        with pytest.raises(PerturbError, match="D must be"):
+            MomentumGrid(grid=g, Rhat=Rhat, vhat=vhat, D=-1.0)
 
     def test_odd_kernel_refused(self):
         g, R, v = gauss_fields()
@@ -687,7 +694,7 @@ class TestPlumbing:
         g, R, v = gauss_fields()
         vhat = np.fft.fftn(v.values + 1j * R.values) * g.cell_volume
         with pytest.raises(PerturbError, match="Hermitian"):
-            MomentumGrid(Rhat=R.to_momentum(), vhat=FieldGrid(g.box, vhat, MOMENTUM), D=1.0)
+            MomentumGrid(grid=g, Rhat=R.to_momentum(), vhat=vhat, D=1.0)
 
     def test_kernel_field_from_spec(self):
         g, R, v = gauss_fields()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rdito.grid import FieldGrid, POSITION
+from rdito.grid import FieldGrid
 from rdito.models import (
     ModelSpec,
     Rate,
@@ -49,7 +49,7 @@ L, N = 10.0, 64
 
 
 def make_grid(values=None):
-    g = FieldGrid((L,), np.zeros(N), POSITION)
+    g = FieldGrid((L,), np.zeros(N))
     return g if values is None else g.with_values(values)
 
 
@@ -62,7 +62,7 @@ def gauss_spec(kind="DeathDiffusion", mu=1.0, D=1.0, mass=20.0, rates=None):
 def cell_averaged(kind, t, refine=4, **kw):
     """Analytic density block-averaged over estimator cells (the histogram
     estimates cell averages, not midpoint values)."""
-    fine = FieldGrid((L,), np.zeros(N * refine), POSITION)
+    fine = FieldGrid((L,), np.zeros(N * refine))
     mass = kw.get("mass", 20.0)
     vf = fine.with_values(wrapped_gaussian(fine, mass, 1.0, L / 2))
     spec = ModelSpec(kind, (L,), kw.get("D", 1.0),
@@ -197,7 +197,7 @@ class TestPlacement:
     ], ids=["0.3/37", "10/77", "2d", "3d"])
     def test_positions_equal_the_remainder_bit_for_bit(self, box, shape):
         assert all(n * (b / n) != b for b, n in zip(box, shape))
-        g = FieldGrid(box, np.zeros(shape), POSITION)
+        g = FieldGrid(box, np.zeros(shape))
         edge = sum(np.isin(i, (0, n - 1)) for i, n in zip(np.indices(shape), shape))
         weights = (1 + 20 * edge) * np.random.default_rng(3).random(shape)
         rng = np.random.default_rng(5)
@@ -320,7 +320,7 @@ class TestStep:
         """A diffusion step of several box lengths still lands on the torus
         (a one-image wrap such as x + L where x < 0 would leave the box)."""
         box = (10.0, 4.0)
-        v = FieldGrid(box, np.full((16, 8), 50.0), POSITION)
+        v = FieldGrid(box, np.full((16, 8), 50.0))
         D, dt = 20000.0, 0.01
         # a tabulated mu reads positions first, so the step's first draw is the noise
         spec = ModelSpec("DeathDiffusion", box, D,
@@ -464,7 +464,7 @@ class TestRun:
         per-replica cell counts would: 500 x 128 int64 per chunk).  One thread
         keeps one chunk in flight, so its peak does not depend on timing; two
         threads keep at most two."""
-        g = FieldGrid((L,), np.zeros(128), POSITION)
+        g = FieldGrid((L,), np.zeros(128))
         spec = ModelSpec("DeathDiffusion", (L,), 1.0, {"mu": Rate(const=1.0)},
                          g.with_values(wrapped_gaussian(g, 5.0, 1.0, L / 2)))
 
@@ -547,7 +547,7 @@ class TestRun:
         """Only the CLI checked t_end: on this model run(spec, sim, -1.0)
         returned the t = 0 state (N 19.675) and run(spec, sim, 0.015) the
         t = 0.02 state."""
-        g = FieldGrid((L,), np.zeros(16), POSITION)
+        g = FieldGrid((L,), np.zeros(16))
         spec = ModelSpec("DeathDiffusion", (L,), 1.0, {"mu": Rate(const=1.0)},
                          g.with_values(wrapped_gaussian(g, 20.0, 1.0, L / 2)))
         sim = SimConfig(dt=0.01, replicas=200, seed=1)
@@ -772,7 +772,7 @@ def _criterion_11_mc(seed, replicas, t):
     xs = np.linspace(0.0, cutoff, 31)
     c = 0.5 / (sigma * math.sqrt(2 * math.pi) * math.erf(cutoff / (sigma * math.sqrt(2))))
     kern = RadialKernel(cutoff, tuple(c * np.exp(-xs ** 2 / (2 * sigma ** 2))))
-    g = FieldGrid((L,), np.full(32, 2.0), POSITION)
+    g = FieldGrid((L,), np.full(32, 2.0))
     x = g.axes()[0]
     tab = np.asarray(kern(np.minimum(x, L - x)), float)
     spec = ModelSpec("Annihilation", (L,), 1.0, {"R": Rate(const=1.0, table=tuple(tab))}, g)
@@ -780,7 +780,7 @@ def _criterion_11_mc(seed, replicas, t):
 
 
 def _annihilation_2d():
-    g = FieldGrid((6.0, 6.0), np.full((16, 16), 1.5), POSITION)
+    g = FieldGrid((6.0, 6.0), np.full((16, 16), 1.5))
     spec = ModelSpec("Annihilation", g.box, 0.5, {}, g)
     return spec, SimConfig(dt=0.01, replicas=200, seed=21,
                            kernel=RadialKernel(1.0, (2.0, 2.0, 1.0, 0.0))), 0.2
@@ -788,7 +788,7 @@ def _annihilation_2d():
 
 def _annihilation_3d():
     """4, 2 and 2 cells per axis: the 2-cell axes alias the -1 and +1 offsets."""
-    g = FieldGrid((3.0, 1.5, 2.0), np.full((6, 3, 4), 2.0), POSITION)
+    g = FieldGrid((3.0, 1.5, 2.0), np.full((6, 3, 4), 2.0))
     spec = ModelSpec("Annihilation", g.box, 0.3, {}, g)
     return spec, SimConfig(dt=0.01, replicas=40, seed=22, chunk=16,
                            kernel=RadialKernel(0.7, (3.0, 2.0, 0.0))), 0.1
@@ -808,7 +808,7 @@ def test_well_mixed_annihilation_matches_the_exact_chain():
     exact = law @ n
     assert law.sum() == pytest.approx(1.0, abs=1e-14)
     assert exact == pytest.approx(1.46434, abs=5e-6)
-    spec = ModelSpec("Annihilation", (L,), 0.0, {}, FieldGrid((L,), np.full(16, v), POSITION))
+    spec = ModelSpec("Annihilation", (L,), 0.0, {}, FieldGrid((L,), np.full(16, v)))
     kern = RadialKernel(cutoff=L / 2, samples=(c, c))
     scalars = run(spec, SimConfig(dt=0.01, replicas=4000, seed=3, kernel=kern), t).scalars
     m, se = scalars["N"]
@@ -817,6 +817,28 @@ def test_well_mixed_annihilation_matches_the_exact_chain():
     for key, want in (("N2", law @ n ** 2), ("void", law[0])):
         got, se = scalars[key]
         assert abs(got - want) < 3 * se, (key, (got - want) / se)
+
+
+@pytest.mark.parametrize("kind, law", [
+    ("BrownianTree", lambda n0, mu, t: n0 * (2 * math.exp(2 * mu * t) - math.exp(mu * t))),
+    ("DeathDiffusion", lambda n0, mu, t: n0 * math.exp(-mu * t)),
+], ids=["brownian-tree", "death-diffusion"])
+def test_particle_number_variance_matches_its_law(kind, law):
+    """Var N = N2 - N^2 from the scalars, on a uniform Poisson start of mean
+    n0 = L v.  Each BrownianTree founder leaves a geometric family of mean
+    e^{mu t}, so Var N = n0 (2 e^{2 mu t} - e^{mu t}), far above the Poisson
+    value; DeathDiffusion thins a Poisson count, so Var N = E N = n0 e^{-mu t}.
+    The bound is the delta-method SE of N2 - N^2 taken without the covariance,
+    se(N2) + 2 N se(N): over seeds 1-8 the deviation stayed within 0.39 of it."""
+    v, mu, t = 0.5, 1.0, 1.0
+    spec = ModelSpec(kind, (L,), 1.0, {"mu": Rate(const=mu)}, FieldGrid((L,), np.full(16, v)))
+    scalars = run(spec, SimConfig(dt=0.01, replicas=20_000, seed=1, chunk=256), t,
+                  threads=2).scalars
+    (n, se_n), (n2, se_n2) = scalars["N"], scalars["N2"]
+    var, bound = n2 - n * n, se_n2 + 2 * n * se_n
+    assert abs(var - law(L * v, mu, t)) <= bound, (var, law(L * v, mu, t), bound)
+    if kind == "BrownianTree":
+        assert abs(var - L * v * math.exp(mu * t)) > 10 * bound  # not Poisson
 
 
 @pytest.mark.parametrize("case, digest", [
@@ -838,7 +860,7 @@ def test_seeded_annihilation_output_is_pinned(case, digest):
 def _pinned_stream(kind, rates, mass=8.0, D=0.5, vb=None):
     """A 32-cell model on a Gaussian start with `rates` given as functions of
     the grid points x; 2,000 replicas in chunks of 300 to t = 0.5, with u."""
-    g = FieldGrid((L,), np.zeros(32), POSITION)
+    g = FieldGrid((L,), np.zeros(32))
     x = g.axes()[0]
     rates = {k: Rate(const=r) if np.isscalar(r) else Rate(table=tuple(r(x)))
              for k, r in rates.items()}
@@ -877,7 +899,7 @@ def test_seeded_non_uniform_output_is_pinned(case, digest):
 
 def _convert_ab_2d():
     """ConvertAB with vb and a tabulated mu on 12 x 8 cells, with u."""
-    g = FieldGrid((6.0, 4.0), np.zeros((12, 8)), POSITION)
+    g = FieldGrid((6.0, 4.0), np.zeros((12, 8)))
     x, y = np.meshgrid(*g.axes(), indexing="ij")
     mu = 1 + np.sin(x) ** 2 * np.cos(y / 2) ** 2
     spec = ModelSpec("ConvertAB", g.box, 0.3, {"mu": Rate(table=tuple(map(tuple, mu)))},

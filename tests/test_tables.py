@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdito.grid import MOMENTUM, SPLIT_CELLS, FieldGrid, POSITION, point_labels
+from rdito.grid import SPLIT_CELLS, FieldGrid, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
-from rdito.perturb import TimeSeries, dyson_tree_density, mean_field_pde
+from rdito.perturb import MOMENTUM, POSITION, TimeSeries, dyson_tree_density, mean_field_pde
 from rdito.simulate import EstimatorReport
 from oracles import full_values, table_rows
 
@@ -97,13 +97,13 @@ def test_time_series_csv_position_and_momentum():
         times = list(series.times)
         assert len(rows) == len(times) * n
         for k, (t, values) in enumerate(zip(times, written_values(series))):
-            fg = FieldGrid(series.box, values.reshape(SHAPE), series.rep)
+            fg = FieldGrid(series.box, values.reshape(SHAPE))
             check_block(rows[k * n:(k + 1) * n], t, axes_of(fg), fg.values)
 
 
 def test_grid_csv_2d_rows():
     rng = np.random.default_rng(0)
-    fields = {name: FieldGrid(BOX, rng.random(SHAPE) * 1e3, POSITION)
+    fields = {name: FieldGrid(BOX, rng.random(SHAPE) * 1e3)
               for name in ("density_se", "density", "density_b")}
     report = EstimatorReport(fields=fields, scalars={}, replicas=10)
     head, rows = body(report.grid_csv(), 1)
@@ -146,7 +146,7 @@ def written_values(series) -> np.ndarray:
 def series_csv_reference(series):
     """TimeSeries.csv as the per-row writer wrote it: one f-string per row
     of written_values."""
-    g = FieldGrid(series.box, np.zeros(series.shape), series.rep)
+    g = FieldGrid(series.box, np.zeros(series.shape))
     pos = series.rep == POSITION
     cols = ",".join(f"x{i}" if pos else f"k{i}" for i in range(g.dim))
     labels = point_labels(g.axes() if pos else g.kaxes())
@@ -210,7 +210,7 @@ def test_time_series_bytes_match_the_per_row_writer(shape, data):
 def test_grid_and_density_tables_match_the_per_row_writer(shape, data):
     names = data.draw(st.lists(st.sampled_from(["density", "density_b", "density_se", "%s"]),
                                min_size=1, max_size=3, unique=True))
-    fields = {n: FieldGrid(box_of(shape), field(data, shape), POSITION) for n in names}
+    fields = {n: FieldGrid(box_of(shape), field(data, shape)) for n in names}
     report = EstimatorReport(fields=fields, scalars={}, replicas=1)
     assert report.grid_csv() == grid_csv_reference(report)
 
@@ -270,6 +270,15 @@ def test_time_series_refuses_fields_of_another_layout():
         TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((2, 4, 4))).csv()
     with pytest.raises(ValueError, match="shorter"):
         TimeSeries(times, box_of(shape), shape, POSITION, np.zeros((1, 4, 6))).csv()
+
+
+@pytest.mark.parametrize("rep", ["Position", "MOMENTUM", "", None])
+def test_time_series_refuses_an_unknown_representation(rep):
+    """A rep other than POSITION or MOMENTUM is refused when the series is
+    made, not written as a momentum table."""
+    shape = (4, 6)
+    with pytest.raises(ValueError, match="unknown representation"):
+        TimeSeries((0.0,), box_of(shape), shape, rep, np.zeros((1, *shape)))
 
 
 # ---------------------------------------------------------------------------
