@@ -26,10 +26,9 @@ block (one time step, one field) is one join of them, with the lead put in
 once.  Values are written with repr, so float(cell) gives each back exactly.
 A table whose rows are solved one at a time goes through stream_rows, which
 formats them while they are solved: repr holds the GIL, so from SPLIT_CELLS
-cells on, one forked child formats the pieces of rows sent down a pipe while
-this process solves.  A full piece goes to the child if it has at most one
-waiting, and is formatted here at once otherwise.  It holds O(_PIECE_CELLS)
-cells and yields nothing before the last row.
+cells on, one forked child formats every piece of rows sent down a pipe while
+this process solves, and a full pipe holds the solve back.  It holds
+O(_PIECE_CELLS) cells and yields nothing before the last row.
 """
 
 from __future__ import annotations
@@ -240,89 +239,37 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-class _Formatter:
-    """A forked child that formats each piece of rows of a table sent down
-    its pipe (the row count as 8 bytes, then the rows of `row_floats`
-    floats).  After each piece it appends its text to the temp file `texts`
-    and the new length of that file, as 8 bytes, to the temp file `ends`,
-    so the parent sees how many pieces it has done and where each one's
-    text ends.  It leaves only by os._exit: 0 once the pipe is closed and
-    all is written, 1 on any error; so it never runs the caller's code or
-    flushes an inherited buffer."""
+def _pieces(rows: Iterable[tuple[float, np.ndarray]], per_piece: int) -> Iterator[np.ndarray]:
+    """The (lead, values) `rows` gathered into 2-D arrays of at most
+    `per_piece` rows, row i [lead, *values]; each reuses the buffer of the
+    one before, so a piece is spent before the next is drawn."""
+    piece, n = None, 0
+    for lead, values in rows:
+        if piece is None:
+            piece = np.empty((per_piece, 1 + len(values)))
+        elif n == per_piece:  # a full piece, and more rows to come
+            yield piece
+            n = 0
+        piece[n, 0] = lead
+        piece[n, 1:] = values
+        n += 1
+    if n:
+        yield piece[:n]
 
-    def __init__(self, text, row_floats: int):
-        self.texts, self.ends, self.sent = _temp_fd(), _temp_fd(), 0
-        r, self.pipe = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (r, self.pipe, self.texts, self.ends):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.pipe)
-                self._format(text, r, row_floats)
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            os.close(r)
-        except BaseException:
-            self.close()
-            raise
 
-    def _format(self, text, r: int, row_floats: int) -> None:
-        """The child's work: every piece read from `r`."""
-        size = 0
-        with open(r, "rb") as pipe:
-            while head := pipe.read(8):
-                rows = int.from_bytes(head, "little")
-                block = np.frombuffer(pipe.read(rows * row_floats * 8)).reshape(rows, row_floats)
-                data = "".join(text(block)).encode()
-                _write_all(self.texts, data)
-                size += len(data)
-                _write_all(self.ends, size.to_bytes(8, "little"))
+def _format(pieces: Iterable[np.ndarray], text, out: int) -> None:
+    """Append the text of each piece of rows to the file `out`."""
+    for block in pieces:
+        _write_all(out, "".join(text(block)).encode())
 
-    def in_flight(self) -> int:
-        """Pieces sent and not yet formatted."""
-        return self.sent - os.fstat(self.ends).st_size // 8
 
-    def send(self, block: np.ndarray) -> None:
-        try:
-            _write_all(self.pipe, len(block).to_bytes(8, "little") + block.tobytes())
-        except BrokenPipeError:
-            self.finish()  # it failed: raises
-            raise
-        self.sent += 1
-
-    def finish(self) -> list[int]:
-        """Close the pipe and reap the child; where each piece's text
-        starts, then where the last one ends: [0, end_1, ..., end_sent].
-        RuntimeError if the child failed."""
-        if self.pipe >= 0:
-            os.close(self.pipe)
-            self.pipe = -1
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = 0
-        if status:
-            raise RuntimeError("the process formatting a table failed "
-                               f"(exit code {os.waitstatus_to_exitcode(status)})")
-        os.lseek(self.ends, 0, os.SEEK_SET)
-        ends = b"".join(iter(lambda: os.read(self.ends, _READ_BYTES), b""))
-        return [0] + [int.from_bytes(ends[i:i + 8], "little") for i in range(0, len(ends), 8)]
-
-    def close(self) -> None:
-        """Kill and reap the child if it runs, and close every file."""
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-        for fd in (self.pipe, self.texts, self.ends):
-            if fd >= 0:
-                os.close(fd)
-        self.pipe = self.texts = self.ends = -1
+def _received(r: int) -> Iterator[np.ndarray]:
+    """The pieces of rows read from the pipe `r` until it closes: each its
+    rows and columns as two int64, then its floats."""
+    with open(r, "rb") as pipe:
+        while head := pipe.read(16):
+            rows, cols = np.frombuffer(head, np.int64).tolist()
+            yield np.frombuffer(pipe.read(rows * cols * 8)).reshape(rows, cols)
 
 
 def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int,
@@ -336,70 +283,60 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
     formatted, so a failed solve or a failed formatter writes no byte.
     repr holds the GIL, so threads cannot share the formatting, but a
     forked process can.  Rows are gathered in pieces of about _PIECE_CELLS
-    cells.  A table of SPLIT_CELLS cells or more forks one child (a
-    _Formatter) when its first piece fills.  Each piece, once full, goes
-    down the child's pipe if the child has at most one piece waiting, and
-    is formatted here at once otherwise, so the child formats while `rows`
-    runs, this process takes what the child cannot keep up with, and memory
-    stays O(_PIECE_CELLS) whatever the table's length.  Smaller tables, and
-    platforms without fork, are formatted here.  Every text goes to a temp
-    file that has no name, and once the child is reaped the texts are
-    yielded in row order, read back in pieces (the text is ASCII).
+    cells.  A table of SPLIT_CELLS cells or more forks one child before its
+    first row; every piece goes down the child's pipe, and the child formats
+    them all into a temp file.  A child that falls behind fills the pipe,
+    which blocks `rows` until it catches up, so memory stays O(_PIECE_CELLS)
+    whatever the table's length.  Smaller tables, and platforms without
+    fork, are formatted here into the same kind of file.  The file has no
+    name; once the child is reaped it is read back in pieces (the text is
+    ASCII).  The child leaves only by os._exit: 0 once the pipe is closed
+    and all is written, 1 on any error; so it never runs the caller's code
+    or flushes an inherited buffer.
 
     RuntimeError if the child fails.  The child is killed and reaped on
     every other exit, such as an exception from `rows` or a generator
     closed early."""
-    per_piece = max(1, _PIECE_CELLS // width)
-    forks = hasattr(os, "fork") and count * width >= SPLIT_CELLS
-    piece, n = None, 0  # the piece being filled and its rows
-    # every formatted piece in row order, as the child's piece number or
-    # as (start, stop) of its text in `here`
-    order, here, here_size, child = [], -1, 0, None
-
-    def put(block: np.ndarray) -> None:
-        """Send `block` to the child if it has at most one piece waiting,
-        else format it here now."""
-        nonlocal here, here_size, child
-        if forks and child is None:
-            child = _Formatter(text, block.shape[1])
-        if child and child.in_flight() < 2:
-            order.append(child.sent)
-            child.send(block)
-            return
-        if here < 0:
-            here = _temp_fd()
-        data = "".join(text(block)).encode()
-        _write_all(here, data)
-        order.append((here_size, here_size + len(data)))
-        here_size += len(data)
-
+    pieces = _pieces(rows, max(1, _PIECE_CELLS // width))
+    out, pipe, pid = _temp_fd(), -1, 0
     try:
-        for lead, values in rows:
-            if piece is None:
-                piece = np.empty((per_piece, 1 + len(values)))
-            elif n == per_piece:  # a full piece, and more rows to come
-                put(piece)
-                n = 0
-            piece[n, 0] = lead
-            piece[n, 1:] = values
-            n += 1
-        if n:
-            put(piece[:n])
-        ends = child.finish() if child else []
-        for item in order:
-            if isinstance(item, tuple):
-                fd, (lo, hi) = here, item
-            else:
-                fd, lo, hi = child.texts, ends[item], ends[item + 1]
-            os.lseek(fd, lo, os.SEEK_SET)
-            while lo < hi:
-                chunk = os.read(fd, min(_READ_BYTES, hi - lo))
-                if not chunk:
-                    raise RuntimeError("a table's text ended short")
-                lo += len(chunk)
-                yield chunk.decode()
+        if hasattr(os, "fork") and count * width >= SPLIT_CELLS:
+            r, pipe = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(pipe)
+                    _format(_received(r), text, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(r)
+            try:
+                for block in pieces:
+                    _write_all(pipe, np.array(block.shape, np.int64).tobytes() + block.tobytes())
+            except BrokenPipeError:
+                pass  # the child failed: waitpid tells how
+            os.close(pipe)
+            pipe = -1
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+            if status:
+                raise RuntimeError("the process formatting a table failed "
+                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
+        else:
+            _format(pieces, text, out)
+        os.lseek(out, 0, os.SEEK_SET)
+        while chunk := os.read(out, _READ_BYTES):
+            yield chunk.decode()
     finally:
-        if child:
-            child.close()
-        if here >= 0:
-            os.close(here)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe >= 0:
+            os.close(pipe)
+        os.close(out)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -540,8 +541,10 @@ def run(
 ) -> EstimatorReport:
     """Replica-averaged estimators at t_end, a whole number of steps dt;
     deterministic for fixed (seed, config), whatever the number of worker
-    threads running the chunks.  Unfit unless t_end is finite, >= 0 and a
-    whole number of steps, to a relative 1e-9; SimError past a work cap."""
+    threads running the chunks: `threads`, at most one per chunk and per
+    CPU, so at most that many chunks hold their particles at once.  Unfit
+    unless t_end is finite, >= 0 and a whole number of steps, to a relative
+    1e-9; SimError past a work cap."""
     sim.check(spec)
     steps = t_end / sim.dt
     nsteps = round(steps) if math.isfinite(steps) and steps >= 0 else math.nan
@@ -569,8 +572,9 @@ def run(
     def chunk(ci):
         return _chunk_stats(spec, sim, nsteps, u, ci, min(sim.chunk, sim.replicas - ci * sim.chunk))
 
-    if threads > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, nchunks, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(chunk, range(nchunks)))
     else:
         results = [chunk(ci) for ci in range(nchunks)]

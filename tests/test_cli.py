@@ -971,9 +971,9 @@ class TestPerturb:
         the first in C order, and 776 cells changed, by at most 8.9e-16
         (one rounding unit of the values near 8); no other byte changed.
         The tree-level id is the benchmark's run of 3,000 steps: its tables
-        of 192,064 cells are past grid.SPLIT_CELLS, so two processes format
+        of 192,064 cells are past grid.SPLIT_CELLS, so a forked child formats
         them (the other ids are below it); its digests were recorded at
-        fc18455, where one process did."""
+        fc18455, where this process did."""
         model = gaussian_annihilation_model(tmp_path / "m.json", box, shape, center)
         for method, digest in digests.items():
             out = tmp_path / f"{method}.csv"
@@ -985,7 +985,7 @@ class TestPerturb:
         """Without --out, the tree-level table goes to stdout with the bytes
         of the --out file, and with every warning an error the run exits 0
         with nothing on stderr: the formatter child writes only to its temp
-        files."""
+        file."""
         argv = ["perturb", gaussian_annihilation_model(tmp_path / "m.json"),
                 "--t-end", "0.4", "--steps", "3000"]
         out = tmp_path / "dyson.csv"
@@ -1001,9 +1001,9 @@ class TestPerturb:
     @pytest.mark.parametrize("side", ["child", "parent", "consumer"])
     def test_failed_split_table_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                           side):
-        """A table formatted in two processes fails as one command: when the
-        formatter child fails, when this process fails mid-way through its
-        own pieces, or when the file write fails mid-way,
+        """A table past grid.SPLIT_CELLS fails as one command: when the
+        formatter child fails, when this process formats the table (without
+        os.fork) and fails mid-way, or when the file write fails mid-way,
         perturb exits 4 with one stderr line and leaves neither the output,
         nor a temp file, nor a child process."""
         from rdito import perturb
@@ -1037,6 +1037,8 @@ class TestPerturb:
                     self.f.write(chunk)
 
         monkeypatch.setattr(perturb, "reprs", reprs)
+        if side == "parent":
+            monkeypatch.delattr(os, "fork")
         if side == "consumer":
             monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
         model = gaussian_annihilation_model(tmp_path / "m.json")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -593,6 +594,40 @@ class TestRun:
         r4 = run(spec, sim, 0.3, threads=4)
         assert np.array_equal(r1.fields["density"].values, r4.fields["density"].values)
         assert r1.scalars == r4.scalars
+
+    @pytest.mark.parametrize("cpus, workers", [(8, 8), (1000, 64)])
+    def test_worker_pool_is_bounded_by_chunks_and_cpus(self, monkeypatch, cpus, workers):
+        """threads=10**6 on 64 chunks asks the pool for at most one worker
+        per chunk and per CPU, so a huge --threads cannot start a thread, or
+        hold a chunk of particles, per chunk.  The pool is a fake that
+        records max_workers and maps serially, so no thread starts; the
+        report equals the threads=1 report."""
+        from rdito import simulate
+
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = gauss_spec(mass=5.0)
+        sim = SimConfig(dt=0.05, replicas=256, seed=123, chunk=4)
+        r1 = run(spec, sim, 0.1)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        many = run(spec, sim, 0.1, threads=10 ** 6)
+        assert asked == [workers]
+        assert np.array_equal(r1.fields["density"].values, many.fields["density"].values)
+        assert r1.scalars == many.scalars
 
     def test_death_diffusion_density_matches_closed_form(self):
         spec = gauss_spec()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rdito import grid, perturb
 from rdito.grid import SPLIT_CELLS, FieldGrid, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
 from rdito.perturb import MOMENTUM, POSITION, TimeSeries, dyson_tree_density, mean_field_pde
@@ -395,8 +396,8 @@ def test_split_tables_match_the_per_row_writer(rows, side, dim, seed, data):
     """Tables just under (side -1), at (0) and just over (+1) SPLIT_CELLS
     cells, with 1, 2 and odd row counts, position and momentum series, on
     1-D and 2 x m grids with odd and even last axes: the bytes of the
-    per-row writer, formatted in two processes from SPLIT_CELLS cells on
-    and in this one below.  An odd row count cannot hit SPLIT_CELLS exactly."""
+    per-row writer, formatted by a forked child from SPLIT_CELLS cells on
+    and in this process below.  An odd row count cannot hit SPLIT_CELLS exactly."""
     width = (SPLIT_CELLS + side) // rows if side <= 0 else SPLIT_CELLS // rows + 1
     shape = (width,) if dim == 1 else (2, width // 2 if side <= 0 else -(-width // 2))
     times = tuple(data.draw(st.lists(VALUES, min_size=rows, max_size=rows)))
@@ -409,7 +410,7 @@ def test_split_tables_match_the_per_row_writer(rows, side, dim, seed, data):
     assert_no_children()
 
 
-BLOCK = SPLIT_CELLS // 64  # rows of 64 cells in which the writer forks its first child
+BLOCK = SPLIT_CELLS // 64  # rows of 64 cells from which on the writer forks a child
 
 
 @pytest.mark.parametrize("rows, forks", [(BLOCK - 1, 0), (BLOCK, 1), (BLOCK + 1, 1),
@@ -417,10 +418,10 @@ BLOCK = SPLIT_CELLS // 64  # rows of 64 cells in which the writer forks its firs
 def test_streamed_tables_match_the_per_row_writer(rows, forks):
     """Rows of 64 cells drawn from a generator, at one block of SPLIT_CELLS
     cells, one block and one row either side of it, just past it, and over
-    several blocks (a first child, and pieces formatted here while the
-    child has two waiting): the bytes of the per-row writer.  Below one
-    block, one process formats the table; from one block on, one child is
-    forked when the first piece fills and takes each piece it has room for."""
+    several blocks (a child that falls behind and holds the rows back):
+    the bytes of the per-row writer.  Below one block, this process formats
+    the table; from one block on, one child is forked before the first row
+    and formats every piece."""
     for rep in (POSITION, MOMENTUM):
         series = large_series(rep, rows=rows)
         with counted_forks() as got:
@@ -451,13 +452,35 @@ def test_streamed_table_yields_nothing_before_the_last_field():
 def test_streamed_table_keeps_one_child(spin):
     """One formatter child is forked for a table, and it is the only child
     alive (forked and not reaped) at any moment, whether the fields come at
-    once (the child falls behind and this process formats pieces too) or
+    once (the child falls behind and its full pipe holds the solve back) or
     after some work each (the child keeps up)."""
     series = large_series(rows=4000)
     with live_children() as seen:
         text = streamed(series, spin).csv()
     assert seen["most"] == seen["forks"] == 1
     assert_same_text(text, series_csv_reference(series))
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_split_table_rows_are_formatted_in_one_process(monkeypatch, fork):
+    """A 3,001 x 64 momentum table whose fields come at once: with a
+    formatter child, this process formats no row, however far the child
+    falls behind; without os.fork, it formats every row."""
+    parent, real, here = os.getpid(), perturb.reprs, []
+
+    def reprs(values):
+        if os.getpid() == parent:
+            here.append(values)
+        return real(values)
+
+    series = large_series(rows=3001)
+    want = series_csv_reference(series)
+    monkeypatch.setattr(perturb, "reprs", reprs)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    assert_same_text(streamed(series).csv(), want)
+    assert len(here) == (0 if fork else 3001)
     assert_no_children()
 
 
@@ -512,7 +535,9 @@ def test_split_table_leaves_no_process():
 
 def test_split_table_raises_when_its_child_fails(monkeypatch):
     """A child that fails exits 1; the stream raises RuntimeError before
-    it yields anything, instead of ending short."""
+    it yields anything, instead of ending short: when the child's writes
+    fail, and when its pipe reader fails before it reads anything, so the
+    pieces this process sends hit a closed pipe."""
     parent, real = os.getpid(), os.write
 
     def write(fd, data):
@@ -520,11 +545,18 @@ def test_split_table_raises_when_its_child_fails(monkeypatch):
             raise MemoryError
         return real(fd, data)
 
-    monkeypatch.setattr(os, "write", write)
-    for series in (large_series(), streamed(large_series(rows=3000), 20e-6)):
+    def received(r):
+        raise MemoryError
+
+    for module, name, fake, series in (
+            (os, "write", write, large_series()),
+            (os, "write", write, streamed(large_series(rows=3000), 20e-6)),
+            (grid, "_received", received, large_series(rows=3001))):
         got = []
-        with pytest.raises(RuntimeError, match="exit code 1"):
-            got.extend(series.csv_chunks())
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, fake)
+            with pytest.raises(RuntimeError, match="exit code 1"):
+                got.extend(series.csv_chunks())
         assert got == []
         assert_no_children()
 
