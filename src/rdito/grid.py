@@ -23,12 +23,15 @@ A map of a flat vector takes only the views it needs around that product
 Every CSV table is written by table_block: per grid, the parts of one block
 of rows `lead,label,value` are laid out once from the point labels, and a
 block (one time step, one field) is one join of them, with the lead put in
-once.  Values are written with repr, so float(cell) gives each back exactly.
-A table whose rows are solved one at a time goes through stream_rows, which
-formats them while they are solved: repr holds the GIL, so from SPLIT_CELLS
-cells on, one forked child formats every piece of rows sent down a pipe while
-this process solves, and a full pipe holds the solve back.  It holds
-O(_PIECE_CELLS) cells and yields nothing before the last row.
+once.  Values are written exactly as repr writes them, by a numpy formatter,
+reprs (from floatrepr: Ryu's shortest round-trip digits, Adams, PLDI 2018),
+so float(cell) gives each back exactly.  A table whose rows are solved one
+at a time goes through stream_rows, which formats them while they are
+solved: formatting holds the GIL, so from SPLIT_CELLS cells on, one forked
+child formats every piece of rows sent down a pipe (_PIECE_CELLS, 2^13
+cells, per reprs call) while this process solves, and a full pipe holds the
+solve back.  It holds O(_PIECE_CELLS) cells and yields nothing before the
+last row.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .floatrepr import reprs
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -217,14 +222,10 @@ def table_block(labels: list[str]):
     return block
 
 
-def reprs(values: np.ndarray) -> tuple[str, ...]:
-    """repr of each value in C order, the cells of a table_block."""
-    return tuple(map(repr, np.ravel(values).tolist()))
-
-
 SPLIT_CELLS = 2 ** 15  # fewest table cells formatted with a forked process
-_PIECE_CELLS = 2 ** 11  # cells per piece, the rows stream_rows holds, sends and formats at once
-_READ_BYTES = 2 ** 16  # most bytes stream_rows reads back at once
+_PIECE_CELLS = 2 ** 13  # cells per piece sent to the formatter child, formatted in one reprs call
+_HERE_CELLS = 2 ** 9  # cells per piece formatted in this process, which holds a piece's strings
+_READ_BYTES = 2 ** 15  # most bytes stream_rows reads back, and _format writes, at once
 
 
 def _temp_fd() -> int:
@@ -234,7 +235,7 @@ def _temp_fd() -> int:
 
 
 def _write_all(fd: int, data) -> None:
-    view = memoryview(data)
+    view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]
 
@@ -263,6 +264,14 @@ def _format(pieces: Iterable[np.ndarray], text, out: int) -> None:
         _write_all(out, "".join(text(block)).encode())
 
 
+def _send(pieces: Iterable[np.ndarray], pipe: int) -> None:
+    """Write each piece of rows down the pipe: its rows and columns as two
+    int64, then its floats."""
+    for block in pieces:
+        _write_all(pipe, np.array(block.shape, np.int64))
+        _write_all(pipe, block)
+
+
 def _received(r: int) -> Iterator[np.ndarray]:
     """The pieces of rows read from the pipe `r` until it closes: each its
     rows and columns as two int64, then its floats."""
@@ -281,14 +290,15 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
 
     Nothing is yielded until `rows` is exhausted and every row is
     formatted, so a failed solve or a failed formatter writes no byte.
-    repr holds the GIL, so threads cannot share the formatting, but a
-    forked process can.  Rows are gathered in pieces of about _PIECE_CELLS
-    cells.  A table of SPLIT_CELLS cells or more forks one child before its
-    first row; every piece goes down the child's pipe, and the child formats
+    Formatting holds the GIL, so threads cannot share it, but a forked
+    process can.  A table of SPLIT_CELLS cells or more forks one child
+    before its first row; rows are gathered in pieces of about _PIECE_CELLS
+    cells, every piece goes down the child's pipe, and the child formats
     them all into a temp file.  A child that falls behind fills the pipe,
     which blocks `rows` until it catches up, so memory stays O(_PIECE_CELLS)
     whatever the table's length.  Smaller tables, and platforms without
-    fork, are formatted here into the same kind of file.  The file has no
+    fork, are formatted here into the same kind of file, in pieces of about
+    _HERE_CELLS cells: this process holds a piece's strings.  The file has no
     name; once the child is reaped it is read back in pieces (the text is
     ASCII).  The child leaves only by os._exit: 0 once the pipe is closed
     and all is written, 1 on any error; so it never runs the caller's code
@@ -297,7 +307,6 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
     RuntimeError if the child fails.  The child is killed and reaped on
     every other exit, such as an exception from `rows` or a generator
     closed early."""
-    pieces = _pieces(rows, max(1, _PIECE_CELLS // width))
     out, pipe, pid = _temp_fd(), -1, 0
     try:
         if hasattr(os, "fork") and count * width >= SPLIT_CELLS:
@@ -317,8 +326,7 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
                     os._exit(code)
             os.close(r)
             try:
-                for block in pieces:
-                    _write_all(pipe, np.array(block.shape, np.int64).tobytes() + block.tobytes())
+                _send(_pieces(rows, max(1, _PIECE_CELLS // width)), pipe)
             except BrokenPipeError:
                 pass  # the child failed: waitpid tells how
             os.close(pipe)
@@ -329,7 +337,7 @@ def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int
                 raise RuntimeError("the process formatting a table failed "
                                    f"(exit code {os.waitstatus_to_exitcode(status)})")
         else:
-            _format(pieces, text, out)
+            _format(_pieces(rows, max(1, _HERE_CELLS // width)), text, out)
         os.lseek(out, 0, os.SEEK_SET)
         while chunk := os.read(out, _READ_BYTES):
             yield chunk.decode()

@@ -280,8 +280,9 @@ class TimeSeries:
         pieces that never hold the whole table.  ValueError if a field has
         another shape, or if the times and the fields differ in number.
 
-        A momentum row takes repr on the real parts of its half spectrum,
-        and one itemgetter spreads the strings to the full grid, so a cell
+        The cells of a piece of rows are formatted by one grid.reprs call.
+        A momentum row takes the strings of the real parts of its half
+        spectrum, and one itemgetter spreads them to the full grid, so a cell
         that the completion fills repeats the string of its mirror, and both
         cells of a pair k, -k that the half spectrum holds take the string of
         the first in C order, so the table is exactly Hermitian."""
@@ -306,8 +307,10 @@ class TimeSeries:
                 yield t, x.reshape(-1).real
 
         def text(rows):
-            for strs in map(reprs, rows):
-                yield block(strs[0], pick(strs))
+            cells, width = reprs(rows), rows.shape[1]
+            for lo in range(0, len(cells), width):
+                row = cells[lo:lo + width]
+                yield block(row[0], pick(row))
 
         body = stream_rows(rows(), len(self.times), g.values.size, text)
         try:

@@ -1003,17 +1003,18 @@ class TestPerturb:
                                                           side):
         """A table past grid.SPLIT_CELLS fails as one command: when the
         formatter child fails, when this process formats the table (without
-        os.fork) and fails mid-way, or when the file write fails mid-way,
+        os.fork) and fails mid-way, at the piece of rows that reaches the
+        middle row of the 3,001, or when the file write fails mid-way,
         perturb exits 4 with one stderr line and leaves neither the output,
         nor a temp file, nor a child process."""
         from rdito import perturb
 
-        parent, real_reprs, real_fdopen, calls = os.getpid(), perturb.reprs, os.fdopen, []
+        parent, real_reprs, real_fdopen, rows = os.getpid(), perturb.reprs, os.fdopen, []
 
         def reprs(values):
-            calls.append(values)
+            rows.append(len(values))
             if (side == "child" and os.getpid() != parent
-                    or side == "parent" and len(calls) == 100):
+                    or side == "parent" and sum(rows) > 1500):
                 raise MemoryError("formatting failed")
             return real_reprs(values)
 

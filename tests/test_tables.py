@@ -7,7 +7,10 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from itertools import zip_longest
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdito import grid, perturb
+from rdito import floatrepr, grid, perturb
 from rdito.grid import SPLIT_CELLS, FieldGrid, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
 from rdito.perturb import MOMENTUM, POSITION, TimeSeries, dyson_tree_density, mean_field_pde
@@ -23,6 +26,7 @@ from rdito.simulate import EstimatorReport
 from oracles import full_values, table_rows
 
 BOX, SHAPE = (10.0, 6.0), (5, 3)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def spec_2d(kind, **extra):
@@ -466,12 +470,13 @@ def test_streamed_table_keeps_one_child(spin):
 def test_split_table_rows_are_formatted_in_one_process(monkeypatch, fork):
     """A 3,001 x 64 momentum table whose fields come at once: with a
     formatter child, this process formats no row, however far the child
-    falls behind; without os.fork, it formats every row."""
+    falls behind; without os.fork, it formats every row.  reprs formats a
+    piece of rows per call, so the rows of the pieces it gets are counted."""
     parent, real, here = os.getpid(), perturb.reprs, []
 
     def reprs(values):
         if os.getpid() == parent:
-            here.append(values)
+            here.append(len(values))
         return real(values)
 
     series = large_series(rows=3001)
@@ -480,7 +485,7 @@ def test_split_table_rows_are_formatted_in_one_process(monkeypatch, fork):
     if not fork:
         monkeypatch.delattr(os, "fork")
     assert_same_text(streamed(series).csv(), want)
-    assert len(here) == (0 if fork else 3001)
+    assert sum(here) == (0 if fork else 3001)
     assert_no_children()
 
 
@@ -594,3 +599,69 @@ def test_streamed_table_memory_does_not_grow_with_the_table(monkeypatch, fork):
         tracemalloc.stop()
     assert peak < 320 * 1024, peak
     assert_no_children()
+
+
+# The numpy formatter behind grid.reprs: repr's bytes, from Ryu's digits.
+
+SUBNORMAL_TOP = float(np.nextafter(2.2250738585072014e-308, 0))  # the largest subnormal
+FIXED_CASES = (0.0, math.inf, math.nan, 5e-324, SUBNORMAL_TOP, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05)
+
+
+def formatted_as_repr(values) -> None:
+    """grid.reprs of `values`, at least floatrepr._FEWEST of them so numpy
+    formats them, is the bytes of the per-row reference writer."""
+    values = np.asarray(values, dtype=float)
+    assert values.size >= floatrepr._FEWEST
+    labels = [str(i) for i in range(values.size)]
+    got = grid.table_block(labels)("t", grid.reprs(values))
+    assert_same_text(got, "\n".join(table_rows("t", labels, values)) + "\n")
+
+
+def test_formatter_writes_the_fixed_cases_as_repr():
+    """+-0.0, +-inf, nan, the smallest subnormal, the largest subnormal and
+    the smallest normal, the largest double, every power of 2 and of 10 in
+    range, and the thresholds of fixed notation (1e-4 <= |x| < 1e16), with
+    both signs."""
+    powers = [2.0 ** k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    values = np.array(FIXED_CASES + tuple(powers))
+    formatted_as_repr(np.concatenate([values, -values]))
+
+
+def test_formatter_matches_repr_on_a_million_random_doubles():
+    """2^20 seeded random doubles with random signs and significands,
+    compared with repr in pieces of 2^16: 16 at each of the 2,048 binary
+    exponents (subnormals, inf and nan payloads too), the rest with
+    exponents in -128..127, where repr is quick."""
+    rng = np.random.default_rng(20181)
+    n = 2 ** 20
+    exponent = np.concatenate([np.repeat(np.arange(2048), 16),
+                               rng.integers(1023 - 128, 1023 + 128, n - 16 * 2048)])
+    bits = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    bits |= exponent.astype(np.uint64) << 52
+    bits |= rng.integers(0, 2, n, dtype=np.uint64) << 63
+    for piece in np.split(bits.view(np.float64), 16):
+        wrong = [(got, want) for got, want in zip(grid.reprs(piece), map(repr, piece.tolist()))
+                 if got != want]
+        assert not wrong, wrong[:5]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_formatter_matches_repr_on_any_floats(values):
+    formatted_as_repr(np.resize(np.array(values), floatrepr._FEWEST))
+
+
+def test_small_tables_cost_no_setup():
+    """Importing the CLI builds no formatter table, and neither does
+    formatting a 128-value table (mc-death-diffusion writes three), which
+    repr writes."""
+    code = ("import numpy as np, rdito.cli\n"
+            "from rdito import floatrepr, grid\n"
+            "assert floatrepr._tables.cache_info().currsize == 0\n"
+            "x = np.random.default_rng(1).standard_normal(128) * 1e-3\n"
+            "assert grid.reprs(x) == tuple(map(repr, x.tolist()))\n"
+            "assert floatrepr._tables.cache_info().currsize == 0\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
