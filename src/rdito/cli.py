@@ -18,10 +18,11 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -43,29 +44,28 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def atomic_write(path: str, text: str, chunks: Iterable[str] = ()) -> str:
-    """Write text, then each of chunks as it comes, UTF-8 encoded, to path
-    via a temp file in the same directory + rename.  Returns the SHA-256
-    of the bytes written, as "sha256:<hex>", hashed as they are written."""
+def atomic_write(path: str, text: str, write: Callable[[int], str] | None = None) -> str:
+    """Write text UTF-8 encoded, or, given `write`, what write(fd) writes to
+    the descriptor fd it is handed (text is then empty), to path via a temp
+    file in the same directory + rename.  Returns the SHA-256 of the bytes
+    written, as "sha256:<hex>": of text, or write's return value, the hex
+    digest of what it wrote, hashed as it wrote it."""
     path = os.path.abspath(path)
-    h = hashlib.sha256()
-
-    def encoded(part: str) -> bytes:
-        data = part.encode()
-        h.update(data)
-        return data
-
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rdito-tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(encoded(text))
-            f.writelines(map(encoded, chunks))
+            if write is None:
+                data = text.encode()
+                f.write(data)
+                digest = hashlib.sha256(data).hexdigest()
+            else:
+                digest = write(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return "sha256:" + h.hexdigest()
+    return "sha256:" + digest
 
 
 def _digest(path: str) -> str:
@@ -118,21 +118,46 @@ def _check_times(flag: str, times, positive: bool = False) -> None:
             raise UsageError(f"{flag} must be finite and {'>' if positive else '>='} 0, got {t}")
 
 
-def _chunks(body: str | Iterable[str]) -> Iterator[str]:
-    return iter([body] if isinstance(body, str) else body)
+def _print(body: str | Callable[[int], str]) -> None:
+    """Write one output to stdout: text as it is, or what a writer puts in
+    an anonymous temp file, copied as bytes once it is whole."""
+    if isinstance(body, str):
+        _to_stdout(lambda: sys.stdout.write(body))
+        return
+    with tempfile.TemporaryFile() as f:
+        body(f.fileno())
+        f.seek(0)
+        _to_stdout(lambda: shutil.copyfileobj(f, sys.stdout.buffer))
+
+
+def _to_stdout(write: Callable[[], object]) -> None:
+    """Call write(), which writes to stdout, and flush stdout.  A reader
+    that closes stdout early ends the command quietly, since the output was
+    computed and the rest is not wanted: stdout is pointed at os.devnull,
+    so nothing is left to fail when the interpreter flushes it at exit."""
+    try:
+        sys.stdout.flush()
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(args, command: str, config: dict, outputs: dict, seed=None) -> None:
-    """Write outputs ({path suffix: text, or an iterable of text chunks})
-    next to --out, atomically, plus the run manifest; without --out, print
-    the first output instead.  Chunks are written as they come."""
+    """Write outputs ({path suffix: text, or a writer: a function that
+    writes the output to the file descriptor it is handed and returns the
+    SHA-256 hex digest of its bytes}) next to --out, atomically, plus the
+    run manifest; without --out, print the first output instead."""
     if not args.out:
-        sys.stdout.writelines(_chunks(next(iter(outputs.values()))))
+        _print(next(iter(outputs.values())))
         return
     digests = {}
     for suffix, body in outputs.items():
-        chunks = _chunks(body)
-        digests[args.out + suffix] = atomic_write(args.out + suffix, next(chunks, ""), chunks)
+        path = args.out + suffix
+        digests[path] = (atomic_write(path, body) if isinstance(body, str)
+                         else atomic_write(path, "", body))
     write_manifest(args.out, command, config, seed, digests)
 
 
@@ -345,7 +370,7 @@ def cmd_perturb(args) -> int:
     _emit(args, "perturb",
           {"model": json.loads(model_text), "t_end": args.t_end, "steps": args.steps,
            "method": args.method},
-          {"": series.csv_chunks()})
+          {"": series.write})
     return EXIT_OK
 
 

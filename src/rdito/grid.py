@@ -17,8 +17,9 @@ convolution) wraps it in dense_map.  On grids of at most DENSE_CELLS cells
 the map becomes one vector-matrix product: its matrix is the map applied to
 the identity basis, so it is the same linear map, and it skips numpy's FFT
 call overhead, which dominates there.  Above the crossover the FFTs win.
-A map of a flat vector takes only the views it needs around that product
-(a flat real vector to a flat real vector, none: the bare x @ matrix).
+A map of a flat vector takes only the views it needs around that product,
+which is ndarray.dot, numpy's cheapest call for it (a flat real vector to a
+flat real vector, none: the bare x.dot(matrix)).
 
 Every CSV table is written by table_block: per grid, the parts of one block
 of rows `lead,label,value` are laid out once from the point labels, and a
@@ -27,19 +28,20 @@ once.  Values are written exactly as repr writes them, by a numpy formatter,
 reprs (from floatrepr: Ryu's shortest round-trip digits, Adams, PLDI 2018),
 so float(cell) gives each back exactly.  A table whose rows are solved one
 at a time goes through stream_rows, which formats them while they are
-solved: formatting holds the GIL, so from SPLIT_CELLS cells on, one forked
-child formats every piece of rows sent down a pipe (_PIECE_CELLS, 2^13
-cells, per reprs call) while this process solves, and a full pipe holds the
-solve back.  It holds O(_PIECE_CELLS) cells and yields nothing before the
-last row.
+solved and writes them straight into the file it is handed: formatting
+holds the GIL, so from SPLIT_CELLS cells on, one forked child formats every
+piece of rows sent down a pipe (_PIECE_CELLS, 2^13 cells, per reprs call)
+while this process solves, and a full pipe holds the solve back.  The child
+writes the file and hashes it as it writes, and hands the digest back on a
+second pipe, so no byte is read back.  It holds O(_PIECE_CELLS) cells.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import signal
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -162,11 +164,12 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
 
     The matrix is `op` applied to the identity basis (a complex entry counts
     as two real coordinates), so both paths compute the same map.  Only
-    vector @ matrix products: OpenBLAS starts threads for a matrix @ matrix
-    product, which costs more than the FFTs it replaces at these sizes.  A
-    map of flat vectors (contiguous if complex) takes only the views it
+    vector-matrix products, by ndarray.dot (a `@` costs about 1 us more per
+    call at these sizes, for the same bits): OpenBLAS starts threads for a
+    matrix-matrix product, which costs more than the FFTs it replaces here.
+    A map of flat vectors (contiguous if complex) takes only the views it
     needs around the product: a map of flat real vectors to flat real
-    vectors is the bare x @ matrix.
+    vectors is the bare x.dot(matrix).
     """
     if math.prod(shape) > DENSE_CELLS:
         return op
@@ -174,13 +177,18 @@ def dense_map(op, shape: tuple[int, ...], dtype=float):
     images = op(np.eye(size).view(dtype).reshape(size, *shape))
     out_shape, out_dtype = images.shape[1:], images.dtype
     matrix = np.ascontiguousarray(images).reshape(size, -1).view(float)
-    if len(shape) > 1:
-        return lambda x: (x.reshape(-1).view(float) @ matrix).view(out_dtype).reshape(out_shape)
-    if np.dtype(dtype) != float:
-        return lambda x: (x.view(float) @ matrix).view(out_dtype).reshape(out_shape)
-    if out_dtype != float or len(out_shape) > 1:
-        return lambda x: (x @ matrix).view(out_dtype).reshape(out_shape)
-    return lambda x: x @ matrix
+    real_in, real_out = np.dtype(dtype) == float, out_dtype == float
+    if matrix.size == 1:
+        # one real value to one: a 1 x 1 dot is the bare product, whose -0.0
+        # the sum of `@` (from +0.0) makes +0.0
+        return lambda x: (x.reshape(-1) @ matrix).reshape(out_shape)
+    if len(shape) > 1 or len(out_shape) > 1 or not (real_in or real_out):
+        return lambda x: x.reshape(-1).view(float).dot(matrix).view(out_dtype).reshape(out_shape)
+    if real_in and real_out:
+        return lambda x: x.dot(matrix)
+    if real_in:
+        return lambda x: x.dot(matrix).view(out_dtype)
+    return lambda x: x.view(float).dot(matrix)
 
 
 def heat_change(g: FieldGrid, D: float, t: float):
@@ -225,13 +233,6 @@ def table_block(labels: list[str]):
 SPLIT_CELLS = 2 ** 15  # fewest table cells formatted with a forked process
 _PIECE_CELLS = 2 ** 13  # cells per piece sent to the formatter child, formatted in one reprs call
 _HERE_CELLS = 2 ** 9  # cells per piece formatted in this process, which holds a piece's strings
-_READ_BYTES = 2 ** 15  # most bytes stream_rows reads back, and _format writes, at once
-
-
-def _temp_fd() -> int:
-    """A read-write temp file that is gone once closed, as a descriptor."""
-    with tempfile.TemporaryFile() as f:
-        return os.dup(f.fileno())
 
 
 def _write_all(fd: int, data) -> None:
@@ -258,10 +259,19 @@ def _pieces(rows: Iterable[tuple[float, np.ndarray]], per_piece: int) -> Iterato
         yield piece[:n]
 
 
-def _format(pieces: Iterable[np.ndarray], text, out: int) -> None:
-    """Append the text of each piece of rows to the file `out`."""
+def _format(head: str, pieces: Iterable[np.ndarray], text, out: int) -> str:
+    """Write `head`, then the text of each piece of rows, to the file `out`;
+    the SHA-256 hex digest of the bytes written, hashed as they are written."""
+    h = hashlib.sha256()
+
+    def put(data: bytes) -> None:
+        h.update(data)
+        _write_all(out, data)
+
+    put(head.encode())
     for block in pieces:
-        _write_all(out, "".join(text(block)).encode())
+        put("".join(text(block)).encode())
+    return h.hexdigest()
 
 
 def _send(pieces: Iterable[np.ndarray], pipe: int) -> None:
@@ -282,69 +292,67 @@ def _received(r: int) -> Iterator[np.ndarray]:
 
 
 def stream_rows(rows: Iterable[tuple[float, np.ndarray]], count: int, width: int,
-                text: Callable[[np.ndarray], Iterable[str]]) -> Iterator[str]:
-    """The text of a table of `count` rows of `width` cells each, which come
-    one at a time from `rows` as (lead, values), values a flat float array
-    of at most `width` entries, where text(block) yields the text of the
-    rows of a 2-D array whose row i is [lead, *values] of one row.
+                text: Callable[[np.ndarray], Iterable[str]], head: str, out: int) -> str:
+    """Write a table to the file descriptor `out`, at its offset: the line
+    `head`, then `count` rows of `width` cells each, which come one at a
+    time from `rows` as (lead, values), values a flat float array of at most
+    `width` entries, where text(block) yields the text of the rows of a 2-D
+    array whose row i is [lead, *values] of one row.  Returns the SHA-256
+    hex digest of the bytes written, hashed by the writer as it writes.
 
-    Nothing is yielded until `rows` is exhausted and every row is
-    formatted, so a failed solve or a failed formatter writes no byte.
-    Formatting holds the GIL, so threads cannot share it, but a forked
-    process can.  A table of SPLIT_CELLS cells or more forks one child
-    before its first row; rows are gathered in pieces of about _PIECE_CELLS
-    cells, every piece goes down the child's pipe, and the child formats
-    them all into a temp file.  A child that falls behind fills the pipe,
-    which blocks `rows` until it catches up, so memory stays O(_PIECE_CELLS)
-    whatever the table's length.  Smaller tables, and platforms without
-    fork, are formatted here into the same kind of file, in pieces of about
-    _HERE_CELLS cells: this process holds a piece's strings.  The file has no
-    name; once the child is reaped it is read back in pieces (the text is
-    ASCII).  The child leaves only by os._exit: 0 once the pipe is closed
-    and all is written, 1 on any error; so it never runs the caller's code
-    or flushes an inherited buffer.
+    Bytes reach `out` while `rows` is drawn, so the caller hands over a file
+    that it publishes only once this returns (a temp file).  Formatting
+    holds the GIL, so threads cannot share it, but a forked process can.  A
+    table of SPLIT_CELLS cells or more forks one child before its first row;
+    rows are gathered in pieces of about _PIECE_CELLS cells, every piece
+    goes down the child's pipe, and the child formats them all into `out`
+    and writes the digest down a second pipe, read once the child is reaped:
+    no byte of the table is read back.  A child that falls behind fills the
+    pipe, which blocks `rows` until it catches up, so memory stays
+    O(_PIECE_CELLS) whatever the table's length.  Smaller tables, and
+    platforms without fork, are formatted here into `out`, in pieces of
+    about _HERE_CELLS cells: this process holds a piece's strings.  The child
+    leaves only by os._exit: 0 once the pipe is closed and all is written,
+    1 on any error; so it never runs the caller's code or flushes an
+    inherited buffer.
 
-    RuntimeError if the child fails.  The child is killed and reaped on
-    every other exit, such as an exception from `rows` or a generator
-    closed early."""
-    out, pipe, pid = _temp_fd(), -1, 0
+    RuntimeError if the child fails.  The child is killed and reaped, and
+    both pipes closed, on every other exit, such as an exception from `rows`."""
+    if not (hasattr(os, "fork") and count * width >= SPLIT_CELLS):
+        return _format(head, _pieces(rows, max(1, _HERE_CELLS // width)), text, out)
+    fds, pid = [], 0
     try:
-        if hasattr(os, "fork") and count * width >= SPLIT_CELLS:
-            r, pipe = os.pipe()
+        fds += os.pipe()
+        fds += os.pipe()
+        r, pipe, digest_r, digest_w = fds
+        pid = os.fork()
+        if pid == 0:
+            code = 1
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(pipe)
-                    _format(_received(r), text, out)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(r)
-            try:
-                _send(_pieces(rows, max(1, _PIECE_CELLS // width)), pipe)
-            except BrokenPipeError:
-                pass  # the child failed: waitpid tells how
-            os.close(pipe)
-            pipe = -1
-            status = os.waitpid(pid, 0)[1]
-            pid = 0
-            if status:
-                raise RuntimeError("the process formatting a table failed "
-                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
-        else:
-            _format(_pieces(rows, max(1, _HERE_CELLS // width)), text, out)
-        os.lseek(out, 0, os.SEEK_SET)
-        while chunk := os.read(out, _READ_BYTES):
-            yield chunk.decode()
+                os.close(pipe)
+                os.close(digest_r)
+                _write_all(digest_w, _format(head, _received(r), text, out).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        for fd in (r, digest_w):
+            fds.remove(fd)
+            os.close(fd)
+        try:
+            _send(_pieces(rows, max(1, _PIECE_CELLS // width)), pipe)
+        except BrokenPipeError:
+            pass  # the child failed: waitpid tells how
+        fds.remove(pipe)
+        os.close(pipe)
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+        if status:
+            raise RuntimeError("the process formatting a table failed "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        return os.read(digest_r, 64).decode()
     finally:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if pipe >= 0:
-            os.close(pipe)
-        os.close(out)
+        for fd in fds:
+            os.close(fd)

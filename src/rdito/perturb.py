@@ -20,9 +20,10 @@ is the decaying branch.
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -273,12 +274,12 @@ class TimeSeries:
         if self.rep not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown representation {self.rep!r}")
 
-    def csv_chunks(self) -> Iterator[str]:
-        """The csv() table in pieces, through grid.stream_rows, which formats
-        rows on a second core while the fields are drawn and yields nothing
-        before the last one: the header line, then the text of the rows, in
-        pieces that never hold the whole table.  ValueError if a field has
-        another shape, or if the times and the fields differ in number.
+    def write(self, out: int) -> str:
+        """Write the csv() table to the file descriptor `out` through
+        grid.stream_rows, which formats rows on a second core while the
+        fields are drawn and never holds the whole table, and return the
+        SHA-256 hex digest of its bytes.  ValueError if a field has another
+        shape, or if the times and the fields differ in number.
 
         The cells of a piece of rows are formatted by one grid.reprs call.
         A momentum row takes the strings of the real parts of its half
@@ -312,18 +313,15 @@ class TimeSeries:
                 row = cells[lo:lo + width]
                 yield block(row[0], pick(row))
 
-        body = stream_rows(rows(), len(self.times), g.values.size, text)
-        try:
-            first = next(body, "")  # the whole solve
-            yield f"t,{cols},value\n"
-            yield first
-            yield from body
-        finally:
-            body.close()
+        return stream_rows(rows(), len(self.times), g.values.size, text,
+                           f"t,{cols},value\n", out)
 
     def csv(self) -> str:
         """Rows ``t,coordinate...,value`` over all sample points and times."""
-        return "".join(self.csv_chunks())
+        with tempfile.TemporaryFile() as f:
+            self.write(f.fileno())
+            f.seek(0)
+            return f.read().decode()
 
 
 def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
@@ -336,6 +334,35 @@ def _check_steps(steps: int, shape: tuple[int, ...]) -> None:
     if (steps + 1) * cells > _MAX_CELLS:
         raise PerturbError(f"{steps} steps on {cells} cells make a table of {(steps + 1) * cells} "
                            f"cells, more than the {_MAX_CELLS} (2^24) allowed")
+
+
+def dyson_collision(rhat: np.ndarray, shape: tuple[int, ...],
+                    dV: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from the half spectrum of a real field x on a grid of `shape`
+    to the half spectrum of x (R*x) / dV, in a new array, where `rhat` is
+    the half spectrum of the even kernel R.
+
+    Two maps through dense_map: x and R*x as one flat pair, then the half
+    spectrum of a flat field; the product of the pair's halves lies between
+    them.  On a dense grid the collision is two bare products with that
+    elementwise product between them; above DENSE_CELLS the same two maps
+    are FFTs.
+    """
+    d, cells = len(shape), math.prod(shape)
+
+    def pair(xh):
+        """x and R*x, flat and one after the other, for each leading index."""
+        both = half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape)
+        return both.reshape(*both.shape[:-d - 1], 2 * cells)
+
+    to_pair = dense_map(pair, rhat.shape, complex)
+    to_half = dense_map(lambda y: half_fft(y.reshape(*y.shape[:-1], *shape), d) / dV, (cells,))
+
+    def collision(xh):
+        both = to_pair(xh)
+        return to_half(both[:cells] * both[cells:])
+
+    return collision
 
 
 def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
@@ -354,7 +381,7 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     reaches whoever draws the fields.
     """
     g = spec.grid()
-    shape, d = g.shape, g.dim
+    shape = g.shape
     _check_steps(steps, shape)
     dt = t_end / steps
     k2 = half_spectrum(g.ksquared())
@@ -362,29 +389,26 @@ def dyson_tree_density(spec, t_end: float, steps: int) -> TimeSeries:
     dV = g.cell_volume
     vhat = half_spectrum(g.to_momentum())
     step_prop = np.exp(-spec.D * dt * k2)
-    # x and R*x from the half spectrum of x, and the half spectrum of a product
-    to_pair = dense_map(lambda xh: half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape),
-                        vhat.shape, complex)
-    to_half = dense_map(lambda x: half_fft(x, d) / dV, shape)
-
-    def collision(xh):
-        """Half spectrum of x (R*x) given that of x."""
-        x, rx = to_pair(xh)
-        return to_half(x * rx)
+    collision = dyson_collision(rhat, shape, dV)
+    half_dt = 0.5 * dt
 
     def fields():
         yield vhat
         coll = collision(vhat)
         hist = np.zeros_like(vhat)
+        change, size = np.empty_like(vhat), np.empty(vhat.shape)  # a sweep's residual
         for i in range(1, steps + 1):
             # trapezoid weight 1/2 on the s = 0 end of the history
             hist = step_prop * (hist + (0.5 if i == 1 else 1.0) * coll)
             base = np.exp(-spec.D * (i * dt) * k2) * vhat - dt * hist
             # first-order guess for the implicit endpoint term
-            x = base - 0.5 * dt * step_prop * coll
+            x = base - half_dt * step_prop * coll
             for _ in range(FIXED_POINT_SWEEPS):
-                xn = base - 0.5 * dt * collision(x)
-                corr = np.abs(xn - x).max()
+                # xn = base - (dt / 2) collision(x), in the array collision made
+                xn = collision(x)
+                np.multiply(half_dt, xn, out=xn)
+                np.subtract(base, xn, out=xn)
+                corr = np.abs(np.subtract(xn, x, out=change), out=size).max()
                 x = xn
                 if corr < FIXED_POINT_TOL:
                     break

@@ -50,6 +50,10 @@ def one_line_error(capsys):
     return " ".join(w for w in err.split() if not w.startswith(os.sep))
 
 
+def open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
 def fresh_python(code, cwd, timeout=120):
     """Run `code` in a new interpreter with src/ on the path; a hang fails
     the test instead of stalling the suite."""
@@ -998,18 +1002,83 @@ class TestPerturb:
         assert res.stdout == out.read_bytes()
         assert hashlib.sha256(res.stdout).hexdigest() == TREE_LEVEL_DIGESTS["dyson"]
 
+    @pytest.mark.parametrize("method, steps", [("meanfield", 400), ("dyson", 3000)],
+                             ids=["in-process", "forked"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, method, steps):
+        """A reader that closes stdout after the first line (`| head -1`)
+        ends the command quietly: exit 0, nothing on stderr, also when the
+        interpreter flushes stdout at exit, and no child process left.  Both
+        tables pass the 64-KiB pipe buffer, so the close breaks a write: 401
+        x 64 cells, below grid.SPLIT_CELLS, formatted in this process, and
+        3,001 x 64, formatted by a forked child.  The command exited 4 with
+        `internal error: BrokenPipeError`."""
+        argv = ["perturb", gaussian_annihilation_model(tmp_path / "m.json"),
+                "--t-end", "0.4", "--steps", str(steps), "--method", method]
+        code = ("import os, sys\n"
+                "from rdito.cli import main\n"
+                f"code = main({argv!r})\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    sys.exit(code)\n"
+                "sys.exit(99)  # a child is left\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with subprocess.Popen([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=120) == 0, err
+            finally:
+                proc.kill()
+        assert first == f"t,{'x0' if method == 'meanfield' else 'k0'},value\n".encode()
+        assert err == b""
+
+    @pytest.mark.parametrize("case", ["forked", "in-process", "no-fork"])
+    def test_table_digest_is_the_bytes_written(self, tmp_path, capsysbinary, monkeypatch,
+                                               case):
+        """The manifest's digest, which the table's writer hashes as it
+        writes (a forked child hands it back on a pipe), is the SHA-256 of
+        the file's bytes, and stdout gets the same bytes: for a 3,001 x 64
+        table past grid.SPLIT_CELLS, formatted by a forked child, for one of
+        301 x 64 below it, and for the 3,001 x 64 table without os.fork,
+        both formatted in this process.  No descriptor is left open: the
+        digest pipe is closed on the way out."""
+        from rdito import grid
+
+        steps = 300 if case == "in-process" else 3000
+        assert ((steps + 1) * 64 >= grid.SPLIT_CELLS) == (case != "in-process")
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        model = gaussian_annihilation_model(tmp_path / "m.json")
+        out = tmp_path / "x.csv"
+        argv = ["perturb", model, "--t-end", "0.4", "--steps", str(steps)]
+        fds = open_fds()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert open_fds() == fds
+        outputs = json.loads((tmp_path / "x.csv.manifest.json").read_text())["outputs"]
+        assert outputs == {"x.csv": "sha256:" + hashlib.sha256(out.read_bytes()).hexdigest()}
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert open_fds() == fds
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        if steps == 3000:
+            assert outputs["x.csv"] == "sha256:" + TREE_LEVEL_DIGESTS["dyson"]
+
     @pytest.mark.parametrize("side", ["child", "parent", "consumer"])
     def test_failed_split_table_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                           side):
         """A table past grid.SPLIT_CELLS fails as one command: when the
         formatter child fails, when this process formats the table (without
         os.fork) and fails mid-way, at the piece of rows that reaches the
-        middle row of the 3,001, or when the file write fails mid-way,
-        perturb exits 4 with one stderr line and leaves neither the output,
-        nor a temp file, nor a child process."""
+        middle row of the 3,001, or when the child's write of the output
+        file fails mid-way (a full disk at its 12th of 25 writes), perturb
+        exits 4 with one stderr line and leaves neither the output, nor a
+        temp file, nor a child process."""
         from rdito import perturb
 
-        parent, real_reprs, real_fdopen, rows = os.getpid(), perturb.reprs, os.fdopen, []
+        parent, real_reprs, real_write, rows, writes = os.getpid(), perturb.reprs, os.write, [], []
 
         def reprs(values):
             rows.append(len(values))
@@ -1018,30 +1087,18 @@ class TestPerturb:
                 raise MemoryError("formatting failed")
             return real_reprs(values)
 
-        class FullDisk:
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, text):
-                self.f.write(text)
-
-            def writelines(self, chunks):
-                for i, chunk in enumerate(chunks):
-                    if i == 100:
-                        raise OSError(errno.ENOSPC, "No space left on device")
-                    self.f.write(chunk)
+        def write(fd, data):
+            if os.getpid() != parent:
+                writes.append(len(data))
+                if len(writes) == 12:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
 
         monkeypatch.setattr(perturb, "reprs", reprs)
         if side == "parent":
             monkeypatch.delattr(os, "fork")
         if side == "consumer":
-            monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+            monkeypatch.setattr(os, "write", write)
         model = gaussian_annihilation_model(tmp_path / "m.json")
         code = main(["perturb", model, "--t-end", "0.4", "--steps", "3000",
                      "--method", "meanfield", "--out", str(tmp_path / "x.csv")])
@@ -1055,14 +1112,17 @@ class TestPerturb:
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("case", ["nonconvergence", "unstable", "closed", "child"])
     def test_streamed_failures_write_nothing(self, tmp_path, capfd, monkeypatch, case, out):
-        """A perturb table is streamed to its writer while the solve runs,
-        and a failure at any point leaves nothing behind: NonConvergence mid-
-        way through a Dyson solve, with the formatter child busy; the mean
-        field's Unstable, raised after its last field; the stream closed
-        early by a writer that fails on its first chunk; and a formatter
-        child that fails.  Each exits 3 (4 for the writer and the child)
-        with one stderr line, writes no byte to stdout, and leaves no output,
-        no temp file and no child process."""
+        """A perturb table is written while the solve runs, and a failure at
+        any point leaves nothing behind: NonConvergence mid-way through a
+        Dyson solve, with the formatter child busy; the mean field's
+        Unstable, raised after its last field; the output closed before its
+        first byte (with --out, the child's first write of the file fails
+        with EPIPE; without it, stdout is a pipe whose reader has gone); and
+        a formatter child that fails.  Each exits 3 (4 for the failed write
+        and the child) with one stderr line, except the closed stdout, which
+        exits 0 with nothing on stderr: the table was computed and its
+        reader chose to stop.  None writes a byte to the test's stdout, and
+        none leaves an output, a temp file or a child process."""
         import dataclasses
 
         from rdito import perturb
@@ -1088,31 +1148,21 @@ class TestPerturb:
             argv[-1] = "dyson"
         elif case == "unstable":
             argv[3] = "4000"  # a step of 1.33, too long for RK4: the field overflows
+        elif case == "closed" and out:
+            code, parent, real_write = 4, os.getpid(), os.write
+
+            def write(fd, data):
+                if os.getpid() != parent:
+                    raise OSError(errno.EPIPE, "Broken pipe")
+                return real_write(fd, data)
+
+            monkeypatch.setattr(os, "write", write)
         elif case == "closed":
-            code = 4
-
-            class Closing:
-                def __init__(self, f):
-                    self.f = f
-
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc):
-                    self.f.close()
-
-                def write(self, text):
-                    self.f.write(text)
-
-                def writelines(self, chunks):
-                    for i, chunk in enumerate(chunks):
-                        if i == 0:
-                            raise OSError(errno.EPIPE, "Broken pipe")
-                        self.f.write(chunk)
-
-            real_fdopen = os.fdopen
-            monkeypatch.setattr(os, "fdopen", lambda fd, mode: Closing(real_fdopen(fd, mode)))
-            monkeypatch.setattr(sys, "stdout", Closing(sys.stdout))
+            code = 0
+            r, w = os.pipe()
+            os.close(r)
+            closed = open(w, "w")
+            monkeypatch.setattr(sys, "stdout", closed)
         else:
             code, parent, real_write = 4, os.getpid(), os.write
 
@@ -1126,12 +1176,17 @@ class TestPerturb:
             argv += ["--out", str(tmp_path / "x.csv")]
         assert main(argv) == code
         monkeypatch.undo()
+        if case == "closed" and not out:
+            closed.close()  # its descriptor now points at os.devnull
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1, captured.err
-        assert captured.err.startswith("runtime error: " if code == 3 else "internal error: ")
-        assert {"nonconvergence": "fixed point stalled", "unstable": "not finite",
-                "closed": "Broken pipe", "child": "exit code 1"}[case] in captured.err
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert captured.err.count("\n") == 1, captured.err
+            assert captured.err.startswith("runtime error: " if code == 3 else "internal error: ")
+            assert {"nonconvergence": "fixed point stalled", "unstable": "not finite",
+                    "closed": "exit code 1", "child": "exit code 1"}[case] in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

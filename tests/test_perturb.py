@@ -18,6 +18,7 @@ from rdito.perturb import (
     NonConvergence,
     PerturbError,
     TimeSeries,
+    dyson_collision,
     dyson_tree_density,
     kernel_field,
     mean_field_pde,
@@ -572,7 +573,7 @@ class TestMeanField:
 # ---------------------------------------------------------------------------
 
 DENSE_SHAPES = [(1,), (2,), (7,), (64,), (DENSE_CELLS,), (DENSE_CELLS + 1,),
-                (8, 8), (7, 9), (2, 3, 4)]
+                (1, 1), (8, 8), (7, 9), (2, 3, 4)]
 
 
 class TestDenseTransforms:
@@ -597,27 +598,64 @@ class TestDenseTransforms:
 
     @pytest.mark.parametrize("shape", DENSE_SHAPES, ids=str)
     def test_collision_matches_ffts(self, shape):
-        """Dyson's collision: x and R*x from a half spectrum (complex input),
-        then the half spectrum of their product (complex output)."""
+        """Dyson's collision (perturb.dyson_collision): x and R*x from a half
+        spectrum (complex input), then the half spectrum of their product
+        (complex output), against the same maps as FFTs."""
         rng = np.random.default_rng(2)
         d = len(shape)
         xh = half_fft(rng.normal(size=shape))
         rhat = rng.uniform(-1.0, 1.0, xh.shape)
-
-        def to_pair(xh):
-            return half_ifft(np.stack([xh, rhat * xh], axis=-d - 1), shape)
-
-        def to_half(x):
-            return half_fft(x, d) / 0.3
-
-        def collision(to_pair, to_half):
-            x, rx = to_pair(xh)
-            return to_half(x * rx)
-
-        want = collision(to_pair, to_half)
-        got = collision(dense_map(to_pair, xh.shape, complex), dense_map(to_half, shape))
+        x, rx = half_ifft(np.stack([xh, rhat * xh]), shape)
+        want = half_fft(x * rx, d) / 0.3
+        got = dyson_collision(rhat, shape, 0.3)(xh)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [s for s in DENSE_SHAPES if math.prod(s) <= DENSE_CELLS],
+                             ids=str)
+    def test_dot_keeps_the_matmul_bits(self, shape):
+        """dense_map's products are ndarray.dot, which costs about 1 us less
+        per call than `@`.  Each dense map gives, bit for bit, what
+        arg.view(float) @ matrix gives (the heat map, the mean field's
+        convolution, and Dyson's pair and half maps), and Dyson's collision
+        what to_half(x * rx) gives with the pair unpacked.  A BLAS where dot
+        and matmul differ would otherwise show only as a failed digest."""
+        rng = np.random.default_rng(6)
+        d, cells = len(shape), math.prod(shape)
+        g = FieldGrid((10.0,) * d, rng.uniform(0.0, 1.0, shape))
+        x = rng.normal(size=shape)
+        half = half_spectrum(g.values).shape
+        xh = rng.normal(size=half) + 1j * rng.normal(size=half)
+        rhat = np.real(half_fft(g.values)) * g.cell_volume
+        dV = g.cell_volume
+
+        def pair(y):
+            both = half_ifft(np.stack([y, rhat * y], axis=-d - 1), shape)
+            return both.reshape(*both.shape[:-d - 1], 2 * cells)
+
+        def to_half(y):
+            return half_fft(y.reshape(*y.shape[:-1], *shape), d) / dV
+
+        def matmul_map(op, arg, dtype):
+            size = arg.size * np.dtype(dtype).itemsize // 8
+            images = op(np.eye(size).view(dtype).reshape(size, *arg.shape))
+            matrix = np.ascontiguousarray(images).reshape(size, -1).view(float)
+            return (arg.reshape(-1).view(float) @ matrix).view(images.dtype).reshape(images.shape[1:])
+
+        mults = {"heat": np.expm1(-0.7 * 0.01 * half_spectrum(g.ksquared())),
+                 "convolution": half_fft(g.values) * dV}
+        maps = {name: (lambda y, mult=mult: half_ifft(mult * half_fft(y, d), shape), x, float)
+                for name, mult in mults.items()}
+        maps["pair"] = (pair, xh, complex)
+        maps["half"] = (to_half, x.reshape(-1), float)
+        for name, (op, arg, dtype) in maps.items():
+            got, want = dense_map(op, arg.shape, dtype)(arg), matmul_map(op, arg, dtype)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        x_pair, rx_pair = matmul_map(pair, xh, complex).reshape(2, cells)
+        want = matmul_map(to_half, x_pair * rx_pair, float)
+        got = dyson_collision(rhat, shape, dV)(xh)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, DENSE_CELLS])
     def test_bare_product_keeps_the_general_path_bits(self, n):

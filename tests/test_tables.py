@@ -2,6 +2,7 @@
 order, coordinates equal to the grid's axes, values that round-trip exactly,
 and the bytes of the per-row reference writer in oracles.table_rows."""
 
+import argparse
 import contextlib
 import dataclasses
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdito import floatrepr, grid, perturb
+from rdito import cli, floatrepr, grid, perturb
 from rdito.grid import SPLIT_CELLS, FieldGrid, point_labels
 from rdito.models import ModelSpec, convert_ab_densities, density, density_csv, density_table
 from rdito.perturb import MOMENTUM, POSITION, TimeSeries, dyson_tree_density, mean_field_pde
@@ -375,15 +376,15 @@ def large_series(rep=MOMENTUM, shape=(64,), rows=1001):
     return drawn_series(rep, shape, tuple(i * 1e-3 for i in range(rows)), 7)
 
 
-def streamed(series, spin=0.0, fail_after=None):
+def streamed(series, spin=0.0, fail_after=None, exc=ValueError):
     """`series` with its fields drawn from a generator, as a solver hands
-    them over: each after `spin` seconds of work, and ValueError in place
-    of field number `fail_after`."""
+    them over: each after `spin` seconds of work, and `exc` in place of
+    field number `fail_after`."""
 
     def fields():
         for i, x in enumerate(series.fields):
             if i == fail_after:
-                raise ValueError("the solve failed")
+                raise exc("the solve failed")
             stop = time.perf_counter() + spin
             while time.perf_counter() < stop:
                 pass
@@ -435,21 +436,31 @@ def test_streamed_tables_match_the_per_row_writer(rows, forks):
     assert_no_children()
 
 
-def test_streamed_table_yields_nothing_before_the_last_field():
-    """The header comes only once every field has been drawn and formatted,
-    so a solve that fails part-way writes no byte."""
+def test_streamed_table_yields_nothing_before_the_last_field(tmp_path, capsysbinary):
+    """No byte reaches the destination or stdout before every field has
+    been drawn and formatted, so a solve that fails part-way publishes no
+    byte: with --out, the formatter writes a temp file that is renamed into
+    place once whole; without it, an anonymous temp file that is copied to
+    stdout once whole."""
     series = large_series(rows=BLOCK + 100)
-    drawn = []
+    dest = tmp_path / "x.csv"
+    seen = []
 
     def fields():
         for x in series.fields:
-            drawn.append(x)
+            seen.append((dest.exists(), capsysbinary.readouterr().out))
             yield x
 
-    chunks = dataclasses.replace(series, fields=fields()).csv_chunks()
-    assert next(chunks).startswith("t,k0,value") and len(drawn) == BLOCK + 100
-    chunks.close()
-    assert_no_children()
+    printed = b""
+    for out in (None, str(dest)):
+        observed = dataclasses.replace(series, fields=fields())
+        cli._emit(argparse.Namespace(out=out), "perturb", {}, {"": observed.write})
+        assert seen == [(False, b"")] * (BLOCK + 100)
+        seen.clear()
+        printed += capsysbinary.readouterr().out
+        assert_no_children()
+    assert printed.startswith(b"t,k0,value\n") and printed.count(b"\n") == 1 + (BLOCK + 100) * 64
+    assert printed == dest.read_bytes()
 
 
 @pytest.mark.parametrize("spin", [0.0, 20e-6])
@@ -490,32 +501,20 @@ def test_split_table_rows_are_formatted_in_one_process(monkeypatch, fork):
 
 
 def test_split_table_leaves_no_process():
-    """The formatter child is reaped, and every temp file closed, after a
-    full write, after the consumer closes the stream after its header or
-    mid-way, after an exception thrown into the stream mid-way
-    (KeyboardInterrupt too), when the solve fails with the child busy, and
-    when the first call after fork returns in this process raises."""
+    """The formatter child is reaped, and both its pipes and every temp file
+    closed, after a full write, after an exception from the fields with the
+    child busy (KeyboardInterrupt too), and when the first call after fork
+    returns in this process raises."""
     series = large_series(rows=3000)
     fds = open_fds()
     with counted_forks() as forks:
         whole = series.csv()
         assert_no_children()
-        for reads in (1, 2):
-            chunks = series.csv_chunks()
-            for _ in range(reads):
-                next(chunks)
-            chunks.close()
-            assert_no_children()
         for exc in (ValueError, KeyboardInterrupt):
-            chunks = series.csv_chunks()
-            next(chunks), next(chunks)
-            with pytest.raises(exc):
-                chunks.throw(exc)
+            with pytest.raises(exc, match="the solve failed"):
+                streamed(series, fail_after=2 * BLOCK, exc=exc).csv()
             assert_no_children()
-        with pytest.raises(ValueError, match="the solve failed"):
-            streamed(series, fail_after=2 * BLOCK).csv()
-        assert_no_children()
-    assert len(forks) == 6
+    assert len(forks) == 3
     assert open_fds() == fds
 
     real_close, parent = os.close, os.getpid()
@@ -539,10 +538,10 @@ def test_split_table_leaves_no_process():
 
 
 def test_split_table_raises_when_its_child_fails(monkeypatch):
-    """A child that fails exits 1; the stream raises RuntimeError before
-    it yields anything, instead of ending short: when the child's writes
-    fail, and when its pipe reader fails before it reads anything, so the
-    pieces this process sends hit a closed pipe."""
+    """A child that fails exits 1, and the writer raises RuntimeError
+    instead of returning a digest, so the table is never published: when
+    the child's writes fail, and when its pipe reader fails before it reads
+    anything, so the pieces this process sends hit a closed pipe."""
     parent, real = os.getpid(), os.write
 
     def write(fd, data):
@@ -553,17 +552,17 @@ def test_split_table_raises_when_its_child_fails(monkeypatch):
     def received(r):
         raise MemoryError
 
+    fds = open_fds()
     for module, name, fake, series in (
             (os, "write", write, large_series()),
             (os, "write", write, streamed(large_series(rows=3000), 20e-6)),
             (grid, "_received", received, large_series(rows=3001))):
-        got = []
         with monkeypatch.context() as mp:
             mp.setattr(module, name, fake)
             with pytest.raises(RuntimeError, match="exit code 1"):
-                got.extend(series.csv_chunks())
-        assert got == []
+                series.csv()
         assert_no_children()
+    assert open_fds() == fds
 
 
 def test_split_table_without_fork_has_the_same_bytes(monkeypatch):
@@ -579,24 +578,23 @@ def test_split_table_without_fork_has_the_same_bytes(monkeypatch):
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
-def test_streamed_table_memory_does_not_grow_with_the_table(monkeypatch, fork):
-    """Draining the chunks of a 3,001 x 64 position table (192,064 cells)
-    whose fields come from a generator, without joining them, peaks under
-    320 KiB of traced memory, with a formatter child and without one: the
-    writer holds a piece of rows at a time, not the rows a busy child has
-    not taken."""
+def test_streamed_table_memory_does_not_grow_with_the_table(monkeypatch, tmp_path, fork):
+    """Writing a 3,001 x 64 position table (192,064 cells) whose fields come
+    from a generator into a file peaks under 320 KiB of traced memory, with
+    a formatter child and without one: the writer holds a piece of rows at a
+    time, not the rows a busy child has not taken."""
     import tracemalloc
 
     series = streamed(large_series(POSITION, rows=3001))
     if not fork:
         monkeypatch.delattr(os, "fork")
-    tracemalloc.start()
-    try:
-        for _ in series.csv_chunks():
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with open(tmp_path / "x.csv", "wb") as f:
+        tracemalloc.start()
+        try:
+            series.write(f.fileno())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 320 * 1024, peak
     assert_no_children()
 
