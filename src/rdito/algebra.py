@@ -38,11 +38,9 @@ __all__ = [
     "term",
     "expr",
     "normal_order",
-    "count_contractions",
     "ito_product",
     "derive_table",
     "doi_shift",
-    "evaluate_scalar",
     "MAX_OPS",
     "make_family",
 ]
@@ -458,11 +456,6 @@ def normal_order(e: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(out)
 
 
-def count_contractions(t: OperatorTerm) -> int:
-    """Number of partial matchings of contractible pairs (incl. the null one)."""
-    return len(_matchings(_contractible_pairs(t)))
-
-
 # ---------------------------------------------------------------------------
 # Ito products
 # ---------------------------------------------------------------------------
@@ -727,27 +720,3 @@ def doi_shift(e: OperatorExpr, species: int = 0) -> OperatorExpr:
             )
     return simplify(OperatorExpr(out))
 
-
-# ---------------------------------------------------------------------------
-# Numeric evaluation of scalar coefficients
-# ---------------------------------------------------------------------------
-
-
-def evaluate_scalar(e: OperatorExpr, env: Mapping[str, float]) -> float:
-    """Sum of numeric coefficients of the no-operator terms, with kernel
-    symbols replaced by numbers from ``env`` (kernels evaluated at the single
-    point of an infinitesimal box, so arguments are ignored).
-
-    Raises if a kernel symbol is missing from the environment.
-    """
-    total = 0.0
-    for t in e.terms:
-        if t.ops:
-            continue
-        val = float(t.coeff.numeric)
-        for name, _ in t.coeff.factors:
-            if name not in env:
-                raise AlgebraError(f"no value for kernel {name!r}")
-            val *= env[name]
-        total += val
-    return total

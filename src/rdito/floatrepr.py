@@ -1,34 +1,38 @@
 """repr's text for arrays of doubles, computed in numpy.
 
 reprs(values) is the repr of each value in C order, byte for byte, and from
-_FEWEST values on it calls no repr.  The digits are the shortest decimal that reads back to the
-same double, the closest to it of those; this is what repr takes from David
-Gay's dtoa.  They are found by Ryu (Adams, "Ryu: fast float-to-string
-conversion", PLDI 2018) on the IEEE bits of all values at once.  For each
-binary exponent Ryu has a 125-bit multiplier, a power of 5 or its
-reciprocal, and a shift j: floor(4m * mul / 2^j) is the significand m in
-decimal with a few digits to spare, and the same at 4m + 2 and 4m - 1 (or
-4m - 2) bounds the decimals that round to the double.  Here those products
-are exact, formed from 32-bit limbs in uint64 arithmetic.  Digits are
-dropped while the bounds still differ above them, and the last is rounded.
-Where a bound or the value is itself a short decimal (a significand with
-few set low bits, such as an integer's), Ryu's general loop runs on just
-those values; it keeps a bound that the double includes and breaks ties to
-even.
+_FEWEST values on it calls repr only on the few values flagged below.  The
+digits are the shortest decimal that reads back to the same double, the
+closest to it of those; this is what repr takes from David Gay's dtoa.  They
+are found by Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018)
+on the IEEE bits of all values at once.  For each binary exponent Ryu has a
+125-bit multiplier, a power of 5 or its reciprocal, and a shift j:
+floor(4m * mul / 2^j) is the significand m in decimal with a few digits to
+spare, and the same at 4m + 2 and 4m - 1 (or 4m - 2) bounds the decimals
+that round to the double.  Here those products are exact, formed from 32-bit
+limbs in uint64 arithmetic.  Digits are dropped while the bounds still
+differ above them, and the last is rounded.  That is exact unless a bound
+or the value is itself a short decimal (a significand with few set low
+bits, such as an integer's), where a bound the double includes or a tie
+broken to even could change the digits.  So the values that are short
+decimals, and every value whose binary exponent lets a bound be one (|x|
+from 2^50 to 2^131), are flagged, and repr writes them.
 
 The text is laid out as repr lays it out: fixed notation for
 1e-4 <= |x| < 1e16, with ".0" on an integral value; otherwise d.ddde-XX,
-with at least two exponent digits; and -0.0, inf, -inf and nan.  A value's
-text is three 64-bit words, bytes in reading order.  Its 17 digits are
-put in place twice under masks (as they are, and shifted past the point),
-beside a literal (point, leading zeros) and the exponent.  All of these
-depend only on the number of digits and the decimal exponent, so they are
-one row of a small table; a minus sign then shifts the text by one byte.
-The words become str objects through numpy's UCS-4 strings, a slice at a
-time.
+with at least two exponent digits.  A value's text is three 64-bit words,
+bytes in reading order.  Its 17 digits are put in place twice under masks
+(as they are, and shifted past the point), beside a literal (point, leading
+zeros) and the exponent.  All of these depend only on the number of digits
+and the decimal exponent, so they are one row of a small table; a minus sign
+then shifts the text by one byte.  The words become str objects through
+numpy's UCS-4 strings, a slice at a time.
 
-Below _FEWEST values numpy's cost per call exceeds repr's, so repr itself
-writes them.  The tables are built on the first numpy call, not at import.
+repr writes every other value: all of a call of fewer than _FEWEST values,
+where numpy's cost per call exceeds repr's, and the flagged values, among
+them 0, inf and nan, which are read as 1.0, a short decimal.  A flagged
+value is laid out as 1.0 and its repr put in its place.  The tables are
+built on the first numpy call, not at import.
 """
 
 from __future__ import annotations
@@ -41,9 +45,7 @@ import numpy as np
 _U64 = np.uint64
 _LOW32 = 0xFFFFFFFF
 _POW10 = np.array([10 ** k for k in range(20)], _U64)
-_POW5 = np.array([5 ** k for k in range(22)], _U64)
 _SCI = 20  # layout class of scientific notation; fixed notation's decimal points -3..16 are 0..19
-_SPECIAL = (_SCI + 1) * 18  # first layout row of 0.0, inf and nan
 _FEWEST = 512  # fewest values formatted in numpy: below, its per-call cost exceeds repr's
 _STR_SLICE = 512  # values turned into str objects at once
 _WORD_BITS = np.array([[0], [64], [128]], np.uint16)  # where each word of a text starts
@@ -83,21 +85,21 @@ def _tables() -> SimpleNamespace:
         mul += inv.to_bytes(16, "little") + top.to_bytes(16, "little")
         pow5 *= 5
     limbs = np.frombuffer(mul, np.uint32).reshape(-1, 4)[2 * five + ~pos].T.copy()
-    # 4m 2^e2 / 10^q is exact when 2^q divides 4m (e2 < 0); for e2 >= 0 and
-    # q <= 21, or e2 < 0 and q <= 1, a bound can be exact too (rare)
-    zero_bits = np.where(~pos & (q < 63), q, 63).astype(np.uint8)
-    rare = np.where(pos & (q <= 21), 1, np.where(~pos & (q <= 1), 2, 0)).astype(np.int8)
+    # a value is flagged when the low zero_bits bits of 4m are 0: 4m 2^e2 / 10^q
+    # is exact when 2^q divides 4m (e2 < 0), and for e2 >= 0 and q <= 21, or
+    # e2 < 0 and q <= 1, a bound can be exact, so there zero_bits is 0
+    zero_bits = np.where(pos & (q <= 21) | ~pos & (q <= 1), 0,
+                         np.where(~pos & (q < 63), q, 63)).astype(np.uint8)
     e10 = np.where(pos, q, q + e2).astype(np.int16)
     del e2, q, five, bits, mul
 
     # unsigned text = (D & keep) | (D << k2 & moved) | literal | exponent << at,
     # where D is the 17 digits, '0'-padded after the significant ones
     rows = [_layout_row(cls, max(nd, 1)) for cls in range(_SCI + 1) for nd in range(18)]
-    rows += [(0, 64, (0, 0), (0, 0), text) for text in ("0.0", "inf", "nan")]
     k2, at, keep, moved, literal = zip(*rows)
     exp = b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in range(-324, 309))
     return SimpleNamespace(
-        limbs=list(limbs), shift=shift, e10=e10, zero_bits=zero_bits, rare=rare,
+        limbs=list(limbs), shift=shift, e10=e10, zero_bits=zero_bits,
         k2=8 * np.array(k2, np.uint8), at=8 * np.array(at, np.uint16),
         keep=_word_rows(b"".join(_mask24(*span) for span in keep)),
         moved=_word_rows(b"".join(_mask24(*span) for span in moved)),
@@ -117,68 +119,25 @@ def _layout_row(cls: int, n: int):
     return 5 - cls, 64, (0, 0), (5 - cls, 5 - cls + n), "0." + "0" * (3 - cls)  # 0.000ddd
 
 
-def _general(vr, vp, vm, vr_exact, vm_exact, even):
-    """Ryu's digit loop where the value or its lower bound vm is exact:
-    (digits, digits removed)."""
-    removed = np.zeros(len(vr), np.int64)
-    last = np.zeros(len(vr), _U64)
-    while True:  # drop digits while the bounds differ above them
-        vp10, vm10 = vp // 10, vm // 10
-        go = vp10 > vm10
-        if not go.any():
-            break
-        vr10 = vr // 10
-        vm_exact &= ~go | (vm == vm10 * 10)
-        vr_exact &= ~go | (last == 0)
-        last = np.where(go, vr - vr10 * 10, last)
-        vr, vp, vm = np.where(go, vr10, vr), np.where(go, vp10, vp), np.where(go, vm10, vm)
-        removed += go
-    while True:  # an exact lower bound the double includes: drop its zeros
-        vm10 = vm // 10
-        go = vm_exact & (vm == vm10 * 10) & (vm > 0)
-        if not go.any():
-            break
-        vr10 = vr // 10
-        vr_exact &= ~go | (last == 0)
-        last = np.where(go, vr - vr10 * 10, last)
-        vr, vp, vm = np.where(go, vr10, vr), np.where(go, vp // 10, vp), np.where(go, vm10, vm)
-        removed += go
-    last[vr_exact & (last == 5) & (vr % 2 == 0)] = 4  # a tie: round to even
-    return vr + (((vr == vm) & ~(even & vm_exact)) | (last >= 5)), removed
-
-
 def _shortest(bits: np.ndarray):
     """Ryu's shortest decimal digits * 10**exponent of each finite nonzero
-    double `bits` (uint64): (digits, exponent).  Arrays are reused in place
-    where they can be, which bounds the memory a call holds."""
+    double `bits` (uint64): (digits, exponent, flagged).  The digits are
+    right where flagged is False; a flagged value is a short decimal or has
+    an exponent where a bound can be exact, and its digits are not to be
+    used.  Arrays are reused in place where they can be, which bounds the
+    memory a call holds."""
     t = _tables()
     biased = (bits >> 52).astype(np.intp)
     mv = bits & ((1 << 52) - 1)
     mm_shift = (mv != 0) | (biased <= 1)  # the lower bound is 4m - 1 - mm_shift
     mv |= (biased != 0).astype(_U64) << 52
-    even = (mv & 1) == 0  # a round-half-even reading includes the bounds
     mv <<= 2
     zero_bits = t.zero_bits.take(biased)
-    vr_exact = (mv & ((_U64(1) << zero_bits) - 1)) == 0
+    flagged = (mv & ((_U64(1) << zero_bits) - 1)) == 0
     del zero_bits
-    vm_exact = np.zeros(len(bits), bool)
-    vp_less = None
-    rare = t.rare.take(biased)
-    if rare.any():
-        vp_less = np.zeros(len(bits), bool)
-        i = np.flatnonzero(rare == 2)  # 4m - 1 - mm_shift has q zero bits iff mm_shift
-        vm_exact[i] = even[i] & mm_shift[i]
-        vp_less[i] = ~even[i]
-        i = np.flatnonzero(rare == 1)
-        e2 = biased[i] - 1077
-        m, p5, ev = mv[i], _POW5.take((e2 * 78913 >> 18) - (e2 > 3)), even[i]
-        five = m % 5 == 0
-        vr_exact[i] = five & (m % p5 == 0)
-        vm_exact[i] = ~five & ev & ((m - 1 - mm_shift[i]) % p5 == 0)
-        vp_less[i] = ~five & ~ev & ((m + 2) % p5 == 0)
     b = [limb.take(biased) for limb in t.limbs]
     s, e10 = t.shift.take(biased), t.e10.take(biased)
-    del biased, rare
+    del biased
 
     # the exact product 4m * mul in 32-bit columns c0..c4, each below 2^57
     c = [None] + [(mv >> 32) * limb for limb in b]
@@ -215,8 +174,6 @@ def _shortest(bits: np.ndarray):
     x += tmp
     vr, vp, vm = x.view(_U64)
     del b, c, s, mm_shift, d, tmp
-    if vp_less is not None:
-        vp -= vp_less
 
     # common case: drop the most digits k with a multiple of 10^k in (vm, vp];
     # vp - vm < 1000, so k0 = floor(log10(vp - vm)) digits always go, and one
@@ -248,12 +205,7 @@ def _shortest(bits: np.ndarray):
     out += up
     del rem, scale, up
     e10 = e10 + removed
-
-    i = np.flatnonzero(vr_exact | vm_exact)
-    if i.size:
-        out[i], dropped = _general(vr[i], vp[i], vm[i], vr_exact[i], vm_exact[i], even[i])
-        e10[i] += dropped - removed[i]
-    return out, e10
+    return out, e10, flagged
 
 
 def _ascii8(x: np.ndarray) -> np.ndarray:
@@ -278,21 +230,22 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
 def reprs(values) -> tuple[str, ...]:
     """repr of each value of a float array in C order: the strings of
     map(repr, np.ravel(values).tolist()), byte for byte, the cells of a
-    grid.table_block."""
-    bits = np.ravel(np.asarray(values, dtype=np.float64)).view(_U64)
-    n = len(bits)
+    grid.table_block.  Below _FEWEST values, and where _shortest flags a
+    value, the string is repr's own."""
+    floats = np.ravel(np.asarray(values, dtype=np.float64))
+    n = len(floats)
     if n < _FEWEST:
-        return tuple(map(repr, bits.view(np.float64).tolist()))
+        return tuple(map(repr, floats.tolist()))
     t = _tables()
+    bits = floats.view(_U64)
     neg = (bits >> 63).astype(np.uint8)
     bits = bits & ((1 << 63) - 1)
-    special = bits - 1 >= 0x7FEFFFFFFFFFFFFF  # 0, inf or nan
-    if special.any():
-        kind = np.where(bits == 0, 0, np.where(bits == 0x7FF0000000000000, 1, 2))[special]
-        neg[special] &= kind < 2  # nan has no sign
-        bits[special] = 0x3FF0000000000000  # 1.0 in their place
-    out, e10 = _shortest(bits)
+    bits[bits - 1 >= 0x7FEFFFFFFFFFFFFF] = 0x3FF0000000000000  # 1.0 for 0, inf and nan
+    out, e10, flagged = _shortest(bits)
     del bits
+    flagged = np.flatnonzero(flagged)
+    out[flagged] = 1  # laid out as 1.0, then replaced by repr
+    e10[flagged] = 0
 
     nd = (out.astype(np.float64).view(np.int64) >> 52) - 1022  # bits of out, or one more
     nd *= 1233
@@ -302,8 +255,6 @@ def reprs(values) -> tuple[str, ...]:
     key = np.minimum((e10 + 3).view(_U64), _SCI).view(np.int64)  # past -3..16 is scientific
     key *= 18
     key += nd
-    if special.any():
-        key[special] = _SPECIAL + kind
     out *= _POW10.take(17 - nd)  # 17 digits
     del nd
     first = out // 10 ** 16
@@ -350,4 +301,6 @@ def reprs(values) -> tuple[str, ...]:
     strs = []
     for lo in range(0, n, _STR_SLICE):
         strs += chars[lo:lo + _STR_SLICE].astype(np.uint32).view("U24").ravel().tolist()
+    for i, x in zip(flagged.tolist(), floats[flagged].tolist()):
+        strs[i] = repr(x)
     return tuple(strs)

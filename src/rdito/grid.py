@@ -24,16 +24,17 @@ flat real vector, none: the bare x.dot(matrix)).
 Every CSV table is written by table_block: per grid, the parts of one block
 of rows `lead,label,value` are laid out once from the point labels, and a
 block (one time step, one field) is one join of them, with the lead put in
-once.  Values are written exactly as repr writes them, by a numpy formatter,
-reprs (from floatrepr: Ryu's shortest round-trip digits, Adams, PLDI 2018),
-so float(cell) gives each back exactly.  A table whose rows are solved one
-at a time goes through stream_rows, which formats them while they are
-solved and writes them straight into the file it is handed: formatting
-holds the GIL, so from SPLIT_CELLS cells on, one forked child formats every
-piece of rows sent down a pipe (_PIECE_CELLS, 2^13 cells, per reprs call)
-while this process solves, and a full pipe holds the solve back.  The child
-writes the file and hashes it as it writes, and hands the digest back on a
-second pipe, so no byte is read back.  It holds O(_PIECE_CELLS) cells.
+once.  Values are written exactly as repr writes them, by reprs (from
+floatrepr): numpy writes those whose shortest round-trip digits Ryu's fast
+path proves (Adams, PLDI 2018), and repr the rest, so float(cell) gives each
+back exactly.  A table whose rows are solved one at a time goes through
+stream_rows, which formats them while they are solved and writes them
+straight into the file it is handed: formatting holds the GIL, so from
+SPLIT_CELLS cells on, one forked child formats every piece of rows sent down
+a pipe (_PIECE_CELLS, 2^13 cells, per reprs call) while this process solves,
+and a full pipe holds the solve back.  The child writes the file and hashes
+it as it writes, and hands the digest back on a second pipe, so no byte is
+read back.  It holds O(_PIECE_CELLS) cells.
 """
 
 from __future__ import annotations

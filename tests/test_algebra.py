@@ -14,18 +14,16 @@ from rdito.algebra import (
     _apply_matching,
     a,
     adag,
-    count_contractions,
     declare_kernel,
     derive_table,
     doi_shift,
-    evaluate_scalar,
     expr,
     ito_product,
     make_family,
     normal_order,
     term,
 )
-from oracles import is_normal
+from oracles import count_contractions, evaluate_scalar, is_normal
 
 
 def normal_order_by_commutators(e: OperatorExpr, max_steps: int = 200_000) -> OperatorExpr:

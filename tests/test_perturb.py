@@ -28,7 +28,7 @@ from rdito.perturb import (
     third_order_term,
 )
 from rdito.simulate import RadialKernel, SimConfig, run
-from oracles import THETA0, final_field, full_values, propagator, to_position
+from oracles import THETA0, evaluate_scalar, final_field, full_values, propagator, to_position
 from third_order_oracle import third_order_continuum
 
 
@@ -192,7 +192,7 @@ class TestPropagator:
             "gminus": math.exp(-t * D * k * k) - 1.0,
             "h": math.exp(s * D * k * k),
         }
-        assert alg.evaluate_scalar(prod, env) == pytest.approx(
+        assert evaluate_scalar(prod, env) == pytest.approx(
             propagator(k, t, s, D), rel=1e-12
         )
         # reversed time order: creator first, no contraction survives

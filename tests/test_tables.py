@@ -644,6 +644,21 @@ def test_formatter_matches_repr_on_a_million_random_doubles():
         assert not wrong, wrong[:5]
 
 
+def test_formatter_leaves_short_decimals_to_repr():
+    """floatrepr._shortest flags no ordinary double, so numpy writes them, and
+    flags every short decimal, where a bound can be exact, so repr writes
+    those: integers below 2^53, k * 2^j for k < 2^10 and j in -20..64, and
+    values in 1e15..1e22.  It takes finite nonzero bits only."""
+    rng = np.random.default_rng(36)
+    ordinary = np.abs(rng.standard_normal(2 ** 16))
+    assert not floatrepr._shortest(ordinary.view(np.uint64))[2].any()
+    k, j = np.meshgrid(np.arange(1, 2 ** 10), np.arange(-20, 65))
+    short = np.concatenate([rng.integers(1, 2 ** 53, 2 ** 12).astype(float),
+                            np.ldexp(k.astype(float), j).ravel(),
+                            10 ** rng.uniform(15, 22, 2 ** 12)])
+    assert floatrepr._shortest(short.view(np.uint64))[2].all()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
 def test_formatter_matches_repr_on_any_floats(values):
